@@ -14,6 +14,7 @@ import click
 from . import io as qio
 from .affine import AffineWeight, level_of, reduce_to_alcove
 from .dynkin import DynkinData, UnsupportedType, build_dynkin
+from .qdim import precision_bits
 from .solver import (NoConvergence, XOutOfRange, dilog_identity,
                      solve_restricted)
 from .table import (build_qtable, forced_tail_report, midpoint_checks,
@@ -61,14 +62,19 @@ def _dynkin(config: RunConfig) -> DynkinData:
 
 def _emit(config: RunConfig, text: str) -> None:
     if config.out:
-        with open(config.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(config.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageFailure(f"cannot write {config.out}: {exc.strerror}") from exc
     else:
         click.echo(text, nl=not text.endswith("\n"))
 
 
 def cmd_table(config: RunConfig, m_max: int | None = None) -> int:
     dynkin = _dynkin(config)
+    if m_max is not None and m_max < 0:
+        raise UsageFailure(f"--m-max must be >= 0, got {m_max}")
     table = build_qtable(dynkin, config.level, m_max=m_max)
     if config.fmt == "json":
         _emit(config, qio.qtable_to_json(table))
@@ -156,6 +162,8 @@ def cmd_reduce(config: RunConfig, coords: tuple[int, ...]) -> int:
 def cmd_solve(config: RunConfig, against_table: bool = False,
               with_dilog: bool = False, solver_tol: float = 1e-12) -> int:
     dynkin = _dynkin(config)
+    if solver_tol <= 0:
+        raise UsageFailure(f"solver tolerance must be positive, got {solver_tol}")
     try:
         sol = solve_restricted(dynkin, config.level, tol=solver_tol)
     except NoConvergence as exc:
@@ -214,6 +222,10 @@ def _config(command: str, family: str, rank: int, level: int, tol: float,
 
 def _run(fn, *args, **kwargs) -> None:
     try:
+        try:
+            precision_bits()
+        except ValueError as exc:
+            raise UsageFailure(str(exc)) from exc
         sys.exit(fn(*args, **kwargs))
     except UsageFailure as exc:
         click.echo(f"error: {exc}", err=True)

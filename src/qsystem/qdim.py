@@ -46,9 +46,12 @@ def precision_bits() -> int:
     raw = os.environ.get("QSYS_PRECISION_BITS")
     if raw is None:
         return DEFAULT_PRECISION_BITS
-    bits = int(raw)
+    try:
+        bits = int(raw)
+    except ValueError:
+        bits = 0
     if bits < 64:
-        raise ValueError(f"QSYS_PRECISION_BITS must be >= 64, got {bits}")
+        raise ValueError(f"QSYS_PRECISION_BITS must be an integer >= 64, got {raw!r}")
     return bits
 
 

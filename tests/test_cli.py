@@ -145,6 +145,14 @@ def test_solve_unreachable_tolerance(runner):
     assert result.exit_code == 1
 
 
+def test_solve_tolerance_is_relative_to_term_scale(runner):
+    # at 64 bits D8k6 lands at an absolute residual of a few 1e-12, about
+    # 3e-20 of its largest term of some 1e8
+    result = runner.invoke(main, ["solve", "-f", "D", "-r", "8", "-k", "6"],
+                           env={"QSYS_PRECISION_BITS": "64"})
+    assert result.exit_code == 0
+
+
 def test_dilog_command(runner):
     result = runner.invoke(main, ["dilog", "-f", "D", "-r", "4", "-k", "2",
                                   "--format", "json"])
@@ -159,6 +167,24 @@ def test_usage_errors(runner):
     assert runner.invoke(main, ["table", "-f", "D", "-r", "4", "-k", "0"]).exit_code == 2
     assert runner.invoke(main, ["table", "-f", "D", "-r", "4", "-k", "2",
                                 "--tol", "-1"]).exit_code == 2
+    assert runner.invoke(main, ["solve", "-f", "D", "-r", "4", "-k", "3",
+                                "--solver-tol", "-1"]).exit_code == 2
+
+
+@pytest.mark.parametrize("args,env", [
+    (["table", "-f", "D", "-r", "4", "-k", "2"], {"QSYS_PRECISION_BITS": "abc"}),
+    (["solve", "-f", "D", "-r", "4", "-k", "2"], {"QSYS_PRECISION_BITS": "32"}),
+    (["table", "-f", "D", "-r", "4", "-k", "2", "--m-max", "-3"], {}),
+    (["table", "-f", "D", "-r", "4", "-k", "2", "--out", "missing/x.json"], {}),
+], ids=["precision-not-integer", "precision-below-64", "negative-m-max",
+        "unwritable-out"])
+def test_bad_input_is_a_usage_error(runner, tmp_path, monkeypatch, args, env):
+    monkeypatch.chdir(tmp_path)
+    result = runner.invoke(main, args, env=env)
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    errors = [line for line in result.output.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1
 
 
 def test_max_rank_override(runner):

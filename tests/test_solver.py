@@ -38,16 +38,44 @@ def test_no_convergence_budget():
         solve_restricted(build_dynkin("D", 5), 4, max_iter=1)
 
 
-def test_a1_chain_closed_form():
+def test_a1_chain_closed_form(monkeypatch):
     # the single-node chain solves in sines: Q_m = sin((m+1)t)/sin(t), t = pi/(k+2)
     a1 = build_dynkin("A", 1)
-    for k in (2, 3, 4, 6):
-        sol = solve_restricted(a1, k)
-        with mpmath.workprec(precision_bits()):
-            t = mpmath.pi / (k + 2)
-            for m in range(k + 1):
-                expected = mpmath.sin((m + 1) * t) / mpmath.sin(t)
-                assert abs(sol.value(1, m) - expected) < mpmath.mpf(10) ** -25
+    for bits, digits in ((128, 25), (256, 70)):
+        monkeypatch.setenv("QSYS_PRECISION_BITS", str(bits))
+        for k in (2, 3, 4, 6):
+            sol = solve_restricted(a1, k)
+            with mpmath.workprec(bits):
+                t = mpmath.pi / (k + 2)
+                for m in range(k + 1):
+                    expected = mpmath.sin((m + 1) * t) / mpmath.sin(t)
+                    assert abs(sol.value(1, m) - expected) < mpmath.mpf(10) ** -digits
+
+
+def _loop_residual_and_scale(sol, dynkin):
+    """Largest residual and largest term of the recurrence, cell by cell."""
+    res = scale = mpmath.mpf(0)
+    for a in range(1, sol.rank + 1):
+        for m in range(1, sol.level):
+            prod = mpmath.mpf(1)
+            for b in range(1, sol.rank + 1):
+                if dynkin.adjacency[a - 1][b - 1]:
+                    prod *= sol.value(b, m)
+            terms = (sol.value(a, m) ** 2, prod, sol.value(a, m - 1) * sol.value(a, m + 1))
+            res = max(res, abs(terms[0] - terms[1] - terms[2]))
+            scale = max(scale, sum(terms))
+    return res, scale
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256, 512])
+def test_refinement_reaches_working_precision(monkeypatch, bits):
+    monkeypatch.setenv("QSYS_PRECISION_BITS", str(bits))
+    for family, rank, k in (("D", 8, 6), ("A", 8, 8), ("A", 1, 4)):
+        dynkin = build_dynkin(family, rank)
+        sol = solve_restricted(dynkin, k)
+        with mpmath.workprec(bits):
+            res, scale = _loop_residual_and_scale(sol, dynkin)
+            assert res <= mpmath.ldexp(scale, 8 - bits), (family, rank, k)
 
 
 def test_boundaries_are_unit():
