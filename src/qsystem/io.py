@@ -140,6 +140,9 @@ def solution_to_dict(sol: RestrictedSolution,
         "level": sol.level,
         "residual": sol.residual,
         "iterations": sol.iterations,
+        "float_iterations": sol.float_iterations,
+        "polish_steps": sol.polish_steps,
+        "term_scale": sol.term_scale,
         "values": values,
     }
     if dilog is not None:

@@ -1,21 +1,25 @@
 """Numerical solution of the level-k restricted recurrence and the
 Rogers-dilogarithm identity for its positive solution.
 
-The unknowns are the interior values Q^(a)_m, 1 <= m <= k-1, with both
-boundary rows pinned to 1.  Positivity is built into the parameterisation
-by solving in logarithmic coordinates with a damped Newton iteration in
-float64, with a damped fixed-point fallback for a stalled line search.
-Mixed-precision iterative refinement then carries the float solution to
-working precision: each step evaluates the residual at working precision
-and solves for the log-coordinate correction in float64 with the same
-Jacobian (Higham, *Accuracy and Stability of Numerical Algorithms*,
-ch. 12).  Residuals are judged relative to the term scale S, the largest
-term in any equation: refinement stops at 2^(8 - bits) S, and a solve is
-accepted when its residual is at most tol * max(1, S).
+The unknowns are Q^(a)_m, 1 <= m <= k-1; the rows m = 0 and m = k are
+pinned to 1.  Positivity is built in by solving for u = log Q.  Damped
+Newton in float64 solves the log form of the recurrence,
+log Q_m^2 - log(prod + Q_{m-1} Q_{m+1}) = 0, which is close to linear in
+u, with no fallback: the degenerate zero solutions sit at u = -inf, where
+the log form does not vanish.  Mixed-precision iterative refinement then
+carries the float solution to working precision: each step evaluates the
+residual at working precision and solves for the log-coordinate
+correction in float64 with the Jacobian of the raw residual (Higham,
+*Accuracy and Stability of Numerical Algorithms*, ch. 12).  Residuals are
+judged relative to the term scale S, the largest term in any equation:
+refinement stops at 2^(8 - bits) S, and a solve is accepted when its
+residual is at most tol * max(1, S).  Both phases log each step at DEBUG
+to the ``qsystem.solver`` logger.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -26,8 +30,12 @@ import numpy as np
 from .dynkin import DynkinData
 from .qdim import precision_bits
 
+_log = logging.getLogger(__name__)
+
 _BACKTRACK_FLOOR = 1e-10
-_FIXED_POINT_SWEEPS = 200
+# Stop test of the float phase on max |log Q^2 - log(prod + Q_- Q_+)|, a
+# few hundred ulps of a relative error.
+_LOG_TOL = 1e-13
 # A refinement step gains about -log2(cond(J) * 2^-53) bits, some 40 in
 # practice; one step per 16 bits of working precision leaves ample room.
 _BITS_PER_POLISH_STEP = 16
@@ -62,35 +70,39 @@ class RestrictedSolution:
     level: int
     values: Mapping[tuple[int, int], mpmath.mpf]
     residual: float
-    iterations: int
+    float_iterations: int
+    polish_steps: int
+    term_scale: float
     tol: float
+
+    @property
+    def iterations(self) -> int:
+        """Float Newton iterations plus refinement steps."""
+        return self.float_iterations + self.polish_steps
 
     def value(self, a: int, m: int) -> mpmath.mpf:
         return self.values[(a, m)]
 
 
-def _grid(dynkin: DynkinData, k: int, interior: np.ndarray) -> np.ndarray:
+def _grid(dynkin: DynkinData, k: int, inner: np.ndarray) -> np.ndarray:
     """Full (rank, k+1) value grid with unit boundary columns."""
     q = np.ones((dynkin.rank, k + 1))
     if k >= 2:
-        q[:, 1:k] = interior
+        q[:, 1:k] = inner
     return q
 
 
 def _terms(q: np.ndarray, adj: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The three terms Q_m^2, prod_b (Q^(b)_m)^adj[a,b] and Q_{m-1} Q_{m+1}
-    of every interior equation of the value grid ``q``.  Works on float64
+    of every equation 1 <= m <= k-1 of the value grid ``q``.  Works on float64
     arrays and on object arrays of mpf alike."""
     mid = q[:, 1:-1]
     return mid**2, (mid ** adj[:, :, None]).prod(axis=1), q[:, :-2] * q[:, 2:]
 
 
 def _residual(q: np.ndarray, adj: np.ndarray) -> np.ndarray:
-    # Overflowed line-search candidates produce NaNs here; the caller
-    # rejects them, so silence the spurious warnings.
-    with np.errstate(all="ignore"):
-        square, prod, cross = _terms(q, adj)
-        return square - prod - cross
+    square, prod, cross = _terms(q, adj)
+    return square - prod - cross
 
 
 def _scale(q: np.ndarray, adj: np.ndarray) -> float:
@@ -115,6 +127,22 @@ def _jacobian_log(q: np.ndarray, adj: np.ndarray, k: int) -> np.ndarray:
     return jac.reshape(r * (k - 1), r * (k - 1))
 
 
+def _log_residual(q: np.ndarray, adj: np.ndarray) -> np.ndarray:
+    """The log form log Q_m^2 - log(prod + Q_{m-1} Q_{m+1}) of every
+    equation: dimensionless and close to linear in log Q."""
+    square, prod, cross = _terms(q, adj)
+    return np.log(square / (prod + cross))
+
+
+def _jacobian_log_form(q: np.ndarray, adj: np.ndarray, k: int) -> np.ndarray:
+    """Jacobian of the log form with respect to log-coordinates,
+    diag(prod + cross)^-1 (J_f - 2 diag(f)) for the raw residual f and its
+    Jacobian J_f."""
+    square, prod, cross = _terms(q, adj)
+    f = square - prod - cross
+    return (_jacobian_log(q, adj, k) - 2 * np.diag(f.reshape(-1))) / (prod + cross).reshape(-1, 1)
+
+
 def _initial_guess(rank: int, k: int) -> np.ndarray:
     m = np.arange(1, k)
     return np.tile(1.0 + m * (k - m) / k, (rank, 1))
@@ -122,81 +150,44 @@ def _initial_guess(rank: int, k: int) -> np.ndarray:
 
 def _newton_float(dynkin: DynkinData, k: int, u0: np.ndarray,
                   max_iter: int) -> tuple[np.ndarray, float, int, bool]:
-    """Damped Newton in log-coordinates at machine precision.
+    """Damped Newton on the log form of the recurrence at machine precision.
 
-    Returns the value grid, the residual, the iteration count, and a
-    convergence flag.  The target residual is scale-aware; final accuracy
-    comes from the refinement at working precision afterwards.
+    Solves g(u) = log Q_m^2 - log(prod + Q_{m-1} Q_{m+1}) = 0 in the
+    log-coordinates u = log Q, with Armijo backtracking on ||g||^2
+    (Dennis & Schnabel, ch. 6).  g is dimensionless, so the stop test is
+    the fixed log-ratio ``_LOG_TOL``.  Returns the value grid, max |g|,
+    the iteration count and a convergence flag; final accuracy comes from
+    the refinement at working precision afterwards.
     """
     adj = np.array(dynkin.adjacency, dtype=float)
-    u = u0.copy()
+    u = u0
+    q = _grid(dynkin, k, np.exp(u))
     iterations = 0
-
-    def res_of(uu: np.ndarray) -> np.ndarray:
-        return _residual(_grid(dynkin, k, np.exp(uu)), adj)
-
-    def scale_of(uu: np.ndarray) -> float:
-        # The float residual floor is a small multiple of machine epsilon
-        # times this.
-        return _scale(_grid(dynkin, k, np.exp(uu)), adj)
-
-    def fixed_point_sweeps(uu: np.ndarray) -> np.ndarray:
-        # Newton may have walked to the boundary of the positive cone;
-        # clamp before sweeping so exp/log stay finite.
-        uu = np.clip(np.nan_to_num(uu, nan=0.0, posinf=40.0, neginf=-40.0),
-                     -40.0, 40.0)
-        q = _grid(dynkin, k, np.exp(uu))
-        for _ in range(_FIXED_POINT_SWEEPS):
-            q[:, 1:k] = np.exp(uu)
-            _, prod, cross = _terms(q, adj)
-            uu = 0.5 * (uu + np.log(np.sqrt(prod + cross)))
-        return uu
-
-    def interior(uu: np.ndarray) -> bool:
-        # The positive solution has unit boundaries and grows towards the
-        # midpoint, so every genuine value is >= 1.  Anything below 1/2
-        # is an escape towards the boundary of the positive cone, where
-        # degenerate zero-padded solutions of the equations live.
-        return bool(np.min(np.exp(uu)) > 0.5)
-
+    # Overflowed or underflowed line-search candidates give inf/NaN in g;
+    # the descent test rejects them, so silence the warnings.
     with np.errstate(all="ignore"):
-        f = res_of(u)
-        fallbacks_left = 5
-        while iterations < max_iter:
-            nrm = float(np.max(np.abs(f)))
-            solved = nrm <= 1e-11 * scale_of(u)
-            if solved and interior(u):
-                return _grid(dynkin, k, np.exp(u)), nrm, iterations, True
-            moved = False
-            # A solved-but-boundary state, or any drift out of the
-            # interior, means the wrong basin: go straight to recovery.
-            if not solved and interior(u):
-                jac = _jacobian_log(_grid(dynkin, k, np.exp(u)), adj, k)
-                try:
-                    step = np.linalg.solve(jac, -f.reshape(-1))
-                except np.linalg.LinAlgError:
-                    step = None
-                if step is not None:
-                    t = 1.0
-                    base = float(np.sum(f**2))
-                    while t > _BACKTRACK_FLOOR:
-                        cand = u + t * step.reshape(u.shape)
-                        fc = res_of(cand)
-                        if float(np.sum(fc**2)) < base * (1 - 1e-4 * t):
-                            u, f = cand, fc
-                            moved = True
-                            break
-                        t /= 2
-            iterations += 1
-            if not moved:
-                if fallbacks_left == 0:
+        g = _log_residual(q, adj)
+        nrm = float(np.max(np.abs(g)))
+        while not nrm <= _LOG_TOL and iterations < max_iter:
+            try:
+                step = np.linalg.solve(_jacobian_log_form(q, adj, k), -g.reshape(-1))
+            except np.linalg.LinAlgError:
+                break
+            step = step.reshape(u.shape)
+            base, t = float(np.sum(g**2)), 1.0
+            while t > _BACKTRACK_FLOOR:
+                q_t = _grid(dynkin, k, np.exp(u + t * step))
+                g_t = _log_residual(q_t, adj)
+                if float(np.sum(g_t**2)) < base * (1 - 1e-4 * t):
                     break
-                fallbacks_left -= 1
-                u = fixed_point_sweeps(u)
-                f = res_of(u)
-        nrm = float(np.max(np.abs(f)))
-        ok = nrm <= 1e-11 * scale_of(u) and interior(u)
-        return _grid(dynkin, k, np.exp(u)), nrm, iterations, ok
+                t /= 2
+            else:
+                break
+            u, q, g = u + t * step, q_t, g_t
+            nrm = float(np.max(np.abs(g)))
+            iterations += 1
+            _log.debug("newton %d: max|g| %.3e, step length %g", iterations, nrm, t)
+    return q, nrm, iterations, nrm <= _LOG_TOL
 
 
 def _polish(dynkin: DynkinData, k: int, q_float: np.ndarray,
@@ -216,13 +207,16 @@ def _polish(dynkin: DynkinData, k: int, q_float: np.ndarray,
     jac = _jacobian_log(q_float, adj, k)
     q = np.frompyfunc(mpmath.mpf, 1, 1)(q_float)
     f = _residual(q, adj)
+    res = np.max(np.abs(f))
     steps = 0
-    while np.max(np.abs(f)) > target and steps < bits // _BITS_PER_POLISH_STEP:
+    while res > target and steps < bits // _BITS_PER_POLISH_STEP:
         step = np.linalg.solve(jac, -f.astype(float).reshape(-1))
         q[:, 1:k] *= np.frompyfunc(mpmath.exp, 1, 1)(step.reshape(f.shape))
         f = _residual(q, adj)
+        res = np.max(np.abs(f))
         steps += 1
-    return q, np.max(np.abs(f)), steps
+        _log.debug("refine %d: residual / S %.3e", steps, float(res) / scale)
+    return q, res, steps
 
 
 def solve_restricted(dynkin: DynkinData, k: int, tol: float = 1e-12,
@@ -239,14 +233,15 @@ def solve_restricted(dynkin: DynkinData, k: int, tol: float = 1e-12,
     if k == 1:
         values = {(a, m): mpmath.mpf(1)
                   for a in range(1, dynkin.rank + 1) for m in (0, 1)}
-        return RestrictedSolution(dynkin.family, dynkin.rank, k, values,
-                                  residual=0.0, iterations=0, tol=tol)
+        return RestrictedSolution(dynkin.family, dynkin.rank, k, values, residual=0.0,
+                                  float_iterations=0, polish_steps=0, term_scale=0.0,
+                                  tol=tol)
 
     u0 = np.log(_initial_guess(dynkin.rank, k))
     q_float, res_float, its, ok = _newton_float(dynkin, k, u0, max_iter)
     if not ok:
         raise NoConvergence(
-            f"float phase stalled at residual {res_float:.3e}", res_float)
+            f"float phase stalled at log residual {res_float:.3e}", res_float)
     scale = _scale(q_float, np.array(dynkin.adjacency))
     with mpmath.workprec(precision_bits()):
         q, res, polish_its = _polish(dynkin, k, q_float, scale)
@@ -256,9 +251,9 @@ def solve_restricted(dynkin: DynkinData, k: int, tol: float = 1e-12,
                 f" relative to term scale {scale:.3e}", float(res))
     values = {(a, m): q[a - 1, m]
               for a in range(1, dynkin.rank + 1) for m in range(k + 1)}
-    return RestrictedSolution(dynkin.family, dynkin.rank, k, values,
-                              residual=float(res), iterations=its + polish_its,
-                              tol=tol)
+    return RestrictedSolution(dynkin.family, dynkin.rank, k, values, residual=float(res),
+                              float_iterations=its, polish_steps=polish_its,
+                              term_scale=scale, tol=tol)
 
 
 @dataclass(frozen=True)
@@ -306,7 +301,7 @@ class ProbeReport:
 
     starts: int
     converged: int
-    max_deviation: float
+    max_deviation: float  # elementwise |q - ref| / max(1, |ref|)
     agree: bool
 
 
@@ -314,7 +309,8 @@ def uniqueness_probe(dynkin: DynkinData, k: int, n_starts: int = 20,
                      seed: int = 0, tol: float = 1e-8,
                      max_iter: int = 400) -> ProbeReport:
     """Rerun the float solve from log-coordinates jittered by +-50% and
-    measure the spread.  Evidence for uniqueness, never a proof."""
+    measure the spread, elementwise relative to max(1, |ref|).  Evidence
+    for uniqueness, never a proof."""
     if k < 1:
         raise InvalidLevel(f"level must be >= 1, got {k}")
     if k == 1:
@@ -332,7 +328,7 @@ def uniqueness_probe(dynkin: DynkinData, k: int, n_starts: int = 20,
         if not ok:
             continue
         converged += 1
-        worst = max(worst, float(np.max(np.abs(q - ref))))
+        worst = max(worst, float(np.max(np.abs(q - ref) / np.maximum(1.0, np.abs(ref)))))
     return ProbeReport(n_starts, converged, worst,
                        converged == n_starts and worst <= tol)
 

@@ -1,3 +1,6 @@
+import json
+import logging
+
 import mpmath
 import numpy as np
 import pytest
@@ -9,7 +12,9 @@ from qsystem.solver import (DomainError, InvalidLevel, NoConvergence,
                             XOutOfRange, check_positive_solution_properties,
                             dilog_identity, rogers_L, solve_restricted,
                             uniqueness_probe, _grid, _initial_guess,
-                            _jacobian_log, _residual)
+                            _jacobian_log, _jacobian_log_form, _log_residual,
+                            _newton_float, _residual)
+from qsystem.io import solution_to_dict
 from qsystem.table import build_qtable
 
 
@@ -106,6 +111,18 @@ def test_properties_k2_degenerate():
     assert check_positive_solution_properties(sol).passed
 
 
+def _finite_difference_jacobian(residual, dynkin, k, u, adj, eps=1e-6):
+    n = u.size
+    fd = np.zeros((n, n))
+    for idx in range(n):
+        du = np.zeros(n)
+        du[idx] = eps
+        up = residual(_grid(dynkin, k, np.exp(u + du.reshape(u.shape))), adj)
+        dn = residual(_grid(dynkin, k, np.exp(u - du.reshape(u.shape))), adj)
+        fd[:, idx] = ((up - dn) / (2 * eps)).reshape(-1)
+    return fd
+
+
 def test_jacobian_against_finite_differences():
     d4 = build_dynkin("D", 4)
     k = 4
@@ -113,22 +130,87 @@ def test_jacobian_against_finite_differences():
     adj = np.array(d4.adjacency, dtype=float)
     u = np.log(_initial_guess(4, k)) + rng.uniform(-0.2, 0.2, (4, k - 1))
     jac = _jacobian_log(_grid(d4, k, np.exp(u)), adj, k)
-    n = 4 * (k - 1)
-    eps = 1e-6
-    fd = np.zeros((n, n))
-    for idx in range(n):
-        du = np.zeros(n)
-        du[idx] = eps
-        up = _residual(_grid(d4, k, np.exp(u + du.reshape(u.shape))), adj)
-        dn = _residual(_grid(d4, k, np.exp(u - du.reshape(u.shape))), adj)
-        fd[:, idx] = ((up - dn) / (2 * eps)).reshape(-1)
+    fd = _finite_difference_jacobian(_residual, d4, k, u, adj)
     assert np.max(np.abs(jac - fd)) / np.max(np.abs(fd)) < 1e-6
+
+
+def test_log_form_jacobian_against_finite_differences():
+    d5 = build_dynkin("D", 5)
+    k = 5
+    rng = np.random.default_rng(4)
+    adj = np.array(d5.adjacency, dtype=float)
+    u = np.log(_initial_guess(5, k)) + rng.uniform(-0.5, 0.5, (5, k - 1))
+    jac = _jacobian_log_form(_grid(d5, k, np.exp(u)), adj, k)
+    fd = _finite_difference_jacobian(_log_residual, d5, k, u, adj)
+    assert np.max(np.abs(jac - fd)) / np.max(np.abs(fd)) < 1e-6
+
+
+GRID = [("A", r) for r in range(1, 13)] + [("D", r) for r in range(4, 13)]
+
+
+def test_float_newton_converges_on_grid():
+    for family, rank in GRID:
+        dynkin = build_dynkin(family, rank)
+        for k in range(2, 13):
+            u0 = np.log(_initial_guess(rank, k))
+            _, res, iterations, ok = _newton_float(dynkin, k, u0, 200)
+            assert ok and res <= 1e-13, (family, rank, k, res)
+            assert iterations <= 10, (family, rank, k, iterations)
+
+
+@given(st.sampled_from([c for c in GRID if c[1] <= 8]), st.integers(2, 8),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=50, deadline=None)
+def test_float_newton_from_jittered_starts(case, k, seed):
+    family, rank = case
+    dynkin = build_dynkin(family, rank)
+    u0 = np.log(_initial_guess(rank, k))
+    ref, _, _, ok = _newton_float(dynkin, k, u0, 200)
+    assert ok
+    start = u0 * (1 + np.random.default_rng(seed).uniform(-0.5, 0.5, size=u0.shape))
+    q, _, _, ok = _newton_float(dynkin, k, start, 400)
+    assert ok
+    assert np.max(np.abs(q - ref) / ref) <= 1e-10
+
+
+def test_solve_d16_level16():
+    d16 = build_dynkin("D", 16)
+    sol = solve_restricted(d16, 16)
+    assert sol.residual <= sol.tol * sol.term_scale
+    top = float(max(sol.values.values()))  # about 4e22
+    assert check_positive_solution_properties(sol, tol=1e-25 * top).passed
+
+
+def test_solution_reports_phases(caplog):
+    d5 = build_dynkin("D", 5)
+    with caplog.at_level(logging.DEBUG, logger="qsystem.solver"):
+        sol = solve_restricted(d5, 4)
+    assert sol.float_iterations > 0 and sol.polish_steps > 0
+    assert sol.iterations == sol.float_iterations + sol.polish_steps
+    assert sol.term_scale > 1
+    messages = [r.getMessage() for r in caplog.records]
+    assert sum(m.startswith("newton ") for m in messages) == sol.float_iterations
+    assert sum(m.startswith("refine ") for m in messages) == sol.polish_steps
+    data = json.loads(json.dumps(solution_to_dict(sol)))
+    assert (data["float_iterations"], data["polish_steps"], data["iterations"]) == (
+        sol.float_iterations, sol.polish_steps, sol.iterations)
+    assert data["term_scale"] == sol.term_scale
 
 
 @pytest.mark.parametrize("family,rank,k", [("A", 2, 3), ("D", 5, 4)])
 def test_uniqueness_probe(family, rank, k):
     report = uniqueness_probe(build_dynkin(family, rank), k)
     assert report.converged == report.starts == 20
+    assert report.max_deviation <= 1e-8
+    assert report.agree
+
+
+@pytest.mark.parametrize("family", ["A", "D"])
+def test_uniqueness_probe_is_relative_at_large_values(family):
+    # values reach about 1e7 (A12k12) and 5e12 (D12k12); an absolute
+    # deviation would read large even where every digit agrees
+    report = uniqueness_probe(build_dynkin(family, 12), 12, n_starts=5)
+    assert report.converged == report.starts == 5
     assert report.max_deviation <= 1e-8
     assert report.agree
 
