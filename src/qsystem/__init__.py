@@ -7,36 +7,29 @@ and evaluates the Rogers-dilogarithm identity for the positive solution.
 """
 
 from .affine import (AffineWeight, IterationCapExceeded, ReductionResult,
-                     affinize, apply_automorphism, diagram_automorphisms,
-                     level_of, orbit_of_zero, reduce_to_alcove, reflect,
-                     shifted_action)
+                     affinize, level_of, reduce_to_alcove)
 from .dynkin import (DynkinData, RankMismatch, Root, UnsupportedType, Weight,
-                     build_dynkin, dominant_weights, pairing, positive_roots,
-                     weyl_vector)
-from .qdim import (QDimValue, RankTooLarge, precision_bits, qdim, qdim_affine,
-                   qdim_oracle, weyl_group_order)
+                     build_dynkin, positive_roots)
+from .qdim import QDimValue, precision_bits, qdim, qdim_affine
 from .solver import (DilogReport, DomainError, InvalidLevel, NoConvergence,
                      RestrictedSolution, XOutOfRange,
                      check_positive_solution_properties, dilog_identity,
                      rogers_L, solve_restricted, uniqueness_probe)
 from .table import (KRDecomposition, QTable, build_qtable, forced_tail_report,
-                    kr_decompose, kr_term_count, midpoint_checks,
-                    rebuild_from_first_row, verify_kns, verify_qsystem)
+                    kr_decompose, kr_term_count, midpoint_checks, verify_kns,
+                    verify_qsystem)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AffineWeight", "DilogReport", "DomainError", "DynkinData",
     "InvalidLevel", "IterationCapExceeded", "KRDecomposition",
-    "NoConvergence", "QDimValue", "QTable", "RankMismatch", "RankTooLarge",
+    "NoConvergence", "QDimValue", "QTable", "RankMismatch",
     "ReductionResult", "RestrictedSolution", "Root", "UnsupportedType",
-    "Weight", "XOutOfRange", "affinize", "apply_automorphism",
-    "build_dynkin", "build_qtable", "check_positive_solution_properties",
-    "diagram_automorphisms", "dilog_identity", "dominant_weights",
+    "Weight", "XOutOfRange", "affinize", "build_dynkin", "build_qtable",
+    "check_positive_solution_properties", "dilog_identity",
     "forced_tail_report", "kr_decompose", "kr_term_count", "level_of",
-    "midpoint_checks", "orbit_of_zero", "pairing", "positive_roots",
-    "precision_bits", "qdim", "qdim_affine", "qdim_oracle",
-    "rebuild_from_first_row", "reduce_to_alcove", "reflect", "rogers_L",
-    "shifted_action", "solve_restricted", "uniqueness_probe", "verify_kns",
-    "verify_qsystem", "weyl_group_order", "weyl_vector",
+    "midpoint_checks", "positive_roots", "precision_bits", "qdim",
+    "qdim_affine", "reduce_to_alcove", "rogers_L", "solve_restricted",
+    "uniqueness_probe", "verify_kns", "verify_qsystem",
 ]

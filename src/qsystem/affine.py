@@ -1,5 +1,5 @@
-"""Level-k affine weights, the shifted reflection action, alcove reduction,
-and automorphisms of the extended diagram.
+"""Level-k affine weights and their reduction to the dominant alcove under
+the shifted reflection action.
 
 An affine weight is stored as the integer coordinate vector
 (lambda_0, ..., lambda_r); membership at level k means the mark-weighted
@@ -11,7 +11,6 @@ vector has all coordinates one).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .dynkin import DynkinData, RankMismatch, Weight
 
@@ -70,31 +69,6 @@ def affinize(weight: Weight, level: int, dynkin: DynkinData) -> AffineWeight:
     return AffineWeight(level, (lam0, *weight.coords))
 
 
-def reflect(i: int, w: AffineWeight, dynkin: DynkinData) -> AffineWeight:
-    """Fundamental reflection at node i, acting linearly on coordinates."""
-    row = dynkin.extended_cartan[i]
-    wi = w.coords[i]
-    if wi == 0:
-        return w
-    return AffineWeight(w.level, tuple(c - wi * row[j] for j, c in enumerate(w.coords)))
-
-
-def shifted_action(word: tuple[int, ...] | list[int], w: AffineWeight,
-                   dynkin: DynkinData) -> AffineWeight:
-    """Apply s_{i_1} ... s_{i_n} to w under the shifted action.
-
-    Implemented by shifting every coordinate up by one, reflecting, and
-    shifting back down.
-    """
-    mu = [c + 1 for c in w.coords]
-    for i in word:
-        row = dynkin.extended_cartan[i]
-        mi = mu[i]
-        if mi:
-            mu = [mu[j] - mi * row[j] for j in range(len(mu))]
-    return AffineWeight(w.level, tuple(c - 1 for c in mu))
-
-
 def reduce_to_alcove(w: AffineWeight, dynkin: DynkinData,
                      cap: int = 10**6) -> ReductionResult:
     """Carry w to its dominant representative under the shifted action.
@@ -130,49 +104,3 @@ def reduce_to_alcove(w: AffineWeight, dynkin: DynkinData,
         mu = [mu[j] - mneg * row[j] for j in range(n)]
         sign = -sign
     raise IterationCapExceeded(f"no dominant representative within {cap} reflections")
-
-
-@lru_cache(maxsize=None)
-def diagram_automorphisms(dynkin: DynkinData) -> tuple[tuple[int, ...], ...]:
-    """All node permutations of the extended diagram preserving pairings.
-
-    Backtracking search over at most rank+1 nodes, pruned by the sorted
-    row profile of the extended matrix.  Marks are preserved
-    automatically by any such permutation.
-    """
-    c = dynkin.extended_cartan
-    n = dynkin.rank + 1
-    profile = [tuple(sorted(row)) for row in c]
-    found: list[tuple[int, ...]] = []
-    perm = [-1] * n
-    used = [False] * n
-
-    def extend(i: int) -> None:
-        if i == n:
-            found.append(tuple(perm))
-            return
-        for j in range(n):
-            if used[j] or profile[j] != profile[i]:
-                continue
-            if all(c[j][perm[t]] == c[i][t] for t in range(i)):
-                perm[i] = j
-                used[j] = True
-                extend(i + 1)
-                used[j] = False
-        perm[i] = -1
-
-    extend(0)
-    return tuple(sorted(found))
-
-
-def orbit_of_zero(dynkin: DynkinData) -> frozenset[int]:
-    """Nodes reachable from node 0 under extended-diagram automorphisms."""
-    return frozenset(p[0] for p in diagram_automorphisms(dynkin))
-
-
-def apply_automorphism(perm: tuple[int, ...], w: AffineWeight) -> AffineWeight:
-    """Permute affine coordinates: node i's coordinate moves to node perm[i]."""
-    coords = [0] * len(w.coords)
-    for i, c in enumerate(w.coords):
-        coords[perm[i]] = c
-    return AffineWeight(w.level, tuple(coords))

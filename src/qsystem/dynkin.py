@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
 
 
 class UnsupportedType(ValueError):
@@ -45,11 +44,6 @@ class Weight:
 
     def is_dominant(self) -> bool:
         return all(c >= 0 for c in self.coords)
-
-
-def weyl_vector(rank: int) -> Weight:
-    """The weight whose fundamental coordinates are all one."""
-    return Weight((1,) * rank)
 
 
 @dataclass(frozen=True)
@@ -149,32 +143,3 @@ def positive_roots(dynkin: DynkinData) -> tuple[Root, ...]:
         frontier = fresh
     ordered = sorted(seen, key=lambda c: (sum(c), c))
     return tuple(Root(c) for c in ordered)
-
-
-def pairing(weight: Weight, root: Root) -> int:
-    """Bilinear pairing of a weight with a root: sum of c_j * lambda_j.
-
-    Fundamental weights are dual to the simple roots in the simply laced
-    normalisation, so the pairing is a plain integer dot product.
-    """
-    if len(weight.coords) != len(root.coeffs):
-        raise RankMismatch(
-            f"weight rank {len(weight.coords)} != root rank {len(root.coeffs)}"
-        )
-    return sum(c * x for c, x in zip(root.coeffs, weight.coords))
-
-
-def dominant_weights(dynkin: DynkinData, max_level: int) -> Iterator[Weight]:
-    """Dominant weights whose mark-weighted coordinate total is <= max_level."""
-
-    def rec(i: int, budget: int, acc: list[int]) -> Iterator[Weight]:
-        if i == dynkin.rank:
-            yield Weight(tuple(acc))
-            return
-        mark = dynkin.marks[i + 1]
-        for c in range(budget // mark + 1):
-            acc.append(c)
-            yield from rec(i + 1, budget - mark * c, acc)
-            acc.pop()
-
-    yield from rec(0, max_level, [])

@@ -88,12 +88,10 @@ def qtable_from_json(text: str) -> QTable:
     return qtable_from_dict(json.loads(text))
 
 
-def _cell_text(cell: QDimValue, width: int = 0) -> str:
+def _cell_text(cell: QDimValue) -> str:
     if cell.exact is not None:
-        s = str(cell.exact)
-    else:
-        s = mpmath.nstr(cell.numeric, 10)
-    return s.rjust(width) if width else s
+        return str(cell.exact)
+    return mpmath.nstr(cell.numeric, 10)
 
 
 def qtable_to_csv(table: QTable) -> str:

@@ -21,10 +21,8 @@ precomputed sine table at the working precision selected by the
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
@@ -34,11 +32,6 @@ from .affine import AffineWeight
 from .dynkin import DynkinData, Weight, positive_roots
 
 DEFAULT_PRECISION_BITS = 128
-_WEYL_ORDER_CAP = 10**6
-
-
-class RankTooLarge(ValueError):
-    """The finite Weyl group is too large for brute-force evaluation."""
 
 
 def precision_bits() -> int:
@@ -137,66 +130,3 @@ def qdim_affine(w: AffineWeight, dynkin: DynkinData) -> QDimValue:
     """Quantum dimension of an affine weight (the zeroth coordinate only
     fixes the level)."""
     return qdim(w.classical(), w.level, dynkin)
-
-
-def weyl_group_order(dynkin: DynkinData) -> int:
-    if dynkin.family == "A":
-        return math.factorial(dynkin.rank + 1)
-    return 2 ** (dynkin.rank - 1) * math.factorial(dynkin.rank)
-
-
-def _signed_orbit(cartan, start: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-    """Weyl orbit of a regular weight with the parity of each element."""
-    rank = len(start)
-    seen = {start: 1}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        s = seen[v]
-        for i in range(rank):
-            vi = v[i]
-            if vi == 0:
-                raise ValueError("orbit of a non-regular weight has no signs")
-            img = tuple(v[j] - vi * cartan[i][j] for j in range(rank))
-            if img not in seen:
-                seen[img] = -s
-                stack.append(img)
-    return seen
-
-
-def qdim_oracle(weight: Weight, level: int, dynkin: DynkinData) -> mpmath.mpf:
-    """Independent evaluation via the alternating character quotient.
-
-    Sums signed exponentials over the full finite Weyl orbit of
-    lambda + rho and of rho, then takes the ratio.  Brute force by
-    construction; used as a cross-check for :func:`qdim` and limited to
-    Weyl groups of order at most 10^6.
-    """
-    order = weyl_group_order(dynkin)
-    if order > _WEYL_ORDER_CAP:
-        raise RankTooLarge(f"Weyl group order {order} exceeds {_WEYL_ORDER_CAP}")
-    if not weight.is_dominant():
-        raise ValueError("oracle expects a dominant weight")
-    rank = dynkin.rank
-    n_mod = dynkin.coxeter + level
-    roots = positive_roots(dynkin)
-    # (omega_i | rho) = half the i-th coordinate sum over positive roots
-    rho_pair = [Fraction(sum(r.coeffs[i] for r in roots), 2) for i in range(rank)]
-
-    def alternating_sum(start: tuple[int, ...]) -> mpmath.mpc:
-        orbit = _signed_orbit(dynkin.cartan, start)
-        assert len(orbit) == order
-        total = mpmath.mpc(0)
-        for v, s in orbit.items():
-            arg = 2 * sum(c * g for c, g in zip(v, rho_pair)) / n_mod
-            total += s * mpmath.expjpi(mpmath.mpf(arg.numerator) / arg.denominator)
-        return total
-
-    with mpmath.workprec(precision_bits() + 32):
-        numer = alternating_sum(tuple(c + 1 for c in weight.coords))
-        denom = alternating_sum((1,) * rank)
-        value = numer / denom
-        assert abs(value.imag) < mpmath.mpf(2) ** (-precision_bits() // 2)
-        return value.real
-
-

@@ -29,6 +29,7 @@ import numpy as np
 
 from .dynkin import DynkinData
 from .qdim import precision_bits
+from .recurrence import terms
 
 _log = logging.getLogger(__name__)
 
@@ -92,23 +93,15 @@ def _grid(dynkin: DynkinData, k: int, inner: np.ndarray) -> np.ndarray:
     return q
 
 
-def _terms(q: np.ndarray, adj: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The three terms Q_m^2, prod_b (Q^(b)_m)^adj[a,b] and Q_{m-1} Q_{m+1}
-    of every equation 1 <= m <= k-1 of the value grid ``q``.  Works on float64
-    arrays and on object arrays of mpf alike."""
-    mid = q[:, 1:-1]
-    return mid**2, (mid ** adj[:, :, None]).prod(axis=1), q[:, :-2] * q[:, 2:]
-
-
 def _residual(q: np.ndarray, adj: np.ndarray) -> np.ndarray:
-    square, prod, cross = _terms(q, adj)
+    square, prod, cross = terms(q, adj)
     return square - prod - cross
 
 
 def _scale(q: np.ndarray, adj: np.ndarray) -> float:
     """Largest term appearing in any equation; residuals are measured
     against it."""
-    return float(np.max(sum(_terms(q, adj))))
+    return float(np.max(sum(terms(q, adj))))
 
 
 def _jacobian_log(q: np.ndarray, adj: np.ndarray, k: int) -> np.ndarray:
@@ -118,7 +111,7 @@ def _jacobian_log(q: np.ndarray, adj: np.ndarray, k: int) -> np.ndarray:
     the neighbour product, and to (a, m -+ 1) through Q_{m-1} Q_{m+1}.
     """
     r = q.shape[0]
-    square, prod, cross = _terms(q, adj)
+    square, prod, cross = terms(q, adj)
     same_m, eye = np.eye(k - 1), np.eye(r)
     jac = (np.einsum("ab,aj,ji->ajbi", 2 * eye, square, same_m)
            - np.einsum("ab,aj,ji->ajbi", adj, prod, same_m)
@@ -130,7 +123,7 @@ def _jacobian_log(q: np.ndarray, adj: np.ndarray, k: int) -> np.ndarray:
 def _log_residual(q: np.ndarray, adj: np.ndarray) -> np.ndarray:
     """The log form log Q_m^2 - log(prod + Q_{m-1} Q_{m+1}) of every
     equation: dimensionless and close to linear in log Q."""
-    square, prod, cross = _terms(q, adj)
+    square, prod, cross = terms(q, adj)
     return np.log(square / (prod + cross))
 
 
@@ -138,7 +131,7 @@ def _jacobian_log_form(q: np.ndarray, adj: np.ndarray, k: int) -> np.ndarray:
     """Jacobian of the log form with respect to log-coordinates,
     diag(prod + cross)^-1 (J_f - 2 diag(f)) for the raw residual f and its
     Jacobian J_f."""
-    square, prod, cross = _terms(q, adj)
+    square, prod, cross = terms(q, adj)
     f = square - prod - cross
     return (_jacobian_log(q, adj, k) - 2 * np.diag(f.reshape(-1))) / (prod + cross).reshape(-1, 1)
 
@@ -260,7 +253,7 @@ def solve_restricted(dynkin: DynkinData, k: int, tol: float = 1e-12,
 class SolutionProperties:
     symmetric: bool
     unimodal: bool
-    max_symmetry_defect: float
+    max_symmetry_defect: float  # elementwise |Q(a,m) - Q(a,k-m)| / max(1, |Q(a,k-m)|)
     failures: tuple[str, ...]
 
     @property
@@ -270,8 +263,9 @@ class SolutionProperties:
 
 def check_positive_solution_properties(sol: RestrictedSolution,
                                        tol: float | None = None) -> SolutionProperties:
-    """Symmetry about k/2 (within 10x the solve tolerance by default) and
-    strict growth up to the midpoint."""
+    """Symmetry about k/2 and strict growth up to the midpoint.  Each
+    symmetry defect is measured relative to max(1, |Q(a, k-m)|), so ``tol``
+    is a relative bound, 10x the solve tolerance by default."""
     if tol is None:
         tol = 10 * sol.tol
     k = sol.level
@@ -280,7 +274,8 @@ def check_positive_solution_properties(sol: RestrictedSolution,
     defect = 0.0
     for a in range(1, sol.rank + 1):
         for m in range(k + 1):
-            d = float(abs(sol.value(a, m) - sol.value(a, k - m)))
+            mirror = sol.value(a, k - m)
+            d = float(abs(sol.value(a, m) - mirror) / max(1, abs(mirror)))
             defect = max(defect, d)
             if d > tol:
                 symmetry_failures.append(f"Q({a},{m}) != Q({a},{k - m})")
@@ -397,7 +392,7 @@ def dilog_identity(sol: RestrictedSolution, dynkin: DynkinData) -> DilogReport:
     with mpmath.workprec(precision_bits()):
         q = np.array([[sol.value(a, m) for m in range(k + 1)]
                       for a in range(1, r + 1)], dtype=object)
-        square, prod, _ = _terms(q, np.array(dynkin.adjacency))
+        square, prod, _ = terms(q, np.array(dynkin.adjacency))
         total = mpmath.mpf(0)
         for (a, j), x in np.ndenumerate(prod / square):
             if not 0 < x < 1:

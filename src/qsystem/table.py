@@ -17,10 +17,12 @@ from math import comb
 from typing import Iterator, Mapping
 
 import mpmath
+import numpy as np
 
 from .affine import AffineWeight, affinize, reduce_to_alcove
 from .dynkin import DynkinData, Weight
 from .qdim import QDimValue, precision_bits, qdim_affine
+from .recurrence import terms
 
 Cell = tuple[int, int]
 
@@ -206,14 +208,6 @@ class QSystemReport:
     residuals: Mapping[Cell, float]
 
 
-def _neighbor_product(table: QTable, dynkin: DynkinData, a: int, m: int) -> mpmath.mpf:
-    out = mpmath.mpf(1)
-    for b in range(1, dynkin.rank + 1):
-        if dynkin.adjacency[a - 1][b - 1]:
-            out *= table.value(b, m)
-    return out
-
-
 def verify_qsystem(table: QTable, dynkin: DynkinData, tol: float = 1e-9) -> QSystemReport:
     """Check (z^(a)_m)^2 = prod_neighbors + z^(a)_{m-1} z^(a)_{m+1} for
     1 <= m <= m_max - 1."""
@@ -221,16 +215,14 @@ def verify_qsystem(table: QTable, dynkin: DynkinData, tol: float = 1e-9) -> QSys
     worst: Cell | None = None
     max_res = mpmath.mpf(0)
     with mpmath.workprec(precision_bits()):
-        for a in range(1, table.rank + 1):
-            for m in range(1, table.m_max):
-                lhs = table.value(a, m) ** 2
-                rhs = _neighbor_product(table, dynkin, a, m) \
-                    + table.value(a, m - 1) * table.value(a, m + 1)
-                res = abs(lhs - rhs)
-                residuals[(a, m)] = float(res)
-                if res > max_res:
-                    max_res = res
-                    worst = (a, m)
+        q = np.array([[table.value(a, m) for m in range(table.m_max + 1)]
+                      for a in range(1, table.rank + 1)], dtype=object)
+        square, prod, cross = terms(q, np.array(dynkin.adjacency))
+        for (a, j), res in np.ndenumerate(abs(square - (prod + cross))):
+            residuals[(a + 1, j + 1)] = float(res)
+            if res > max_res:
+                max_res = res
+                worst = (a + 1, j + 1)
         threshold = tol * (1 + float(table.max_abs()) ** 2)
     return QSystemReport(
         max_residual=float(max_res),
@@ -369,29 +361,6 @@ def midpoint_checks(table: QTable, tol: float = 1e-9) -> MidpointReport:
                 entries.append((f"z({a},{m}) = z({a},{k - m})", a, float(delta),
                                 float(delta) <= tol))
     return MidpointReport(tuple(entries), all(e[3] for e in entries))
-
-
-def rebuild_from_first_row(table: QTable, dynkin: DynkinData) -> dict[Cell, mpmath.mpf]:
-    """Regrow rows 2..level from rows 0 and 1 via the recurrence solved
-    forward: z_{m+1} = (z_m^2 - neighbor product) / z_{m-1}.
-
-    Valid while all intermediate cells are nonzero, which positivity
-    guarantees below the boundary.
-    """
-    k, r = table.level, table.rank
-    values: dict[Cell, mpmath.mpf] = {}
-    with mpmath.workprec(precision_bits()):
-        for a in range(1, r + 1):
-            values[(a, 0)] = mpmath.mpf(1)
-            values[(a, 1)] = table.value(a, 1)
-        for m in range(1, k):
-            for a in range(1, r + 1):
-                prod = mpmath.mpf(1)
-                for b in range(1, r + 1):
-                    if dynkin.adjacency[a - 1][b - 1]:
-                        prod *= values[(b, m)]
-                values[(a, m + 1)] = (values[(a, m)] ** 2 - prod) / values[(a, m - 1)]
-    return values
 
 
 @dataclass(frozen=True)

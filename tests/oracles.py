@@ -1,0 +1,168 @@
+"""Reference implementations that only the tests call: reflection actions,
+extended-diagram automorphisms, dominant weights and the Weyl-orbit
+quantum dimension."""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from functools import lru_cache
+from typing import Iterator
+
+import mpmath
+
+from qsystem.affine import AffineWeight
+from qsystem.dynkin import DynkinData, Weight, positive_roots
+from qsystem.qdim import precision_bits
+
+_WEYL_ORDER_CAP = 10**6
+
+
+def reflect(i: int, w: AffineWeight, dynkin: DynkinData) -> AffineWeight:
+    """Fundamental reflection at node i, acting linearly on coordinates."""
+    row = dynkin.extended_cartan[i]
+    wi = w.coords[i]
+    if wi == 0:
+        return w
+    return AffineWeight(w.level, tuple(c - wi * row[j] for j, c in enumerate(w.coords)))
+
+
+def shifted_action(word: tuple[int, ...] | list[int], w: AffineWeight,
+                   dynkin: DynkinData) -> AffineWeight:
+    """Apply s_{i_1} ... s_{i_n} to w under the shifted action.
+
+    Implemented by shifting every coordinate up by one, reflecting, and
+    shifting back down.
+    """
+    mu = [c + 1 for c in w.coords]
+    for i in word:
+        row = dynkin.extended_cartan[i]
+        mi = mu[i]
+        if mi:
+            mu = [mu[j] - mi * row[j] for j in range(len(mu))]
+    return AffineWeight(w.level, tuple(c - 1 for c in mu))
+
+
+@lru_cache(maxsize=None)
+def diagram_automorphisms(dynkin: DynkinData) -> tuple[tuple[int, ...], ...]:
+    """All node permutations of the extended diagram preserving pairings.
+
+    Backtracking search over at most rank+1 nodes, pruned by the sorted
+    row profile of the extended matrix.  Marks are preserved
+    automatically by any such permutation.
+    """
+    c = dynkin.extended_cartan
+    n = dynkin.rank + 1
+    profile = [tuple(sorted(row)) for row in c]
+    found: list[tuple[int, ...]] = []
+    perm = [-1] * n
+    used = [False] * n
+
+    def extend(i: int) -> None:
+        if i == n:
+            found.append(tuple(perm))
+            return
+        for j in range(n):
+            if used[j] or profile[j] != profile[i]:
+                continue
+            if all(c[j][perm[t]] == c[i][t] for t in range(i)):
+                perm[i] = j
+                used[j] = True
+                extend(i + 1)
+                used[j] = False
+        perm[i] = -1
+
+    extend(0)
+    return tuple(sorted(found))
+
+
+def orbit_of_zero(dynkin: DynkinData) -> frozenset[int]:
+    """Nodes reachable from node 0 under extended-diagram automorphisms."""
+    return frozenset(p[0] for p in diagram_automorphisms(dynkin))
+
+
+def apply_automorphism(perm: tuple[int, ...], w: AffineWeight) -> AffineWeight:
+    """Permute affine coordinates: node i's coordinate moves to node perm[i]."""
+    coords = [0] * len(w.coords)
+    for i, c in enumerate(w.coords):
+        coords[perm[i]] = c
+    return AffineWeight(w.level, tuple(coords))
+
+def dominant_weights(dynkin: DynkinData, max_level: int) -> Iterator[Weight]:
+    """Dominant weights whose mark-weighted coordinate total is <= max_level."""
+
+    def rec(i: int, budget: int, acc: list[int]) -> Iterator[Weight]:
+        if i == dynkin.rank:
+            yield Weight(tuple(acc))
+            return
+        mark = dynkin.marks[i + 1]
+        for c in range(budget // mark + 1):
+            acc.append(c)
+            yield from rec(i + 1, budget - mark * c, acc)
+            acc.pop()
+
+    yield from rec(0, max_level, [])
+
+class RankTooLarge(ValueError):
+    """The finite Weyl group is too large for brute-force evaluation."""
+
+
+def weyl_group_order(dynkin: DynkinData) -> int:
+    if dynkin.family == "A":
+        return math.factorial(dynkin.rank + 1)
+    return 2 ** (dynkin.rank - 1) * math.factorial(dynkin.rank)
+
+
+def _signed_orbit(cartan, start: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """Weyl orbit of a regular weight with the parity of each element."""
+    rank = len(start)
+    seen = {start: 1}
+    stack = [start]
+    while stack:
+        v = stack.pop()
+        s = seen[v]
+        for i in range(rank):
+            vi = v[i]
+            if vi == 0:
+                raise ValueError("orbit of a non-regular weight has no signs")
+            img = tuple(v[j] - vi * cartan[i][j] for j in range(rank))
+            if img not in seen:
+                seen[img] = -s
+                stack.append(img)
+    return seen
+
+
+def qdim_oracle(weight: Weight, level: int, dynkin: DynkinData) -> mpmath.mpf:
+    """Independent evaluation via the alternating character quotient.
+
+    Sums signed exponentials over the full finite Weyl orbit of
+    lambda + rho and of rho, then takes the ratio.  Brute force by
+    construction; used as a cross-check for :func:`qdim` and limited to
+    Weyl groups of order at most 10^6.
+    """
+    order = weyl_group_order(dynkin)
+    if order > _WEYL_ORDER_CAP:
+        raise RankTooLarge(f"Weyl group order {order} exceeds {_WEYL_ORDER_CAP}")
+    if not weight.is_dominant():
+        raise ValueError("oracle expects a dominant weight")
+    rank = dynkin.rank
+    n_mod = dynkin.coxeter + level
+    roots = positive_roots(dynkin)
+    # (omega_i | rho) = half the i-th coordinate sum over positive roots
+    rho_pair = [Fraction(sum(r.coeffs[i] for r in roots), 2) for i in range(rank)]
+
+    def alternating_sum(start: tuple[int, ...]) -> mpmath.mpc:
+        orbit = _signed_orbit(dynkin.cartan, start)
+        assert len(orbit) == order
+        total = mpmath.mpc(0)
+        for v, s in orbit.items():
+            arg = 2 * sum(c * g for c, g in zip(v, rho_pair)) / n_mod
+            total += s * mpmath.expjpi(mpmath.mpf(arg.numerator) / arg.denominator)
+        return total
+
+    with mpmath.workprec(precision_bits() + 32):
+        numer = alternating_sum(tuple(c + 1 for c in weight.coords))
+        denom = alternating_sum((1,) * rank)
+        value = numer / denom
+        assert abs(value.imag) < mpmath.mpf(2) ** (-precision_bits() // 2)
+        return value.real

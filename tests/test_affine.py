@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qsystem.affine import (AffineWeight, IterationCapExceeded, affinize,
-                            apply_automorphism, diagram_automorphisms,
-                            level_of, orbit_of_zero, reduce_to_alcove,
-                            reflect, shifted_action)
+                            level_of, reduce_to_alcove)
 from qsystem.dynkin import Weight, build_dynkin
+
+from oracles import (apply_automorphism, diagram_automorphisms, orbit_of_zero,
+                     reflect, shifted_action)
 
 
 def aw(dynkin, level, *classical):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -191,3 +192,83 @@ def test_max_rank_override(runner):
     result = runner.invoke(main, ["table", "-f", "A", "-r", "13", "-k", "1",
                                   "--max-rank", "14", "--format", "csv"])
     assert result.exit_code == 0
+
+
+# Byte-level pins of the CLI.  Each digest is the sha256 of the JSON list
+# [exit code, stdout, stderr] as the commands printed it before the CLI was
+# rebuilt around one command decorator.  `solve` and `dilog` are left out:
+# their last printed digits follow the float64 start, which depends on the
+# LAPACK build.  Help pages are rendered at a fixed width of 80 columns.
+D5K4 = ["-f", "D", "-r", "5", "-k", "4"]
+A3K3 = ["-f", "A", "-r", "3", "-k", "3"]
+PINNED = {
+    "table-text-D5k4": (["table", *D5K4], {}),
+    "table-json-D5k4": (["table", *D5K4, "--format", "json"], {}),
+    "table-csv-D5k4": (["table", *D5K4, "--format", "csv"], {}),
+    "table-text-A3k3": (["table", *A3K3], {}),
+    "table-json-A3k3": (["table", *A3K3, "--format", "json"], {}),
+    "table-csv-A3k3": (["table", *A3K3, "--format", "csv"], {}),
+    "verify-D5k4": (["verify", *D5K4], {}),
+    "verify-grid-D": (["verify", "-f", "D", "-r", "4", "-k", "1",
+                       "--grid", "r=4..5", "k=1..3"], {}),
+    "verify-grid-A": (["verify", "-f", "A", "-r", "1", "-k", "1",
+                       "--grid", "r=1..3", "k=1..3"], {}),
+    "verify-fails": (["verify", "-f", "D", "-r", "4", "-k", "2", "--tol", "1e-300"], {}),
+    "reduce-dominant": (["reduce", *D5K4, "--", "2", "0", "1", "0", "0", "0"], {}),
+    "reduce-wall": (["reduce", *D5K4, "--", "-1", "1", "2", "0", "0", "0"], {}),
+    "reduce-sign-flip": (["reduce", *D5K4, "--", "-2", "0", "3", "0", "0", "0"], {}),
+    "usage-family": (["table", "-f", "E", "-r", "6", "-k", "2"], {}),
+    "usage-rank-low": (["table", "-f", "D", "-r", "3", "-k", "2"], {}),
+    "usage-rank-high": (["table", "-f", "D", "-r", "20", "-k", "2"], {}),
+    "usage-level": (["table", "-f", "D", "-r", "4", "-k", "0"], {}),
+    "usage-tol": (["table", "-f", "D", "-r", "4", "-k", "2", "--tol", "-1"], {}),
+    "usage-solver-tol": (["solve", "-f", "D", "-r", "4", "-k", "3",
+                          "--solver-tol", "-1"], {}),
+    "usage-precision": (["table", "-f", "D", "-r", "4", "-k", "2"],
+                        {"QSYS_PRECISION_BITS": "abc"}),
+    "usage-unwritable-out": (["table", "-f", "D", "-r", "4", "-k", "2",
+                              "--out", "missing/x.json"], {}),
+    "precision-64": (["verify", *D5K4], {"QSYS_PRECISION_BITS": "64"}),
+    **{f"help-{cmd or 'main'}": ([cmd, "--help"] if cmd else ["--help"], {})
+       for cmd in ("", "table", "verify", "reduce", "solve", "dilog")},
+}
+DIGESTS = {
+    "help-dilog": "fec44e78648a157b77e02c58252a708c07a4be247be5035c322ee2c34624d6a3",
+    "help-main": "f882423838724c4eb0c8b368e1658459ed094c1e895df6c015c20f54c1c835b7",
+    "help-reduce": "b8ce6a03e11c2d9f4cf0c175b2a9cc34eafcabed86f2eed1affe45a45077fbc1",
+    "help-solve": "20c6f281e1e24dafe23e35c24c654f7e15e3644634bb040ac5e532b038897d84",
+    "help-table": "1fa776ce7cb9d824238f9c17009a9459fd834256140eb3a1a9dfc47603be97a4",
+    "help-verify": "6f92c064538b75fa14057d0d4892538bef9eafddceeb56019eff9a0a9f18aad1",
+    "precision-64": "30690280f1998c9d38e1f9c78a75ed640846564e6b9f554739556487153a94ba",
+    "reduce-dominant": "9646dd64088448eac9f7ade01dbcee73a7c455e56dbdbd59a5050fe49bb0d174",
+    "reduce-sign-flip": "5d8b60fbc1a33b48f7b048e42b414c228d9553883a24c940cd53ad73f8fd3c18",
+    "reduce-wall": "d468d6b336283ba2347e4be5ae84ee422607c7e23b450a0d9489ac4ebf5d5fbf",
+    "table-csv-A3k3": "570c87db2492c30dea94eb07ee45d922c1d24896d80727cea6c0b7598ddc6db1",
+    "table-csv-D5k4": "c1ea814c9e9e3283b8e6465ebbfeec60e20ed4392979394f1f3c29aa033c90af",
+    "table-json-A3k3": "1287537340ac2981fcf2baf56064c1bc84dd0446daf47d3306e9f24199a7032a",
+    "table-json-D5k4": "4bdd95fe2c00b6eb2cabc3d6549a9be843e58a3a6a3c2f53968d934af2e45aca",
+    "table-text-A3k3": "dbbd1793efaf33c57022aefab809d7447b4c749872da8b4104216fe7c59e1861",
+    "table-text-D5k4": "d40467d1bbdd1656e7c72cca2162d37c9c05db76a2ca5f84f1fda8b8f1c7a5fd",
+    "usage-family": "85be1800b8fb2f7d4c490ef7f1365e2cc84139d3f83b2dbddc9b5de1a25cf561",
+    "usage-level": "f003385a52821858b0e0609400e993d237605f76f52138a0650b77c9f480837d",
+    "usage-precision": "8da71310ad9b01d0fde8c70c7b7df29f48d9cb6622565de73b7495dd933dfc01",
+    "usage-rank-high": "69dee7d77c5170249667ee38b33828dfdde7cb6fb7081b15650a9a716cfddeed",
+    "usage-rank-low": "c3802766eba0178eb26b7c0357982c6b9437e8452e09bceb8c8388caeef06dd4",
+    "usage-solver-tol": "bd66a20765b5a111505f6a4919af6e67564f3bd3052321b6a5e47cc02510e310",
+    "usage-tol": "f32009eb0227c036387bf5489d4ebb5e733cf53521b6b1ca5c299aeee1c04fc0",
+    "usage-unwritable-out": "a32ec0dbd2fbbe106f48b1bd49803b8e4d8f531963e5eef3381cb412c2858200",
+    "verify-D5k4": "b127c899794a604d21bb0522347780c447f5c647e8847a0fc42fc6d1f2f0169b",
+    "verify-fails": "60ab0e9590ac7cfd57890e502df33ce9f8cfe4ab8757ed9e54637241877f0a1c",
+    "verify-grid-A": "657c6b116429849d61ebe52a62e9e009035147cacf24344396c4901b68757bdf",
+    "verify-grid-D": "6392c431a2ecadc1f688f564a01372ff157564d8d2edea859f20b5b1468e869b",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED))
+def test_output_bytes_are_pinned(runner, tmp_path, monkeypatch, case):
+    monkeypatch.chdir(tmp_path)
+    args, env = PINNED[case]
+    result = runner.invoke(main, args, env={"QSYS_PRECISION_BITS": None, **env},
+                           prog_name="qsys", terminal_width=80)
+    blob = json.dumps([result.exit_code, result.stdout, result.stderr])
+    assert hashlib.sha256(blob.encode()).hexdigest() == DIGESTS[case]

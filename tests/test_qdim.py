@@ -2,12 +2,13 @@ import mpmath
 import numpy as np
 import pytest
 
-from qsystem.affine import (affinize, apply_automorphism,
-                            diagram_automorphisms, orbit_of_zero,
-                            reduce_to_alcove, shifted_action)
-from qsystem.dynkin import Weight, build_dynkin, dominant_weights
-from qsystem.qdim import (RankTooLarge, precision_bits, qdim, qdim_affine,
-                          qdim_oracle, weyl_group_order)
+from qsystem.affine import affinize, reduce_to_alcove
+from qsystem.dynkin import Weight, build_dynkin
+from qsystem.qdim import precision_bits, qdim, qdim_affine
+
+from oracles import (RankTooLarge, apply_automorphism, diagram_automorphisms,
+                     dominant_weights, orbit_of_zero, qdim_oracle,
+                     shifted_action, weyl_group_order)
 
 
 def wt(*coords):

@@ -2,15 +2,17 @@ from dataclasses import replace
 from math import comb
 
 import mpmath
+import numpy as np
 import pytest
 
 from qsystem.dynkin import Weight, build_dynkin
 from qsystem.io import (qtable_from_json, qtable_to_csv, qtable_to_json,
                         qtable_to_text)
-from qsystem.qdim import QDimValue, qdim_affine
+from qsystem.qdim import QDimValue, precision_bits, qdim_affine
+from qsystem.recurrence import terms
 from qsystem.table import (build_qtable, forced_tail_report, kr_decompose,
-                           kr_term_count, midpoint_checks,
-                           rebuild_from_first_row, verify_kns, verify_qsystem)
+                           kr_term_count, midpoint_checks, verify_kns,
+                           verify_qsystem)
 
 
 @pytest.fixture(scope="module")
@@ -91,7 +93,6 @@ def test_provenance_levels(d5, d5_table):
 
 
 def test_cells_equal_provenance_sums(d5, d5_table):
-    from qsystem.qdim import precision_bits
     with mpmath.workprec(precision_bits()):
         tol = mpmath.mpf(10) ** -25
         for (a, m), summands in d5_table.provenance.items():
@@ -176,6 +177,15 @@ def test_qsystem_detects_perturbation():
         assert abs(m - target[1]) <= 1 and (a == target[0] or abs(m - target[1]) == 0)
 
 
+@pytest.mark.parametrize("m_max", [0, 1])
+def test_qsystem_without_equations(m_max):
+    # rows 0..m_max hold no equation 1 <= m <= m_max - 1
+    d4 = build_dynkin("D", 4)
+    report = verify_qsystem(build_qtable(d4, 2, m_max=m_max), d4)
+    assert report.max_residual == 0 and report.worst is None
+    assert report.passed and report.residuals == {}
+
+
 def test_kns_passes_d5(d5_table):
     report = verify_kns(d5_table)
     assert report.passed
@@ -236,6 +246,21 @@ def test_midpoint_boundary_cells():
 
 # --- recursion closure ----------------------------------------------------------
 
+def rebuild_from_first_row(table, dynkin):
+    """Regrow rows 2..level from rows 0 and 1 via the recurrence solved
+    forward: z_{m+1} = (z_m^2 - neighbor product) / z_{m-1}.  Valid while
+    all intermediate cells are nonzero, which positivity guarantees below
+    the boundary."""
+    k, adj = table.level, np.array(dynkin.adjacency)
+    with mpmath.workprec(precision_bits()):
+        q = np.array([[mpmath.mpf(1), table.value(a, 1)] + [mpmath.mpf(0)] * (k - 1)
+                      for a in range(1, table.rank + 1)], dtype=object)
+        for m in range(1, k):
+            square, prod, _ = terms(q[:, m - 1:m + 2], adj)
+            q[:, m + 1] = (square - prod)[:, 0] / q[:, m - 1]
+    return q
+
+
 def test_rebuild_from_first_row():
     for family, rank, k in [("D", 4, 3), ("D", 5, 4), ("A", 3, 5)]:
         d = build_dynkin(family, rank)
@@ -243,7 +268,7 @@ def test_rebuild_from_first_row():
         regrown = rebuild_from_first_row(table, d)
         for a in range(1, rank + 1):
             for m in range(k + 1):
-                rel = abs(regrown[(a, m)] - table.value(a, m)) / table.value(a, m)
+                rel = abs(regrown[a - 1, m] - table.value(a, m)) / table.value(a, m)
                 assert rel < 1e-8
 
 
