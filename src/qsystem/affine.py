@@ -75,32 +75,29 @@ def reduce_to_alcove(w: AffineWeight, dynkin: DynkinData,
 
     Greedy loop on mu = w + (1,...,1): a zero coordinate means mu sits on
     a reflection wall, so the value is zero; otherwise reflect at the
-    smallest negative coordinate and flip the sign until all coordinates
-    are positive.  Positive level guarantees termination; the cap only
-    guards against internal bugs.
+    first negative coordinate and flip the sign until all coordinates
+    are positive.  A reflection at node i negates mu_i and subtracts
+    c_ij mu_i from each neighbour j, so only those coordinates can reach
+    a wall.  Positive level guarantees termination; the cap only guards
+    against internal bugs.
     """
     if w.level < 1:
         raise ValueError(f"alcove reduction requires level >= 1, got {w.level}")
-    n = len(w.coords)
-    rows = dynkin.extended_cartan
+    neighbours = dynkin.extended_neighbours
     mu = [c + 1 for c in w.coords]
+    if 0 in mu:
+        return ReductionResult(rep=None, sign=0)
     sign = 1
     for _ in range(cap):
-        neg = -1
-        on_wall = False
         for i, v in enumerate(mu):
-            if v == 0:
-                on_wall = True
+            if v < 0:
                 break
-            if v < 0 and neg < 0:
-                neg = i
-        if on_wall:
-            return ReductionResult(rep=None, sign=0)
-        if neg < 0:
-            rep = AffineWeight(w.level, tuple(v - 1 for v in mu))
-            return ReductionResult(rep=rep, sign=sign)
-        row = rows[neg]
-        mneg = mu[neg]
-        mu = [mu[j] - mneg * row[j] for j in range(n)]
+        else:
+            return ReductionResult(AffineWeight(w.level, tuple(v - 1 for v in mu)), sign)
+        mu[i] = -v
+        for j, c in neighbours[i]:
+            mu[j] -= c * v
+            if not mu[j]:
+                return ReductionResult(rep=None, sign=0)
         sign = -sign
     raise IterationCapExceeded(f"no dominant representative within {cap} reflections")

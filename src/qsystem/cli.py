@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import sys
 
 import click
@@ -41,6 +42,11 @@ def _dynkin(family: str, rank: int, level: int, max_rank: int,
         return build_dynkin(family, rank)
     except UnsupportedType as exc:
         raise UsageFailure(str(exc)) from exc
+
+
+def _check_tol(name: str, tol: float) -> None:
+    if not 0 < tol < math.inf:
+        raise UsageFailure(f"{name} must be {'finite' if tol > 0 else 'positive'}, got {tol}")
 
 
 def _emit(out: str | None, text: str) -> None:
@@ -94,8 +100,7 @@ def command(fn):
                 precision_bits()
             except ValueError as exc:
                 raise UsageFailure(str(exc)) from exc
-            if kwargs["tol"] <= 0:
-                raise UsageFailure(f"tolerance must be positive, got {kwargs['tol']}")
+            _check_tol("tolerance", kwargs["tol"])
             code = fn(**kwargs)
         except UsageFailure as exc:
             click.echo(f"error: {exc}", err=True)
@@ -151,9 +156,12 @@ def _parse_grid(spec: tuple[str, str]) -> tuple[range, range]:
         try:
             name, _, rng = token.partition("=")
             lo, _, hi = rng.partition("..")
-            out[name.strip()] = range(int(lo), int(hi) + 1)
+            values = range(int(lo), int(hi) + 1)
         except ValueError as exc:
             raise UsageFailure(f"bad grid token {token!r}; expected r=lo..hi") from exc
+        if not values:
+            raise UsageFailure(f"empty grid range {token!r}; expected lo <= hi")
+        out[name.strip()] = values
     if set(out) != {"r", "k"}:
         raise UsageFailure("grid needs exactly the two tokens r=lo..hi and k=lo..hi")
     return out["r"], out["k"]
@@ -211,8 +219,7 @@ def solve(family, rank, level, tol, fmt, out, max_rank, max_level,
           against_table, with_dilog, solver_tol) -> int:
     """Solve the level-k restricted system for its positive solution."""
     dynkin = _dynkin(family, rank, level, max_rank, max_level)
-    if solver_tol <= 0:
-        raise UsageFailure(f"solver tolerance must be positive, got {solver_tol}")
+    _check_tol("solver tolerance", solver_tol)
     try:
         sol = solve_restricted(dynkin, level, tol=solver_tol)
     except NoConvergence as exc:

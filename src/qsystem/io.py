@@ -14,7 +14,6 @@ from fractions import Fraction
 
 import mpmath
 
-from .affine import AffineWeight
 from .qdim import QDimValue, precision_bits
 from .solver import DilogReport, RestrictedSolution
 from .table import QTable
@@ -40,7 +39,7 @@ def qtable_to_dict(table: QTable) -> dict:
                 "m": m,
                 "exact": cell.exact,
                 "numeric": _mpf_str(cell.numeric),
-                "provenance": [list(w.coords) for w in table.provenance[(a, m)]],
+                "provenance": [list(w.coords) for w in table.summands(a, m)],
             })
     return {
         "family": table.family,
@@ -56,9 +55,7 @@ def qtable_to_json(table: QTable) -> str:
 
 
 def qtable_from_dict(data: dict) -> QTable:
-    level = int(data["level"])
     cells = {}
-    provenance = {}
     m_max = 0
     for entry in data["cells"]:
         key = (int(entry["a"]), int(entry["m"]))
@@ -68,20 +65,8 @@ def qtable_from_dict(data: dict) -> QTable:
             exact=None if exact is None else int(exact),
             numeric=_mpf_parse(entry["numeric"]),
         )
-        provenance[key] = tuple(
-            AffineWeight(level, tuple(int(c) for c in coords))
-            for coords in entry["provenance"]
-        )
-    return QTable(
-        family=data["family"],
-        rank=int(data["rank"]),
-        level=level,
-        coxeter=int(data["h"]),
-        m_max=m_max,
-        cells=cells,
-        provenance=provenance,
-        reduced={},
-    )
+    return QTable(family=data["family"], rank=int(data["rank"]), level=int(data["level"]),
+                  coxeter=int(data["h"]), m_max=m_max, cells=cells)
 
 
 def qtable_from_json(text: str) -> QTable:

@@ -3,13 +3,25 @@ on a value grid: one row per node a, one column per label m."""
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 
+@lru_cache(maxsize=None)
+def _neighbours(rank: int, edges: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """All neighbour lists concatenated in node order, and where each starts."""
+    rows, cols = np.nonzero(np.frombuffer(edges, dtype=bool).reshape(rank, rank))
+    return cols, np.searchsorted(rows, np.arange(rank))
+
+
 def terms(q: np.ndarray, adj: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The three terms Q_m^2, prod_b (Q^(b)_m)^adj[a,b] and Q_{m-1} Q_{m+1}
-    of every equation 1 <= m <= m_max-1 of the value grid ``q``.  Works on
-    float64 arrays and on object arrays of mpf alike.  Each caller combines
-    the terms in its own order, which fixes the low digits it reports."""
+    """The three terms Q_m^2, prod_{b~a} Q^(b)_m and Q_{m-1} Q_{m+1} of
+    every equation 1 <= m <= m_max-1 of the value grid ``q``, for the 0/1
+    adjacency matrix ``adj`` of a connected diagram.  Works on float64
+    arrays and on object arrays of mpf alike.  Each caller combines the
+    terms in its own order, which fixes the low digits it reports."""
     mid = q[:, 1:-1]
-    return mid**2, (mid ** adj[:, :, None]).prod(axis=1), q[:, :-2] * q[:, 2:]
+    nbrs, starts = _neighbours(len(adj), (adj != 0).tobytes())
+    prod = np.multiply.reduceat(mid[nbrs], starts) if len(nbrs) else np.ones_like(mid)
+    return mid**2, prod, q[:, :-2] * q[:, 2:]

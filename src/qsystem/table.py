@@ -6,13 +6,14 @@ Each table cell is a finite sum of quantum dimensions.  Summands are
 first carried to their dominant alcove representatives with signs; equal
 representatives cancel in integer arithmetic, so a cell whose summands
 cancel completely is certified zero exactly, and a cell collapsing to
-representatives with certified values gets an exact integer tag.  The
-unreduced summand list is kept per cell as provenance.
+representatives with certified values gets an exact integer tag.  A
+table stores only its cell values: the summands of a cell and the
+survivors of their cancellation are derived again on demand.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 from typing import Iterator, Mapping
 
@@ -20,7 +21,7 @@ import mpmath
 import numpy as np
 
 from .affine import AffineWeight, affinize, reduce_to_alcove
-from .dynkin import DynkinData, Weight
+from .dynkin import DynkinData, Weight, build_dynkin
 from .qdim import QDimValue, precision_bits, qdim_affine
 from .recurrence import terms
 
@@ -86,14 +87,34 @@ def kr_term_count(a: int, m: int, dynkin: DynkinData) -> int:
     return comb(m + a // 2, a // 2)
 
 
+def cell_summands(a: int, m: int, level: int,
+                  dynkin: DynkinData) -> tuple[AffineWeight, ...]:
+    """The unreduced affinized summands of cell (a, m)."""
+    return tuple(affinize(w, level, dynkin) for w in kr_decompose(a, m, dynkin).terms)
+
+
+def _survivors(a: int, m: int, level: int, dynkin: DynkinData,
+               cache: dict) -> tuple[tuple[AffineWeight, int], ...]:
+    """Signed dominant representatives of cell (a, m) left after
+    cancellation, sorted by coordinates (empty for a combinatorially
+    certified zero).  ``cache`` memoises reductions by coordinates."""
+    multiplicity: dict[tuple[int, ...], int] = {}
+    for aw in cell_summands(a, m, level, dynkin):
+        res = cache.get(aw.coords)
+        if res is None:
+            res = cache[aw.coords] = reduce_to_alcove(aw, dynkin)
+        if not res.is_zero:
+            key = res.rep.coords
+            multiplicity[key] = multiplicity.get(key, 0) + res.sign
+    return tuple((AffineWeight(level, key), mult)
+                 for key, mult in sorted(multiplicity.items()) if mult)
+
+
 @dataclass(frozen=True)
 class QTable:
-    """The array z^(a)_m for a in 1..rank and 0 <= m <= m_max.
-
-    ``provenance`` maps a cell to its unreduced affinized summands;
-    ``reduced`` to the surviving signed dominant representatives after
-    cancellation (empty tuple for a combinatorially certified zero).
-    """
+    """The array z^(a)_m for a in 1..rank and 0 <= m <= m_max.  Only the
+    values are stored: ``summands`` and ``survivors`` derive a cell's
+    unreduced affinized summands and its signed survivors on demand."""
 
     family: str
     rank: int
@@ -101,8 +122,6 @@ class QTable:
     coxeter: int
     m_max: int
     cells: Mapping[Cell, QDimValue]
-    provenance: Mapping[Cell, tuple[AffineWeight, ...]]
-    reduced: Mapping[Cell, tuple[tuple[AffineWeight, int], ...]] = field(compare=False)
 
     def cell(self, a: int, m: int) -> QDimValue:
         return self.cells[(a, m)]
@@ -112,6 +131,12 @@ class QTable:
 
     def max_abs(self) -> mpmath.mpf:
         return max(abs(v.numeric) for v in self.cells.values())
+
+    def summands(self, a: int, m: int) -> tuple[AffineWeight, ...]:
+        return cell_summands(a, m, self.level, build_dynkin(self.family, self.rank))
+
+    def survivors(self, a: int, m: int) -> tuple[tuple[AffineWeight, int], ...]:
+        return _survivors(a, m, self.level, build_dynkin(self.family, self.rank), {})
 
 
 def _combine(parts: list[tuple[int, QDimValue]]) -> QDimValue:
@@ -144,53 +169,20 @@ def build_qtable(dynkin: DynkinData, level: int, m_max: int | None = None) -> QT
     reduction_cache: dict[tuple[int, ...], object] = {}
     value_cache: dict[tuple[int, ...], QDimValue] = {}
     cells: dict[Cell, QDimValue] = {}
-    provenance: dict[Cell, tuple[AffineWeight, ...]] = {}
-    reduced: dict[Cell, tuple[tuple[AffineWeight, int], ...]] = {}
 
     with mpmath.workprec(precision_bits()):
         for a in range(1, dynkin.rank + 1):
             for m in range(m_max + 1):
-                dec = kr_decompose(a, m, dynkin)
-                summands = tuple(affinize(w, level, dynkin) for w in dec.terms)
-                provenance[(a, m)] = summands
-
-                multiplicity: dict[tuple[int, ...], int] = {}
-                for aw in summands:
-                    res = reduction_cache.get(aw.coords)
-                    if res is None:
-                        res = reduce_to_alcove(aw, dynkin)
-                        reduction_cache[aw.coords] = res
-                    if res.is_zero:
-                        continue
-                    key = res.rep.coords
-                    multiplicity[key] = multiplicity.get(key, 0) + res.sign
-
-                survivors = []
                 parts = []
-                for key in sorted(multiplicity):
-                    mult = multiplicity[key]
-                    if mult == 0:
-                        continue
-                    rep = AffineWeight(level, key)
-                    val = value_cache.get(key)
+                for rep, mult in _survivors(a, m, level, dynkin, reduction_cache):
+                    val = value_cache.get(rep.coords)
                     if val is None:
-                        val = qdim_affine(rep, dynkin)
-                        value_cache[key] = val
-                    survivors.append((rep, mult))
+                        val = value_cache[rep.coords] = qdim_affine(rep, dynkin)
                     parts.append((mult, val))
-                reduced[(a, m)] = tuple(survivors)
                 cells[(a, m)] = _combine(parts)
 
-    return QTable(
-        family=dynkin.family,
-        rank=dynkin.rank,
-        level=level,
-        coxeter=dynkin.coxeter,
-        m_max=m_max,
-        cells=cells,
-        provenance=provenance,
-        reduced=reduced,
-    )
+    return QTable(family=dynkin.family, rank=dynkin.rank, level=level,
+                  coxeter=dynkin.coxeter, m_max=m_max, cells=cells)
 
 
 # ---------------------------------------------------------------------------

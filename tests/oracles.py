@@ -1,6 +1,6 @@
 """Reference implementations that only the tests call: reflection actions,
-extended-diagram automorphisms, dominant weights and the Weyl-orbit
-quantum dimension."""
+extended-diagram automorphisms, full-row alcove reduction, dominant
+weights and the Weyl-orbit quantum dimension."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from typing import Iterator
 
 import mpmath
 
-from qsystem.affine import AffineWeight
+from qsystem.affine import AffineWeight, IterationCapExceeded, ReductionResult
 from qsystem.dynkin import DynkinData, Weight, positive_roots
 from qsystem.qdim import precision_bits
 
@@ -87,6 +87,43 @@ def apply_automorphism(perm: tuple[int, ...], w: AffineWeight) -> AffineWeight:
     for i, c in enumerate(w.coords):
         coords[perm[i]] = c
     return AffineWeight(w.level, tuple(coords))
+
+def reduce_to_alcove_full_row(w: AffineWeight, dynkin: DynkinData,
+                              cap: int = 10**6) -> ReductionResult:
+    """Carry w to its dominant representative under the shifted action.
+
+    Greedy loop on mu = w + (1,...,1): a zero coordinate means mu sits on
+    a reflection wall, so the value is zero; otherwise reflect at the
+    smallest negative coordinate and flip the sign until all coordinates
+    are positive.  Positive level guarantees termination; the cap only
+    guards against internal bugs.
+    """
+    if w.level < 1:
+        raise ValueError(f"alcove reduction requires level >= 1, got {w.level}")
+    n = len(w.coords)
+    rows = dynkin.extended_cartan
+    mu = [c + 1 for c in w.coords]
+    sign = 1
+    for _ in range(cap):
+        neg = -1
+        on_wall = False
+        for i, v in enumerate(mu):
+            if v == 0:
+                on_wall = True
+                break
+            if v < 0 and neg < 0:
+                neg = i
+        if on_wall:
+            return ReductionResult(rep=None, sign=0)
+        if neg < 0:
+            rep = AffineWeight(w.level, tuple(v - 1 for v in mu))
+            return ReductionResult(rep=rep, sign=sign)
+        row = rows[neg]
+        mneg = mu[neg]
+        mu = [mu[j] - mneg * row[j] for j in range(n)]
+        sign = -sign
+    raise IterationCapExceeded(f"no dominant representative within {cap} reflections")
+
 
 def dominant_weights(dynkin: DynkinData, max_level: int) -> Iterator[Weight]:
     """Dominant weights whose mark-weighted coordinate total is <= max_level."""

@@ -75,8 +75,8 @@ def test_criterion_1_d5_reference_table():
         for m in (1, 2, 3):
             ok &= float(abs(table.value(a, m) - table.value(a, 4 - m))) <= 1e-9
     for key, expected in D5_LEVEL4_NODES_2_3.items():
-        got = {w.coords for w, mult in table.reduced[key] if mult == 1}
-        full = {w.coords for w, _ in table.reduced[key]}
+        got = {w.coords for w, mult in table.survivors(*key) if mult == 1}
+        full = {w.coords for w, _ in table.survivors(*key)}
         ok &= got == expected == full
     if elapsed >= 1.0:
         ok = False
@@ -231,5 +231,5 @@ def test_decomposition_counts_on_grid(grid_tables):
     tables, _ = grid_tables
     for (r, k), table in tables.items():
         d = build_dynkin("D", r)
-        for (a, m), summands in table.provenance.items():
-            assert len(summands) == kr_term_count(a, m, d)
+        for a, m in table.cells:
+            assert len(table.summands(a, m)) == kr_term_count(a, m, d)

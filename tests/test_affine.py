@@ -1,14 +1,14 @@
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qsystem.affine import (AffineWeight, IterationCapExceeded, affinize,
                             level_of, reduce_to_alcove)
 from qsystem.dynkin import Weight, build_dynkin
 
 from oracles import (apply_automorphism, diagram_automorphisms, orbit_of_zero,
-                     reflect, shifted_action)
+                     reduce_to_alcove_full_row, reflect, shifted_action)
 
 
 def aw(dynkin, level, *classical):
@@ -113,6 +113,32 @@ def test_reduce_cap():
     d5 = build_dynkin("D", 5)
     with pytest.raises(IterationCapExceeded):
         reduce_to_alcove(aw(d5, 4, 12, 0, 0, 0, 0), d5, cap=2)
+
+
+DIAGRAMS = [("A", r) for r in range(1, 10)] + [("D", r) for r in range(4, 13)]
+
+
+@st.composite
+def diagram_weights(draw):
+    """(family, rank, level, classical coordinates in +-(3 level + 5))."""
+    family, rank = draw(st.sampled_from(DIAGRAMS))
+    level = draw(st.integers(1, 12))
+    bound = 3 * level + 5
+    classical = draw(st.lists(st.integers(-bound, bound), min_size=rank, max_size=rank))
+    return family, rank, level, tuple(classical)
+
+
+@given(diagram_weights())
+@example(("A", 1, 3, (7,)))  # A1: the extended Cartan matrix has -2 off the diagonal
+@example(("A", 1, 2, (-6,)))
+@example(("D", 12, 12, (41, -41) * 6))
+@settings(max_examples=600, deadline=None)
+def test_reduce_matches_full_row_oracle(case):
+    family, rank, level, classical = case
+    d = build_dynkin(family, rank)
+    w = affinize(Weight(classical), level, d)
+    got, want = reduce_to_alcove(w, d), reduce_to_alcove_full_row(w, d)
+    assert (got.rep, got.sign, got.is_zero) == (want.rep, want.sign, want.is_zero)
 
 
 @given(coords_st, st.integers(1, 5),

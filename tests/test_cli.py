@@ -177,8 +177,15 @@ def test_usage_errors(runner):
     (["solve", "-f", "D", "-r", "4", "-k", "2"], {"QSYS_PRECISION_BITS": "32"}),
     (["table", "-f", "D", "-r", "4", "-k", "2", "--m-max", "-3"], {}),
     (["table", "-f", "D", "-r", "4", "-k", "2", "--out", "missing/x.json"], {}),
+    (["verify", "-f", "D", "-r", "4", "-k", "1", "--grid", "r=5..4", "k=1..2"], {}),
+    (["verify", "-f", "D", "-r", "4", "-k", "1", "--grid", "r=4..5", "k=2..1"], {}),
+    (["verify", "-f", "D", "-r", "4", "-k", "2", "--tol", "nan"], {}),
+    (["verify", "-f", "D", "-r", "4", "-k", "2", "--tol", "inf"], {}),
+    (["solve", "-f", "D", "-r", "4", "-k", "3", "--solver-tol", "nan"], {}),
+    (["solve", "-f", "D", "-r", "4", "-k", "3", "--solver-tol", "inf"], {}),
 ], ids=["precision-not-integer", "precision-below-64", "negative-m-max",
-        "unwritable-out"])
+        "unwritable-out", "empty-rank-range", "empty-level-range", "tol-nan",
+        "tol-inf", "solver-tol-nan", "solver-tol-inf"])
 def test_bad_input_is_a_usage_error(runner, tmp_path, monkeypatch, args, env):
     monkeypatch.chdir(tmp_path)
     result = runner.invoke(main, args, env=env)

@@ -83,20 +83,22 @@ def test_decompose_bad_node(d5):
 # --- the D5 level-4 reference table ------------------------------------------
 
 def test_provenance_levels(d5, d5_table):
-    for (a, m), summands in d5_table.provenance.items():
+    for a, m in d5_table.cells:
+        summands = d5_table.summands(a, m)
         assert len(summands) == kr_term_count(a, m, d5)
         for aw in summands:
             assert sum(x * y for x, y in zip(d5.marks, aw.coords)) == 4
     # negative zeroth coordinates occur and are kept
     assert any(aw.coords[0] < 0
-               for summands in d5_table.provenance.values() for aw in summands)
+               for a, m in d5_table.cells for aw in d5_table.summands(a, m))
 
 
 def test_cells_equal_provenance_sums(d5, d5_table):
     with mpmath.workprec(precision_bits()):
         tol = mpmath.mpf(10) ** -25
-        for (a, m), summands in d5_table.provenance.items():
-            direct = sum((qdim_affine(w, d5).numeric for w in summands), mpmath.mpf(0))
+        for a, m in d5_table.cells:
+            direct = sum((qdim_affine(w, d5).numeric for w in d5_table.summands(a, m)),
+                         mpmath.mpf(0))
             assert abs(direct - d5_table.value(a, m)) < tol * (1 + abs(direct))
 
 
@@ -105,7 +107,7 @@ def test_zero_window_certified(d5_table):
         for m in range(5, 12):
             cell = d5_table.cell(a, m)
             assert cell.exact == 0 and cell.numeric == 0
-            assert d5_table.reduced[(a, m)] == ()
+            assert d5_table.survivors(a, m) == ()
 
 
 def test_boundary_rows_are_unit(d5_table):
@@ -119,7 +121,7 @@ def test_row_twelve_equals_row_four(d5_table):
     for a in range(1, 6):
         assert d5_table.value(a, 12) == d5_table.value(a, 4)
     # node 1 revisits the single dominant representative 4*omega_1-hat
-    assert [(w.coords, s) for w, s in d5_table.reduced[(1, 12)]] == \
+    assert [(w.coords, s) for w, s in d5_table.survivors(1, 12)] == \
         [((0, 4, 0, 0, 0, 0), 1)]
 
 
@@ -139,7 +141,7 @@ EXPECTED_REDUCED = {
 
 def test_reduced_terms_match_reference(d5_table):
     for key, expected in EXPECTED_REDUCED.items():
-        got = d5_table.reduced[key]
+        got = d5_table.survivors(*key)
         assert {w.coords for w, _ in got} == expected, key
         assert all(mult == 1 for _, mult in got)
 
@@ -290,7 +292,16 @@ def test_forced_tail_not_applicable_for_a():
 
 def test_json_round_trip(d5_table):
     back = qtable_from_json(qtable_to_json(d5_table))
-    assert back == d5_table  # reduced is excluded from equality
+    assert back == d5_table  # a table is its header and cells
+
+
+@pytest.mark.parametrize("family,rank,k", [("D", 5, 4), ("D", 6, 3), ("A", 3, 3)])
+def test_parsed_table_derives_summands_and_survivors(family, rank, k):
+    built = build_qtable(build_dynkin(family, rank), k)
+    back = qtable_from_json(qtable_to_json(built))
+    for a, m in built.cells:
+        assert back.summands(a, m) == built.summands(a, m)
+        assert back.survivors(a, m) == built.survivors(a, m)
 
 
 def test_csv_shape(d5_table):
