@@ -15,17 +15,18 @@ from .solver import (DilogReport, DomainError, InvalidLevel, NoConvergence,
                      RestrictedSolution, XOutOfRange,
                      check_positive_solution_properties, dilog_identity,
                      rogers_L, solve_restricted, uniqueness_probe)
-from .table import (KRDecomposition, QTable, build_qtable, forced_tail_report,
-                    kr_decompose, kr_term_count, midpoint_checks, verify_kns,
-                    verify_qsystem)
+from .table import (KRDecomposition, PropertyCheck, PropertyReport, QTable,
+                    build_qtable, forced_tail_report, kr_decompose,
+                    kr_term_count, midpoint_checks, verify_kns, verify_qsystem)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AffineWeight", "DilogReport", "DomainError", "DynkinData",
     "InvalidLevel", "IterationCapExceeded", "KRDecomposition",
-    "NoConvergence", "QDimValue", "QTable", "RankMismatch",
-    "ReductionResult", "RestrictedSolution", "Root", "UnsupportedType",
+    "NoConvergence", "PropertyCheck", "PropertyReport", "QDimValue",
+    "QTable", "RankMismatch", "ReductionResult", "RestrictedSolution",
+    "Root", "UnsupportedType",
     "Weight", "XOutOfRange", "affinize", "build_dynkin", "build_qtable",
     "check_positive_solution_properties", "dilog_identity",
     "forced_tail_report", "kr_decompose", "kr_term_count", "level_of",

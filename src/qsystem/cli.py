@@ -19,7 +19,7 @@ from .dynkin import DynkinData, UnsupportedType, build_dynkin
 from .qdim import precision_bits
 from .solver import (NoConvergence, XOutOfRange, dilog_identity,
                      solve_restricted)
-from .table import (build_qtable, forced_tail_report, midpoint_checks,
+from .table import (build_qtable, forced_tail_report, midpoint_checks, scale,
                     verify_kns, verify_qsystem)
 
 DEFAULT_MAX_RANK = 12
@@ -126,28 +126,42 @@ def table(family, rank, level, tol, fmt, out, max_rank, max_level, m_max) -> int
     return 0
 
 
-def _verify_one(dynkin: DynkinData, level: int, tol: float) -> tuple[bool, list[str]]:
+def _verify_one(dynkin: DynkinData, level: int, tol: float) -> dict:
+    """Every verification suite on the (dynkin, level) table, as JSON data."""
     table = build_qtable(dynkin, level)
-    lines = [f"{dynkin} level {level}:"]
     qsys = verify_qsystem(table, dynkin, tol=tol)
-    lines.append(f"  recurrence residual {qsys.max_residual:.3e}"
-                 f" (threshold {qsys.threshold:.3e}):"
-                 f" {'pass' if qsys.passed else 'FAIL'}")
-    kns = verify_kns(table, tol=tol)
-    for check in kns.checks:
-        if not check.applicable:
-            lines.append(f"  {check.name}: n/a")
-        else:
-            lines.append(f"  {check.name}: {'pass' if check.passed else 'FAIL'}")
-            if not check.passed:
-                lines.append(f"    first failure: {check.failures[0]}")
-    mid = midpoint_checks(table, tol=tol)
-    lines.append(f"  midpoint equalities: {'pass' if mid.passed else 'FAIL'}")
-    tail = forced_tail_report(table)
-    if tail.applicable:
-        lines.append(f"  forced tail pattern: {'pass' if tail.passed else 'FAIL'}")
-    ok = qsys.passed and kns.passed and mid.passed and tail.passed
-    return ok, lines
+    reports = (verify_kns(table, tol=tol), midpoint_checks(table, tol=tol),
+               forced_tail_report(table))
+    return {
+        "family": dynkin.family, "rank": dynkin.rank, "level": level,
+        "passed": qsys.passed and all(report.passed for report in reports),
+        "recurrence": {"max_residual": qsys.max_residual, "threshold": qsys.threshold,
+                       "worst": qsys.worst, "passed": qsys.passed},
+        "checks": [{"name": c.name, "applicable": c.applicable, "passed": c.passed,
+                    "failures": c.failures} for report in reports for c in report.checks],
+    }
+
+
+def _verdict(passed: bool) -> str:
+    return "pass" if passed else "FAIL"
+
+
+def _verify_text(result: dict) -> list[str]:
+    """The text lines of one ``_verify_one`` result."""
+    qsys, checks = result["recurrence"], {c["name"]: c for c in result["checks"]}
+    midpoint = checks.pop("midpoint")
+    tail = [checks.pop(name) for name in ("forced_zeros", "forced_top_row", "fork")]
+    lines = [f"{result['family']}{result['rank']} level {result['level']}:",
+             f"  recurrence residual {qsys['max_residual']:.3e}"
+             f" (threshold {qsys['threshold']:.3e}): {_verdict(qsys['passed'])}"]
+    for name, check in checks.items():  # the KNS clauses, in report order
+        lines.append(f"  {name}: {_verdict(check['passed']) if check['applicable'] else 'n/a'}")
+        if not check["passed"]:
+            lines.append(f"    first failure: {check['failures'][0]}")
+    lines.append(f"  midpoint equalities: {_verdict(midpoint['passed'])}")
+    if any(check["applicable"] for check in tail):
+        lines.append(f"  forced tail pattern: {_verdict(all(c['passed'] for c in tail))}")
+    return lines
 
 
 def _parse_grid(spec: tuple[str, str]) -> tuple[range, range]:
@@ -177,14 +191,15 @@ def verify(family, rank, level, tol, fmt, out, max_rank, max_level, grid) -> int
     else:
         ranks, levels = _parse_grid(grid)
         pairs = [(r, k) for r in ranks for k in levels]
-    all_lines: list[str] = []
-    ok = True
-    for r, k in pairs:
-        one_ok, lines = _verify_one(_dynkin(family, r, k, max_rank, max_level), k, tol)
-        ok = ok and one_ok
-        all_lines.extend(lines)
-    all_lines.append("all checks passed" if ok else "verification FAILED")
-    _emit(out, "\n".join(all_lines) + "\n")
+    results = [_verify_one(_dynkin(family, r, k, max_rank, max_level), k, tol)
+               for r, k in pairs]
+    ok = all(result["passed"] for result in results)
+    if fmt == "json":
+        _emit(out, json.dumps({"passed": ok, "results": results}, indent=1))
+    else:
+        lines = [line for result in results for line in _verify_text(result)]
+        lines.append("all checks passed" if ok else "verification FAILED")
+        _emit(out, "\n".join(lines) + "\n")
     return 0 if ok else 1
 
 
@@ -229,11 +244,8 @@ def solve(family, rank, level, tol, fmt, out, max_rank, max_level,
     deviation = None
     if against_table:
         table = build_qtable(dynkin, level, m_max=level)
-        deviation = max(
-            float(abs(sol.value(a, m) - table.value(a, m)))
-            for a in range(1, dynkin.rank + 1)
-            for m in range(level + 1)
-        )
+        pairs = [(x, table.value(a, m)) for (a, m), x in sol.values.items()]
+        deviation = max(float(abs(x - y) / scale(x, y)) for x, y in pairs)
         failed = failed or deviation > 1e-8
     dilog = None
     if with_dilog:

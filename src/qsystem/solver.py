@@ -30,6 +30,7 @@ import numpy as np
 from .dynkin import DynkinData
 from .qdim import precision_bits
 from .recurrence import terms
+from .table import PropertyReport, positive_checks
 
 _log = logging.getLogger(__name__)
 
@@ -249,45 +250,13 @@ def solve_restricted(dynkin: DynkinData, k: int, tol: float = 1e-12,
                               term_scale=scale, tol=tol)
 
 
-@dataclass(frozen=True)
-class SolutionProperties:
-    symmetric: bool
-    unimodal: bool
-    max_symmetry_defect: float  # elementwise |Q(a,m) - Q(a,k-m)| / max(1, |Q(a,k-m)|)
-    failures: tuple[str, ...]
-
-    @property
-    def passed(self) -> bool:
-        return self.symmetric and self.unimodal
-
-
 def check_positive_solution_properties(sol: RestrictedSolution,
-                                       tol: float | None = None) -> SolutionProperties:
-    """Symmetry about k/2 and strict growth up to the midpoint.  Each
-    symmetry defect is measured relative to max(1, |Q(a, k-m)|), so ``tol``
-    is a relative bound, 10x the solve tolerance by default."""
-    if tol is None:
-        tol = 10 * sol.tol
-    k = sol.level
-    symmetry_failures: list[str] = []
-    growth_failures: list[str] = []
-    defect = 0.0
-    for a in range(1, sol.rank + 1):
-        for m in range(k + 1):
-            mirror = sol.value(a, k - m)
-            d = float(abs(sol.value(a, m) - mirror) / max(1, abs(mirror)))
-            defect = max(defect, d)
-            if d > tol:
-                symmetry_failures.append(f"Q({a},{m}) != Q({a},{k - m})")
-        for m in range(1, k // 2 + 1):
-            if not sol.value(a, m - 1) < sol.value(a, m):
-                growth_failures.append(f"Q({a},{m - 1}) >= Q({a},{m})")
-    return SolutionProperties(
-        symmetric=not symmetry_failures,
-        unimodal=not growth_failures,
-        max_symmetry_defect=defect,
-        failures=tuple(symmetry_failures + growth_failures),
-    )
+                                       tol: float | None = None) -> PropertyReport:
+    """Positivity, symmetry about k/2 and strict growth up to the midpoint.
+    ``tol`` bounds each symmetry defect relative to max(1, |Q(a, m)|,
+    |Q(a, k-m)|), 10x the solve tolerance by default."""
+    return PropertyReport(positive_checks(sol.value, sol.rank, sol.level,
+                                          10 * sol.tol if tol is None else tol, "Q"))
 
 
 @dataclass(frozen=True)
@@ -374,9 +343,6 @@ class DilogReport:
     rhs: Fraction
     x_values: Mapping[tuple[int, int], mpmath.mpf]
     delta: float
-
-    def passed(self, tol: float = 1e-9) -> bool:
-        return self.delta <= tol
 
 
 def dilog_identity(sol: RestrictedSolution, dynkin: DynkinData) -> DilogReport:

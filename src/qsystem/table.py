@@ -1,6 +1,7 @@
 """Character decompositions of Kirillov-Reshetikhin type, assembly of the
 quantum-dimension table z^(a)_m, and the verification suites for the
-recurrence and for the KNS property list.
+recurrence and for the KNS property list, whose positivity, symmetry and
+growth checks the restricted solution shares.
 
 Each table cell is a finite sum of quantum dimensions.  Summands are
 first carried to their dominant alcove representatives with signs; equal
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 import mpmath
 import numpy as np
@@ -129,9 +130,6 @@ class QTable:
     def value(self, a: int, m: int) -> mpmath.mpf:
         return self.cells[(a, m)].numeric
 
-    def max_abs(self) -> mpmath.mpf:
-        return max(abs(v.numeric) for v in self.cells.values())
-
     def summands(self, a: int, m: int) -> tuple[AffineWeight, ...]:
         return cell_summands(a, m, self.level, build_dynkin(self.family, self.rank))
 
@@ -190,6 +188,79 @@ def build_qtable(dynkin: DynkinData, level: int, m_max: int | None = None) -> QT
 
 
 @dataclass(frozen=True)
+class PropertyCheck:
+    """One named clause: its failures, or inapplicable on this input."""
+
+    name: str
+    failures: tuple[str, ...] = ()
+    applicable: bool = True
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
+
+
+@dataclass(frozen=True)
+class PropertyReport:
+    """The checks of one suite; it passes when each of them does."""
+
+    checks: tuple[PropertyCheck, ...]
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.checks)
+
+    @property
+    def failures(self) -> tuple[str, ...]:
+        return tuple(f for c in self.checks for f in c.failures)
+
+    def check(self, name: str) -> PropertyCheck:
+        for c in self.checks:
+            if c.name == name:
+                return c
+        raise KeyError(name)
+
+
+def scale(x, y):
+    """The size max(1, |x|, |y|) that the difference x - y is measured
+    against, so a tolerance is relative for large values and absolute
+    near zero."""
+    return max(1, abs(x), abs(y))
+
+
+def mirror_failures(value: Callable, cells: Iterable[tuple[int, int]], k: int,
+                    tol: float, letter: str = "z") -> tuple[str, ...]:
+    """Cells (a, m) whose value differs from the mirror value(a, k - m) by
+    more than ``tol`` times their scale."""
+    tol = mpmath.mpf(tol)
+    fails = []
+    for a, m in cells:
+        x, y = value(a, m), value(a, k - m)
+        delta = abs(x - y)
+        if delta > tol and delta > tol * scale(x, y):  # scale >= 1: tol alone settles most
+            fails.append(f"|{letter}({a},{m}) - {letter}({a},{k - m})| = {mpmath.nstr(delta)}")
+    return tuple(fails)
+
+
+def positive_checks(value: Callable, rank: int, k: int, tol: float,
+                    letter: str = "z") -> tuple[PropertyCheck, PropertyCheck, PropertyCheck]:
+    """Positivity on 0 <= m <= k, symmetry about k/2 (each mirror pair once,
+    m <= k/2) and strict growth up to the midpoint of ``value(a, m)``."""
+    nodes = range(1, rank + 1)
+    half = range(k // 2 + 1)
+    return (
+        PropertyCheck("positivity", tuple(
+            f"{letter}({a},{m}) = {value(a, m)}"
+            for a in nodes for m in range(k + 1) if not value(a, m) > 0)),
+        PropertyCheck("symmetry", mirror_failures(
+            value, ((a, m) for a in nodes for m in half), k, tol, letter)),
+        PropertyCheck("unimodality", tuple(
+            f"{letter}({a},{m - 1}) >= {letter}({a},{m})"
+            for a in nodes for m in half[1:] if not value(a, m - 1) < value(a, m))),
+    )
+
+
+@dataclass(frozen=True)
 class QSystemReport:
     """Residuals of the recurrence over the whole table."""
 
@@ -215,7 +286,7 @@ def verify_qsystem(table: QTable, dynkin: DynkinData, tol: float = 1e-9) -> QSys
             if res > max_res:
                 max_res = res
                 worst = (a + 1, j + 1)
-        threshold = tol * (1 + float(table.max_abs()) ** 2)
+        threshold = tol * (1 + float(max(abs(v.numeric) for v in table.cells.values())) ** 2)
     return QSystemReport(
         max_residual=float(max_res),
         threshold=threshold,
@@ -225,27 +296,19 @@ def verify_qsystem(table: QTable, dynkin: DynkinData, tol: float = 1e-9) -> QSys
     )
 
 
-@dataclass(frozen=True)
-class PropertyCheck:
-    name: str
-    applicable: bool
-    passed: bool
-    failures: tuple[str, ...] = ()
+def _integer_failures(table: QTable, cells: list[tuple[int, int, int]],
+                      tol: float | None = None) -> tuple[str, ...]:
+    """Cells (a, m, e) whose value is not the integer e.  A cell tagged e
+    passes; so does an untagged cell within ``tol`` of e, relative to its
+    scale, unless ``tol`` is None, which asks for the exact tag."""
+    return tuple(
+        f"z({a},{m}) = {mpmath.nstr(c.numeric)} (exact tag {c.exact}), expected {e}"
+        for a, m, e in cells
+        if (c := table.cell(a, m)).exact != e and (
+            c.exact is not None or tol is None or abs(c.numeric - e) > tol * scale(c.numeric, e)))
 
 
-@dataclass(frozen=True)
-class KNSReport:
-    checks: tuple[PropertyCheck, ...]
-    passed: bool
-
-    def check(self, name: str) -> PropertyCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-
-def verify_kns(table: QTable, tol: float = 1e-9) -> KNSReport:
+def verify_kns(table: QTable, tol: float = 1e-9) -> PropertyReport:
     """Verify the KNS property list on a table built up to m = level + h.
 
     Clauses: positivity on 0..k, symmetry about k/2, unit value at k,
@@ -256,151 +319,57 @@ def verify_kns(table: QTable, tol: float = 1e-9) -> KNSReport:
     if table.m_max < k + h:
         raise ValueError("KNS verification needs the table up to m = level + coxeter")
     nodes = range(1, r + 1)
-    checks: list[PropertyCheck] = []
-
-    def add(name: str, failures: list[str], applicable: bool = True) -> None:
-        passed = (not applicable) or (not failures)
-        checks.append(PropertyCheck(name, applicable, passed, tuple(failures)))
-
+    top_row = PropertyCheck("top_row", applicable=False)
     with mpmath.workprec(precision_bits()):
-        fails = [f"z({a},{m}) = {table.value(a, m)}"
-                 for a in nodes for m in range(k + 1)
-                 if not table.value(a, m) > 0]
-        add("positivity", fails)
-
-        fails = []
-        for a in nodes:
-            for m in range(1, k):
-                delta = abs(table.value(a, m) - table.value(a, k - m))
-                if delta > tol:
-                    fails.append(f"|z({a},{m}) - z({a},{k - m})| = {mpmath.nstr(delta)}")
-        add("symmetry", fails)
-
-        fails = []
-        for a in nodes:
-            cell = table.cell(a, k)
-            if cell.exact == 1:
-                continue
-            if abs(cell.numeric - 1) > tol:
-                fails.append(f"z({a},{k}) = {mpmath.nstr(cell.numeric)}")
-        add("unit_boundary", fails)
-
-        fails = [f"z({a},{m - 1}) >= z({a},{m})"
-                 for a in nodes for m in range(1, k // 2 + 1)
-                 if not table.value(a, m - 1) < table.value(a, m)]
-        add("unimodality", fails)
-
-        fails = []
-        for a in nodes:
-            for j in range(1, h):
-                cell = table.cell(a, k + j)
-                if cell.is_zero:
-                    continue
-                if abs(cell.numeric) > tol:
-                    fails.append(f"z({a},{k + j}) = {mpmath.nstr(cell.numeric)}")
-        add("zero_window", fails)
-
+        positivity, symmetry, unimodality = positive_checks(table.value, r, k, tol)
+        unit = _integer_failures(table, [(a, k, 1) for a in nodes], tol)
+        zeros = _integer_failures(table, [(a, m, 0) for a in nodes
+                                          for m in range(k + 1, k + h)], tol)
         if table.family == "D":
             fork_sign = 1 if r % 4 in (0, 1) else -1
-            fails = []
-            for a in nodes:
-                expected = fork_sign if a >= r - 1 else 1
-                cell = table.cell(a, k + h)
-                if cell.exact == expected:
-                    continue
-                if cell.exact is not None or abs(cell.numeric - expected) > tol:
-                    fails.append(
-                        f"z({a},{k + h}) = {mpmath.nstr(cell.numeric)}"
-                        f" (exact tag {cell.exact}), expected {expected}"
-                    )
-            add("top_row", fails)
-        else:
-            add("top_row", [], applicable=False)
-
-    return KNSReport(tuple(checks), all(c.passed for c in checks))
+            top_row = PropertyCheck("top_row", _integer_failures(
+                table, [(a, k + h, fork_sign if a >= r - 1 else 1) for a in nodes], tol))
+    return PropertyReport((positivity, symmetry, PropertyCheck("unit_boundary", unit),
+                           unimodality, PropertyCheck("zero_window", zeros), top_row))
 
 
-@dataclass(frozen=True)
-class MidpointReport:
-    entries: tuple[tuple[str, int, float, bool], ...]
-    passed: bool
+def midpoint_checks(table: QTable, tol: float = 1e-9) -> PropertyReport:
+    """Equalities pinning the table about its midpoint, as mirror pairs
+    z_m = z_{k-m}.
 
-
-def midpoint_checks(table: QTable, tol: float = 1e-9) -> MidpointReport:
-    """Equalities pinning the table about its midpoint.
-
-    Tail nodes 2..r-2 satisfy z_s = z_{s+1} for odd level (s = (k-1)/2)
-    and z_{s-1} = z_{s+1} for even level (s = k/2); the three tip nodes
-    satisfy the full reflection z_m = z_{k-m}.
+    Tail nodes 2..r-2 hold the innermost pair, m = (k-1)//2: z_s = z_{s+1}
+    for odd level (s = (k-1)/2) and z_{s-1} = z_{s+1} for even level
+    (s = k/2).  The three tip nodes hold every pair.
     """
     k, r = table.level, table.rank
-    entries: list[tuple[str, int, float, bool]] = []
+    tips = sorted({1, r - 1, r} & set(range(1, r + 1)))
+    cells = [(a, (k - 1) // 2) for a in range(2, r - 1)]
+    cells += [(a, m) for a in tips for m in range(k // 2 + 1)]
     with mpmath.workprec(precision_bits()):
-        s = k // 2 if k % 2 == 0 else (k - 1) // 2
-        for a in range(2, r - 1):
-            if k % 2 == 1:
-                delta = abs(table.value(a, s) - table.value(a, s + 1))
-                entries.append((f"z({a},{s}) = z({a},{s + 1})", a, float(delta),
-                                float(delta) <= tol))
-            else:
-                delta = abs(table.value(a, s - 1) - table.value(a, s + 1))
-                entries.append((f"z({a},{s - 1}) = z({a},{s + 1})", a, float(delta),
-                                float(delta) <= tol))
-        tips = sorted({1, r - 1, r} & set(range(1, r + 1)))
-        for a in tips:
-            for m in range(k + 1):
-                delta = abs(table.value(a, m) - table.value(a, k - m))
-                entries.append((f"z({a},{m}) = z({a},{k - m})", a, float(delta),
-                                float(delta) <= tol))
-    return MidpointReport(tuple(entries), all(e[3] for e in entries))
+        fails = mirror_failures(table.value, cells, k, tol)
+    return PropertyReport((PropertyCheck("midpoint", fails),))
 
 
-@dataclass(frozen=True)
-class ForcedTailReport:
-    """Comparison of the directly computed tail rows against the pattern
-    forced by the recurrence from rows <= level+1 plus the first column."""
+def forced_tail_report(table: QTable) -> PropertyReport:
+    """Compare the directly computed tail rows with the pattern the
+    recurrence forces from rows <= level+1 and the first column.
 
-    applicable: bool
-    zero_mismatches: tuple[Cell, ...]
-    top_row_mismatches: tuple[int, ...]
-    fork_consistent: bool
-    passed: bool
-
-
-def forced_tail_report(table: QTable) -> ForcedTailReport:
-    """Family D only: rows k+2 .. k+h-1 must be certified zeros, the top
-    row must be exactly 1 on nodes 1..r-2, and the fork cells must carry
-    equal exact signs whose product is the node-(r-2) value.
+    Family D only (every check is inapplicable on A): rows k+1 .. k+h-1
+    must be certified zeros, the top row exactly 1 on nodes 1..r-2, and
+    the two fork cells must carry equal exact signs +-1, whose product is
+    then the node-(r-2) value 1.
     """
     k, h, r = table.level, table.coxeter, table.rank
     if table.family != "D":
-        return ForcedTailReport(False, (), (), True, True)
+        return PropertyReport(tuple(PropertyCheck(name, applicable=False)
+                                    for name in ("forced_zeros", "forced_top_row", "fork")))
     if table.m_max < k + h:
         raise ValueError("tail check needs the table up to m = level + coxeter")
-
-    # Seeds of the induction: row k+1 and the whole first column.
-    zero_mismatch = [(a, k + 1) for a in range(1, r + 1)
-                     if not table.cell(a, k + 1).is_zero]
-    zero_mismatch += [(1, k + j) for j in range(2, h)
-                      if not table.cell(1, k + j).is_zero]
-    seed_ok = not zero_mismatch and table.cell(1, k + h).exact == 1
-
-    # Forced zeros row by row, then the forced unit top row.
-    zero_mismatch += [(a, k + j) for j in range(2, h) for a in range(2, r + 1)
-                      if not table.cell(a, k + j).is_zero]
-    top_mismatch = [a for a in range(1, r - 1) if table.cell(a, k + h).exact != 1]
-
-    fork_left = table.cell(r - 1, k + h)
-    fork_right = table.cell(r, k + h)
-    fork_ok = (
-        fork_left.exact in (-1, 1)
-        and fork_left.exact == fork_right.exact
-        and fork_left.exact * fork_right.exact == 1  # product equals z(r-2) = 1
-    )
-    return ForcedTailReport(
-        applicable=True,
-        zero_mismatches=tuple(zero_mismatch),
-        top_row_mismatches=tuple(top_mismatch),
-        fork_consistent=fork_ok,
-        passed=seed_ok and not zero_mismatch and not top_mismatch and fork_ok,
-    )
+    zeros = _integer_failures(table, [(a, m, 0) for m in range(k + 1, k + h)
+                                      for a in range(1, r + 1)])
+    top = _integer_failures(table, [(a, k + h, 1) for a in range(1, r - 1)])
+    left, right = table.cell(r - 1, k + h).exact, table.cell(r, k + h).exact
+    fork = () if left in (-1, 1) and left == right else (
+        f"fork tags z({r - 1},{k + h}) = {left} and z({r},{k + h}) = {right}",)
+    return PropertyReport((PropertyCheck("forced_zeros", zeros),
+                           PropertyCheck("forced_top_row", top), PropertyCheck("fork", fork)))

@@ -219,10 +219,9 @@ def test_criterion_8_forced_tail(grid_tables):
     detail = ""
     for (r, k), table in tables.items():
         report = forced_tail_report(table)
-        if not (report.applicable and report.passed):
+        if not (all(c.applicable for c in report.checks) and report.passed):
             ok = False
-            detail = f"D{r} k{k}: zeros {report.zero_mismatches[:3]} " \
-                     f"top {report.top_row_mismatches[:3]}"
+            detail = f"D{r} k{k}: {report.failures[:3]}"
     _report("criterion 8: forced tail pattern", ok, detail)
 
 

@@ -75,6 +75,45 @@ def test_verify_fails_with_absurd_tolerance(runner):
     assert "FAIL" in result.output
 
 
+CHECK_NAMES = ["positivity", "symmetry", "unit_boundary", "unimodality", "zero_window",
+               "top_row", "midpoint", "forced_zeros", "forced_top_row", "fork"]
+
+
+def test_verify_json_schema(runner):
+    result = runner.invoke(main, ["verify", "-f", "D", "-r", "4", "-k", "1",
+                                  "--grid", "r=4..5", "k=1..3", "--format", "json"])
+    assert result.exit_code == 0
+    data = json.loads(result.output)
+    assert set(data) == {"passed", "results"} and data["passed"] is True
+    assert [(res["family"], res["rank"], res["level"]) for res in data["results"]] == [
+        ("D", r, k) for r in (4, 5) for k in (1, 2, 3)]
+    for res in data["results"]:
+        assert set(res) == {"family", "rank", "level", "passed", "recurrence", "checks"}
+        assert res["passed"] is True
+        assert set(res["recurrence"]) == {"max_residual", "threshold", "worst", "passed"}
+        assert res["recurrence"]["max_residual"] <= res["recurrence"]["threshold"]
+        assert [c["name"] for c in res["checks"]] == CHECK_NAMES
+        for check in res["checks"]:
+            assert check == {"name": check["name"], "applicable": True, "passed": True,
+                             "failures": []}
+
+
+def test_verify_json_reports_failures_and_inapplicable_checks(runner):
+    result = runner.invoke(main, ["verify", "-f", "D", "-r", "4", "-k", "2",
+                                  "--tol", "1e-300", "--format", "json"])
+    assert result.exit_code == 1
+    data = json.loads(result.output)
+    assert data["passed"] is False and data["results"][0]["passed"] is False
+    recurrence = data["results"][0]["recurrence"]
+    assert recurrence["passed"] is False and len(recurrence["worst"]) == 2
+    result = runner.invoke(main, ["verify", "-f", "A", "-r", "2", "-k", "2",
+                                  "--format", "json"])
+    assert result.exit_code == 0
+    inapplicable = [c["name"] for c in json.loads(result.output)["results"][0]["checks"]
+                    if not c["applicable"]]
+    assert inapplicable == ["top_row", "forced_zeros", "forced_top_row", "fork"]
+
+
 def test_verify_bad_grid_spec(runner):
     result = runner.invoke(main, ["verify", "-f", "D", "-r", "4", "-k", "1",
                                   "--grid", "r=4..5", "q=1..2"])

@@ -246,6 +246,25 @@ def test_midpoint_boundary_cells():
     assert midpoint_checks(table).passed
 
 
+def _with_cells(table, changes):
+    """``table`` with the cells (a, m) -> (exact, numeric) of ``changes``."""
+    cells = dict(table.cells)
+    cells.update({cell: QDimValue(*value) for cell, value in changes.items()})
+    return replace(table, cells=cells)
+
+
+@pytest.mark.parametrize("relative,passed", [("1e-30", True), ("1e-6", False)])
+def test_symmetry_is_relative_to_the_values(d5_table, relative, passed):
+    # (2, 1) and (2, 3) are the innermost mirror pair of a tail node at
+    # k = 4, so both the symmetry clause and the midpoint suite see it
+    with mpmath.workprec(precision_bits()):
+        big = mpmath.mpf("1e25")
+        table = _with_cells(d5_table, {(2, 1): (None, big),
+                                       (2, 3): (None, big * (1 + mpmath.mpf(relative)))})
+    assert verify_kns(table).check("symmetry").passed is passed
+    assert midpoint_checks(table).check("midpoint").passed is passed
+
+
 # --- recursion closure ----------------------------------------------------------
 
 def rebuild_from_first_row(table, dynkin):
@@ -276,16 +295,38 @@ def test_rebuild_from_first_row():
 
 def test_forced_tail(d5_table):
     report = forced_tail_report(d5_table)
-    assert report.applicable and report.passed
-    assert report.zero_mismatches == ()
-    assert report.top_row_mismatches == ()
-    assert report.fork_consistent
+    assert all(c.applicable for c in report.checks) and report.passed
+    assert report.check("forced_zeros").failures == ()
+    assert report.check("forced_top_row").failures == ()
+    assert report.check("fork").passed
+
+
+def test_forced_zeros_need_certified_zeros(d5_table):
+    # a numeric 1e-30 is inside the KNS zero window at 1e-9, but the
+    # forced pattern asks for a certified zero
+    k = d5_table.level
+    table = _with_cells(d5_table, {(3, k + 2): (None, mpmath.mpf("1e-30"))})
+    assert verify_kns(table).check("zero_window").passed
+    report = forced_tail_report(table)
+    assert not report.passed
+    assert not report.check("forced_zeros").passed
+    assert report.check("forced_top_row").passed and report.check("fork").passed
+    assert report.failures == (f"z(3,{k + 2}) = 1.0e-30 (exact tag None), expected 0",)
+
+
+def test_fork_needs_equal_signs(d5_table):
+    top = d5_table.level + d5_table.coxeter
+    table = _with_cells(d5_table, {(4, top): (1, mpmath.mpf(1)),
+                                   (5, top): (-1, mpmath.mpf(-1))})
+    report = forced_tail_report(table)
+    assert not report.check("fork").passed
+    assert report.check("forced_zeros").passed and report.check("forced_top_row").passed
 
 
 def test_forced_tail_not_applicable_for_a():
     a2 = build_dynkin("A", 2)
     report = forced_tail_report(build_qtable(a2, 2))
-    assert not report.applicable and report.passed
+    assert not any(c.applicable for c in report.checks) and report.passed
 
 
 # --- serialization ---------------------------------------------------------------
