@@ -6,8 +6,8 @@ and the recurrence, solves the level-k restricted system numerically,
 and evaluates the Rogers-dilogarithm identity for the positive solution.
 """
 
-from .affine import (AffineWeight, IterationCapExceeded, ReductionResult,
-                     affinize, level_of, reduce_to_alcove)
+from .affine import (AffineWeight, ReductionResult, affinize, level_of,
+                     reduce_to_alcove)
 from .dynkin import (DynkinData, RankMismatch, Root, UnsupportedType, Weight,
                      build_dynkin, positive_roots)
 from .qdim import QDimValue, precision_bits, qdim, qdim_affine
@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AffineWeight", "DilogReport", "DomainError", "DynkinData",
-    "InvalidLevel", "IterationCapExceeded", "KRDecomposition",
+    "InvalidLevel", "KRDecomposition",
     "NoConvergence", "PropertyCheck", "PropertyReport", "QDimValue",
     "QTable", "RankMismatch", "ReductionResult", "RestrictedSolution",
     "Root", "UnsupportedType",

@@ -5,18 +5,17 @@ An affine weight is stored as the integer coordinate vector
 (lambda_0, ..., lambda_r); membership at level k means the mark-weighted
 coordinate sum equals k.  The shifted action conjugates the linear
 reflections by adding one to every coordinate first (the affine Weyl
-vector has all coordinates one).
+vector has all coordinates one).  ``affinize`` and ``reduce_to_alcove``
+take one weight or a block of coordinate rows, one weight per row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .dynkin import DynkinData, RankMismatch, Weight
-
-
-class IterationCapExceeded(RuntimeError):
-    """Alcove reduction ran past its reflection cap; indicates a bug."""
 
 
 @dataclass(frozen=True)
@@ -39,15 +38,21 @@ class AffineWeight:
 
 @dataclass(frozen=True)
 class ReductionResult:
-    """Outcome of alcove reduction: a signed dominant representative, or a
-    detected stabiliser (``rep is None``) which forces the value zero."""
+    """Outcome of alcove reduction: a signed dominant representative, or
+    sign 0 on a reflection wall, where the value is zero.
 
-    rep: AffineWeight | None
-    sign: int
+    For one :class:`AffineWeight`, ``rep`` is an AffineWeight (None on a
+    wall) and ``sign`` an int.  For a block of n coordinate rows, ``rep``
+    is the (n, r+1) int64 array of representatives (meaningless where the
+    sign is 0) and ``sign`` the (n,) array of signs.
+    """
+
+    rep: AffineWeight | np.ndarray | None
+    sign: int | np.ndarray
 
     @property
-    def is_zero(self) -> bool:
-        return self.rep is None
+    def is_zero(self):
+        return self.sign == 0
 
 
 def level_of(coords: tuple[int, ...], dynkin: DynkinData) -> int:
@@ -57,47 +62,128 @@ def level_of(coords: tuple[int, ...], dynkin: DynkinData) -> int:
     return sum(a * c for a, c in zip(dynkin.marks, coords))
 
 
-def affinize(weight: Weight, level: int, dynkin: DynkinData) -> AffineWeight:
-    """Extend a classical weight by the zeroth coordinate fixing its level.
+def affinize(weight: Weight | np.ndarray, level: int,
+             dynkin: DynkinData) -> AffineWeight | np.ndarray:
+    """Extend a classical weight by the zeroth coordinate fixing its level;
+    an (n, r) block of classical rows gives the (n, r+1) block.
 
     The zeroth coordinate may come out negative; such weights are
     legitimate inputs to the shifted action and to alcove reduction.
     """
-    if weight.rank != dynkin.rank:
-        raise RankMismatch(f"weight rank {weight.rank} != diagram rank {dynkin.rank}")
-    lam0 = level - sum(a * c for a, c in zip(dynkin.marks[1:], weight.coords))
-    return AffineWeight(level, (lam0, *weight.coords))
+    coords = weight.coords if isinstance(weight, Weight) else weight
+    if np.shape(coords)[-1] != dynkin.rank:
+        raise RankMismatch(f"weight rank {np.shape(coords)[-1]} != diagram rank {dynkin.rank}")
+    if isinstance(weight, Weight):
+        lam0 = level - sum(a * c for a, c in zip(dynkin.marks[1:], coords))
+        return AffineWeight(level, (lam0, *coords))
+    block = np.asarray(coords, dtype=np.int64)
+    return np.column_stack([level - block @ np.array(dynkin.marks[1:]), block])
 
 
-def reduce_to_alcove(w: AffineWeight, dynkin: DynkinData,
-                     cap: int = 10**6) -> ReductionResult:
-    """Carry w to its dominant representative under the shifted action.
+def coordinate_limit(dynkin: DynkinData) -> int:
+    """Largest |lambda_i| that the int64 arithmetic of
+    :func:`reduce_to_alcove` carries without overflow: its intermediates
+    stay below three times the shifted level N <= 2 (r+1) (|lambda| + 1)."""
+    return 2**60 // (dynkin.rank + 1)
 
-    Greedy loop on mu = w + (1,...,1): a zero coordinate means mu sits on
-    a reflection wall, so the value is zero; otherwise reflect at the
-    first negative coordinate and flip the sign until all coordinates
-    are positive.  A reflection at node i negates mu_i and subtracts
-    c_ij mu_i from each neighbour j, so only those coordinates can reach
-    a wall.  Positive level guarantees termination; the cap only guards
-    against internal bugs.
+
+def _coordinate_rows(coords, dynkin: DynkinData) -> np.ndarray:
+    """``coords`` as a 2-d int64 block, refusing values int64 cannot carry."""
+    limit = coordinate_limit(dynkin)
+    try:
+        block = np.atleast_2d(np.asarray(coords, dtype=np.int64))
+        fits = not block.size or -limit <= block.min() <= block.max() <= limit
+    except OverflowError:  # beyond int64 already
+        fits = False
+    if not fits:
+        raise OverflowError(f"affine coordinates must lie within +-{limit} "
+                            f"for int64 reduction on {dynkin}")
+    if block.ndim != 2 or block.shape[1] != dynkin.rank + 1:
+        raise RankMismatch(f"expected rows of {dynkin.rank + 1} coordinates, got {block.shape}")
+    return block
+
+
+def reduce_to_alcove(w: AffineWeight | np.ndarray, dynkin: DynkinData) -> ReductionResult:
+    """Carry affine weights to their dominant representatives under the
+    shifted action, in closed form (Kac-Walton; Walton, Nucl. Phys. B340
+    (1990) 777; Kac, Infinite-dimensional Lie algebras, Ex. 13.35).
+
+    ``w`` is one AffineWeight or an (n, r+1) block of coordinate rows.
+    With mu = lambda + (1,...,1) at shifted level N = k + h, the classical
+    part of mu is written in epsilon coordinates, where the affine Weyl
+    group acts by permutations, sign changes and translations:
+
+    * D_r, doubled so that spin weights stay integral: x = 2 mu in the
+      epsilon basis, translations by 2N with even coordinate sum.  Fold
+      each x_i mod 2N, map x_i to 2N - x_i where x_i > N (a sign change
+      and a translation), and sort descending.  Two extended-diagram
+      automorphisms restore the parities: x_1 to 2N - x_1 if the
+      translation count is odd, then x_r to -x_r if the sign-change count
+      is odd.
+    * A_r: epsilon in Z^(r+1) modulo (1,...,1), translations by N with
+      zero sum.  Fold mod N, sort descending, and rotate the r+1 affine
+      coordinates by the translation count mod r+1, a cyclic permutation
+      of sign (-1)^r per step.
+
+    The sign is that of the linear part: the sorting permutation, with
+    (-1)^r for each rotation step on A (the sign changes on D come in
+    even number).  A zero coordinate of the resulting mu (equal adjacent
+    x_i, x_(r-1) = |x_r| or x_1 + x_2 = 2N on D) is a reflection wall.
+    Raises OverflowError beyond :func:`coordinate_limit`.
     """
-    if w.level < 1:
-        raise ValueError(f"alcove reduction requires level >= 1, got {w.level}")
-    neighbours = dynkin.extended_neighbours
-    mu = [c + 1 for c in w.coords]
-    if 0 in mu:
-        return ReductionResult(rep=None, sign=0)
-    sign = 1
-    for _ in range(cap):
-        for i, v in enumerate(mu):
-            if v < 0:
-                break
-        else:
-            return ReductionResult(AffineWeight(w.level, tuple(v - 1 for v in mu)), sign)
-        mu[i] = -v
-        for j, c in neighbours[i]:
-            mu[j] -= c * v
-            if not mu[j]:
-                return ReductionResult(rep=None, sign=0)
-        sign = -sign
-    raise IterationCapExceeded(f"no dominant representative within {cap} reflections")
+    single = isinstance(w, AffineWeight)
+    r = dynkin.rank
+    mu = np.ascontiguousarray(_coordinate_rows(w.coords if single else w, dynkin).T) + 1
+    n = mu.shape[1]
+    shifted = (np.array(dynkin.marks)[:, None] * mu).sum(0)
+    if n and shifted.min() <= dynkin.coxeter:
+        raise ValueError("alcove reduction requires level >= 1, "
+                         f"got {shifted.min() - dynkin.coxeter}")
+    if dynkin.family == "D":
+        period = 2 * shifted
+        x = np.empty((r, n), np.int64)
+        x[r - 1] = mu[r] - mu[r - 1]
+        x[r - 2] = mu[r - 1] + mu[r]
+        for i in range(r - 3, -1, -1):
+            x[i] = x[i + 1] + 2 * mu[i + 1]
+    else:
+        period = shifted
+        x = np.zeros((r + 1, n), np.int64)
+        x[r - 1] = mu[r]
+        for i in range(r - 2, -1, -1):
+            x[i] = x[i + 1] + mu[i + 1]
+    turns, x = np.divmod(x, period)
+    turns = turns.sum(0)
+    if dynkin.family == "D":
+        flips = (x > shifted).sum(0)
+        turns += flips
+        x = np.minimum(x, period - x)
+    odd = np.zeros(n, bool)  # parity of the inversions, the sign of the sort (ties are walls)
+    for i in range(len(x) - 1):
+        for j in range(i + 1, len(x)):
+            odd ^= x[i] < x[j]
+    x = np.sort(x.T, axis=1)[:, ::-1].T  # descending, one column per weight
+    out = np.empty_like(mu)
+    if dynkin.family == "D":
+        fix = (turns & 1).astype(bool)
+        first = np.where(fix, period - x[0], x[0])
+        last = np.where(fix ^ (flips & 1).astype(bool), -x[r - 1], x[r - 1])
+        out[0] = shifted - (first + x[1]) // 2
+        out[2:r - 1] = (x[1:r - 2] - x[2:r - 1]) // 2
+        out[1] = (first - x[1]) // 2
+        out[r - 1] = (x[r - 2] - last) // 2
+        out[r] = (x[r - 2] + last) // 2
+    else:
+        out[0] = shifted - (x[0] - x[r])
+        out[1:] = x[:r] - x[1:]
+        turns %= r + 1
+        out = np.take_along_axis(out, (np.arange(r + 1)[:, None] - turns) % (r + 1), axis=0)
+        odd ^= (r * turns & 1).astype(bool)
+    sign = np.where(odd, -1, 1)
+    sign[(out == 0).any(0)] = 0
+    reps = out.T - 1
+    if not single:
+        return ReductionResult(reps, sign)
+    if not sign[0]:
+        return ReductionResult(None, 0)
+    return ReductionResult(AffineWeight(w.level, tuple(int(c) for c in reps[0])), int(sign[0]))

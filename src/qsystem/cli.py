@@ -10,6 +10,7 @@ import functools
 import json
 import math
 import sys
+from typing import Iterable
 
 import click
 
@@ -49,15 +50,20 @@ def _check_tol(name: str, tol: float) -> None:
         raise UsageFailure(f"{name} must be {'finite' if tol > 0 else 'positive'}, got {tol}")
 
 
-def _emit(out: str | None, text: str) -> None:
+def _emit(out: str | None, pieces: Iterable[str]) -> None:
+    """Write the pieces to the file ``out``, or to stdout ending in a newline."""
     if out:
         try:
             with open(out, "w") as fh:
-                fh.write(text)
+                fh.writelines(pieces)
         except OSError as exc:
             raise UsageFailure(f"cannot write {out}: {exc.strerror}") from exc
     else:
-        click.echo(text, nl=not text.endswith("\n"))
+        last = ""
+        for last in pieces:
+            click.echo(last, nl=False)
+        if not last.endswith("\n"):
+            click.echo()
 
 
 @click.group()
@@ -121,8 +127,11 @@ def table(family, rank, level, tol, fmt, out, max_rank, max_level, m_max) -> int
     dynkin = _dynkin(family, rank, level, max_rank, max_level)
     if m_max is not None and m_max < 0:
         raise UsageFailure(f"--m-max must be >= 0, got {m_max}")
-    write = {"json": qio.qtable_to_json, "csv": qio.qtable_to_csv}.get(fmt, qio.qtable_to_text)
-    _emit(out, write(build_qtable(dynkin, level, m_max=m_max)))
+    table = build_qtable(dynkin, level, m_max=m_max)
+    if fmt == "json":
+        _emit(out, qio.qtable_json_chunks(table))
+    else:
+        _emit(out, [qio.qtable_to_csv(table) if fmt == "csv" else qio.qtable_to_text(table)])
     return 0
 
 
@@ -195,11 +204,11 @@ def verify(family, rank, level, tol, fmt, out, max_rank, max_level, grid) -> int
                for r, k in pairs]
     ok = all(result["passed"] for result in results)
     if fmt == "json":
-        _emit(out, json.dumps({"passed": ok, "results": results}, indent=1))
+        _emit(out, [json.dumps({"passed": ok, "results": results}, indent=1)])
     else:
         lines = [line for result in results for line in _verify_text(result)]
         lines.append("all checks passed" if ok else "verification FAILED")
-        _emit(out, "\n".join(lines) + "\n")
+        _emit(out, ["\n".join(lines) + "\n"])
     return 0 if ok else 1
 
 
@@ -215,11 +224,17 @@ def reduce(family, rank, level, tol, fmt, out, max_rank, max_level, coords) -> i
     if weight_level != level:
         raise UsageFailure(
             f"coordinates have level {weight_level}, but -k {level} was given")
-    result = reduce_to_alcove(AffineWeight(level, coords), dynkin)
-    if result.is_zero:
-        _emit(out, "zero (stabilised by an odd reflection)\n")
+    try:
+        result = reduce_to_alcove(AffineWeight(level, coords), dynkin)
+    except OverflowError as exc:
+        raise UsageFailure(str(exc)) from exc
+    zero, rep = result.is_zero, None if result.is_zero else list(result.rep.coords)
+    if fmt == "json":
+        _emit(out, [json.dumps({"zero": zero, "rep": rep, "sign": result.sign}, indent=1)])
+    elif zero:
+        _emit(out, ["zero (stabilised by an odd reflection)\n"])
     else:
-        _emit(out, f"dominant {list(result.rep.coords)} sign {result.sign:+d}\n")
+        _emit(out, [f"dominant {rep} sign {result.sign:+d}\n"])
     return 0
 
 
@@ -256,9 +271,9 @@ def solve(family, rank, level, tol, fmt, out, max_rank, max_level,
             return 1
         failed = failed or dilog.delta > tol
     if fmt == "json":
-        _emit(out, json.dumps(qio.solution_to_dict(sol, dilog, deviation), indent=1))
+        _emit(out, [json.dumps(qio.solution_to_dict(sol, dilog, deviation), indent=1)])
     else:
-        _emit(out, qio.solution_to_text(sol, dilog, deviation))
+        _emit(out, [qio.solution_to_text(sol, dilog, deviation)])
     return 1 if failed else 0
 
 

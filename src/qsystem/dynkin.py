@@ -10,7 +10,7 @@ extended diagram attaches to node 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 
 class UnsupportedType(ValueError):
@@ -66,12 +66,6 @@ class DynkinData:
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
-
-    @cached_property
-    def extended_neighbours(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per extended-diagram node i, the pairs (j, c_ij) with j != i, c_ij != 0."""
-        return tuple(tuple((j, c) for j, c in enumerate(row) if c and j != i)
-                     for i, row in enumerate(self.extended_cartan))
 
 
 def _edges(family: str, rank: int) -> list[tuple[int, int]]:

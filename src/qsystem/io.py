@@ -11,12 +11,16 @@ import csv
 import io as _io
 import json
 from fractions import Fraction
+from typing import Iterator
 
 import mpmath
 
+from .dynkin import build_dynkin
 from .qdim import QDimValue, precision_bits
 from .solver import DilogReport, RestrictedSolution
-from .table import QTable
+from .table import QTable, cell_summands
+
+_JSON_ROWS = 2**14  # provenance rows formatted per piece
 
 
 def _mpf_str(x: mpmath.mpf) -> str:
@@ -29,29 +33,33 @@ def _mpf_parse(s: str) -> mpmath.mpf:
         return mpmath.mpf(s)
 
 
-def qtable_to_dict(table: QTable) -> dict:
-    cells = []
+def qtable_json_chunks(table: QTable) -> Iterator[str]:
+    """The JSON table in pieces, cell by cell: its header, then per cell the
+    exact tag, the numeric value and the provenance (the unreduced
+    affinized summands), formatted from the summand blocks with one
+    ``%d`` template per row.  The pieces join to the bytes that
+    ``json.dumps`` with ``indent=1`` writes for the same data."""
+    dynkin = build_dynkin(table.family, table.rank)
+    row = "    [\n" + ",\n".join(["     %d"] * (table.rank + 1)) + "\n    ]"
+    yield (f'{{\n "family": {json.dumps(table.family)},\n "rank": {table.rank},\n'
+           f' "level": {table.level},\n "h": {table.coxeter},\n "cells": [')
     for a in range(1, table.rank + 1):
         for m in range(table.m_max + 1):
             cell = table.cells[(a, m)]
-            cells.append({
-                "a": a,
-                "m": m,
-                "exact": cell.exact,
-                "numeric": _mpf_str(cell.numeric),
-                "provenance": [list(w.coords) for w in table.summands(a, m)],
-            })
-    return {
-        "family": table.family,
-        "rank": table.rank,
-        "level": table.level,
-        "h": table.coxeter,
-        "cells": cells,
-    }
+            yield (f'{"," if (a, m) != (1, 0) else ""}\n  {{\n   "a": {a},\n   "m": {m},\n'
+                   f'   "exact": {json.dumps(cell.exact)},\n'
+                   f'   "numeric": {json.dumps(_mpf_str(cell.numeric))},\n   "provenance": [\n')
+            block = cell_summands(a, m, table.level, dynkin)
+            for lo in range(0, len(block), _JSON_ROWS):
+                rows = block[lo:lo + _JSON_ROWS]
+                text = ",\n".join([row] * len(rows)) % tuple(rows.ravel().tolist())
+                yield ",\n" + text if lo else text
+            yield "\n   ]\n  }"
+    yield "\n ]\n}"
 
 
 def qtable_to_json(table: QTable) -> str:
-    return json.dumps(qtable_to_dict(table), indent=1)
+    return "".join(qtable_json_chunks(table))
 
 
 def qtable_from_dict(data: dict) -> QTable:

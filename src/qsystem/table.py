@@ -7,14 +7,17 @@ Each table cell is a finite sum of quantum dimensions.  Summands are
 first carried to their dominant alcove representatives with signs; equal
 representatives cancel in integer arithmetic, so a cell whose summands
 cancel completely is certified zero exactly, and a cell collapsing to
-representatives with certified values gets an exact integer tag.  A
-table stores only its cell values: the summands of a cell and the
-survivors of their cancellation are derived again on demand.
+representatives with certified values gets an exact integer tag.  The
+summands of a cell are one int64 block of coordinate rows, and a whole
+table is reduced in a few array calls.  A table stores only its cell
+values: the summands of a cell and the survivors of their cancellation
+are derived again on demand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -22,32 +25,45 @@ import mpmath
 import numpy as np
 
 from .affine import AffineWeight, affinize, reduce_to_alcove
-from .dynkin import DynkinData, Weight, build_dynkin
+from .dynkin import DynkinData, build_dynkin
 from .qdim import QDimValue, precision_bits, qdim_affine
 from .recurrence import terms
 
 Cell = tuple[int, int]
 
 
+_CHUNK_ROWS = 2**11  # summand rows per reduce_to_alcove call, which bounds its memory
+
+
 @dataclass(frozen=True)
 class KRDecomposition:
     """Decomposition of one character of the recurrence family into
-    irreducible highest weights (all multiplicities are one)."""
+    irreducible highest weights (all multiplicities are one): ``terms`` is
+    the (n, rank) int64 block of their classical coordinates."""
 
     a: int
     m: int
-    terms: tuple[Weight, ...]
+    terms: np.ndarray
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Nonnegative integer tuples with the given sum, lexicographically
-    descending."""
+def stars_and_bars(total: int, parts: int) -> np.ndarray:
+    """The block of nonnegative integer rows of length ``parts`` with the
+    given sum, lexicographically descending: each head total..0 followed by
+    the block of the rest with one part fewer.  Those smaller blocks are
+    memoised by (total, parts); the returned block is not, so the memo
+    holds only blocks below the largest number of parts in use."""
     if parts == 1:
-        yield (total,)
-        return
-    for head in range(total, -1, -1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head, *tail)
+        return np.array([[total]], dtype=np.int64)
+    tails = [_stars_and_bars_memo(total - head, parts - 1) for head in range(total, -1, -1)]
+    heads = np.repeat(np.arange(total, -1, -1), [len(t) for t in tails])
+    return np.column_stack([heads, np.concatenate(tails)])
+
+
+@lru_cache(maxsize=None)
+def _stars_and_bars_memo(total: int, parts: int) -> np.ndarray:
+    block = stars_and_bars(total, parts)
+    block.flags.writeable = False
+    return block
 
 
 def kr_decompose(a: int, m: int, dynkin: DynkinData) -> KRDecomposition:
@@ -58,7 +74,8 @@ def kr_decompose(a: int, m: int, dynkin: DynkinData) -> KRDecomposition:
     of D the summands run over weights k_a omega_a + k_{a-2} omega_{a-2}
     + ... down the alternating chain (ending at omega_1 for odd a, with a
     slack variable in place of the vanishing omega_0 for even a), the
-    coefficients summing to m.
+    coefficients summing to m, lexicographically descending in
+    (k_a, k_{a-2}, ...).
     """
     r = dynkin.rank
     if not 1 <= a <= r:
@@ -66,18 +83,14 @@ def kr_decompose(a: int, m: int, dynkin: DynkinData) -> KRDecomposition:
     if m < 0:
         raise ValueError(f"negative label m = {m}")
     if dynkin.family == "A" or a >= r - 1:
-        coords = tuple(m * (i == a - 1) for i in range(r))
-        return KRDecomposition(a, m, (Weight(coords),))
-
-    indices = list(range(a, 0, -2))  # a, a-2, ..., down to 2 or 1
-    slack = a % 2 == 0  # even chains end at the zero weight
-    terms = []
-    for comp in _compositions(m, len(indices) + (1 if slack else 0)):
-        coords = [0] * r
-        for idx, c in zip(indices, comp):
-            coords[idx - 1] = c
-        terms.append(Weight(tuple(coords)))
-    return KRDecomposition(a, m, tuple(terms))
+        terms = np.zeros((1, r), dtype=np.int64)
+        terms[0, a - 1] = m
+        return KRDecomposition(a, m, terms)
+    columns = np.arange(a - 1, -1, -2)  # nodes a, a-2, ..., down to 2 or 1
+    comps = stars_and_bars(m, a // 2 + 1)  # one slack part for even a
+    terms = np.zeros((len(comps), r), dtype=np.int64)
+    terms[:, columns] = comps[:, :len(columns)]
+    return KRDecomposition(a, m, terms)
 
 
 def kr_term_count(a: int, m: int, dynkin: DynkinData) -> int:
@@ -88,27 +101,50 @@ def kr_term_count(a: int, m: int, dynkin: DynkinData) -> int:
     return comb(m + a // 2, a // 2)
 
 
-def cell_summands(a: int, m: int, level: int,
-                  dynkin: DynkinData) -> tuple[AffineWeight, ...]:
-    """The unreduced affinized summands of cell (a, m)."""
-    return tuple(affinize(w, level, dynkin) for w in kr_decompose(a, m, dynkin).terms)
+def cell_summands(a: int, m: int, level: int, dynkin: DynkinData) -> np.ndarray:
+    """The (n, rank + 1) block of unreduced affinized summands of cell (a, m)."""
+    return affinize(kr_decompose(a, m, dynkin).terms, level, dynkin)
 
 
-def _survivors(a: int, m: int, level: int, dynkin: DynkinData,
-               cache: dict) -> tuple[tuple[AffineWeight, int], ...]:
-    """Signed dominant representatives of cell (a, m) left after
+def _summand_chunks(cells: list[Cell], level: int,
+                    dynkin: DynkinData) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The summands of ``cells`` as (cell index, affine row) blocks of at
+    most _CHUNK_ROWS rows, in cell order."""
+    ids, blocks, rows = [], [], 0
+    for i, (a, m) in enumerate(cells):
+        summands = cell_summands(a, m, level, dynkin)
+        for lo in range(0, len(summands), _CHUNK_ROWS):
+            piece = summands[lo:lo + _CHUNK_ROWS]
+            if rows + len(piece) > _CHUNK_ROWS:
+                yield np.concatenate(ids), np.concatenate(blocks)
+                ids, blocks, rows = [], [], 0
+            ids.append(np.full(len(piece), i))
+            blocks.append(piece)
+            rows += len(piece)
+    yield np.concatenate(ids), np.concatenate(blocks)
+
+
+def _survivors(cells: list[Cell], level: int,
+               dynkin: DynkinData) -> dict[Cell, list[tuple[tuple[int, ...], int]]]:
+    """Signed dominant representatives of each cell left after
     cancellation, sorted by coordinates (empty for a combinatorially
-    certified zero).  ``cache`` memoises reductions by coordinates."""
-    multiplicity: dict[tuple[int, ...], int] = {}
-    for aw in cell_summands(a, m, level, dynkin):
-        res = cache.get(aw.coords)
-        if res is None:
-            res = cache[aw.coords] = reduce_to_alcove(aw, dynkin)
-        if not res.is_zero:
-            key = res.rep.coords
-            multiplicity[key] = multiplicity.get(key, 0) + res.sign
-    return tuple((AffineWeight(level, key), mult)
-                 for key, mult in sorted(multiplicity.items()) if mult)
+    certified zero).  Each chunk of summands is reduced in one call, and
+    equal (cell, representative) rows are grouped by ``np.unique``."""
+    keys, counts = [], []
+    for index, block in _summand_chunks(cells, level, dynkin):
+        res = reduce_to_alcove(block, dynkin)
+        live = res.sign != 0
+        uniq, inverse = np.unique(np.column_stack([index[live], res.rep[live]]),
+                                  axis=0, return_inverse=True)
+        keys.append(uniq)
+        counts.append(np.bincount(inverse.ravel(), weights=res.sign[live], minlength=len(uniq)))
+    uniq, inverse = np.unique(np.concatenate(keys), axis=0, return_inverse=True)
+    mult = np.bincount(inverse.ravel(), weights=np.concatenate(counts),
+                       minlength=len(uniq)).astype(np.int64)
+    out: dict[Cell, list[tuple[tuple[int, ...], int]]] = {cell: [] for cell in cells}
+    for row, c in zip(uniq[mult != 0].tolist(), mult[mult != 0].tolist()):
+        out[cells[row[0]]].append((tuple(row[1:]), c))
+    return out
 
 
 @dataclass(frozen=True)
@@ -131,10 +167,12 @@ class QTable:
         return self.cells[(a, m)].numeric
 
     def summands(self, a: int, m: int) -> tuple[AffineWeight, ...]:
-        return cell_summands(a, m, self.level, build_dynkin(self.family, self.rank))
+        block = cell_summands(a, m, self.level, build_dynkin(self.family, self.rank))
+        return tuple(AffineWeight(self.level, tuple(row)) for row in block.tolist())
 
     def survivors(self, a: int, m: int) -> tuple[tuple[AffineWeight, int], ...]:
-        return _survivors(a, m, self.level, build_dynkin(self.family, self.rank), {})
+        found = _survivors([(a, m)], self.level, build_dynkin(self.family, self.rank))
+        return tuple((AffineWeight(self.level, rep), mult) for rep, mult in found[(a, m)])
 
 
 def _combine(parts: list[tuple[int, QDimValue]]) -> QDimValue:
@@ -156,28 +194,29 @@ def _combine(parts: list[tuple[int, QDimValue]]) -> QDimValue:
 def build_qtable(dynkin: DynkinData, level: int, m_max: int | None = None) -> QTable:
     """Assemble the full table of specialised character values.
 
-    Every cell is decomposed, affinized, alcove-reduced with signs, and
-    summed over the surviving dominant representatives.
+    The summands of all cells are affinized and alcove-reduced with signs
+    together, and each cell is summed over its surviving dominant
+    representatives.
     """
     if level < 1:
         raise ValueError(f"level must be >= 1, got {level}")
     if m_max is None:
         m_max = level + dynkin.coxeter
 
-    reduction_cache: dict[tuple[int, ...], object] = {}
+    keys = [(a, m) for a in range(1, dynkin.rank + 1) for m in range(m_max + 1)]
+    survivors = _survivors(keys, level, dynkin)
     value_cache: dict[tuple[int, ...], QDimValue] = {}
     cells: dict[Cell, QDimValue] = {}
 
     with mpmath.workprec(precision_bits()):
-        for a in range(1, dynkin.rank + 1):
-            for m in range(m_max + 1):
-                parts = []
-                for rep, mult in _survivors(a, m, level, dynkin, reduction_cache):
-                    val = value_cache.get(rep.coords)
-                    if val is None:
-                        val = value_cache[rep.coords] = qdim_affine(rep, dynkin)
-                    parts.append((mult, val))
-                cells[(a, m)] = _combine(parts)
+        for key in keys:
+            parts = []
+            for rep, mult in survivors[key]:
+                val = value_cache.get(rep)
+                if val is None:
+                    val = value_cache[rep] = qdim_affine(AffineWeight(level, rep), dynkin)
+                parts.append((mult, val))
+            cells[key] = _combine(parts)
 
     return QTable(family=dynkin.family, rank=dynkin.rank, level=level,
                   coxeter=dynkin.coxeter, m_max=m_max, cells=cells)

@@ -1,5 +1,6 @@
 """Reference implementations that only the tests call: reflection actions,
-extended-diagram automorphisms, full-row alcove reduction, dominant
+extended-diagram automorphisms, greedy and full-row alcove reduction, the
+recursive summand enumeration, the dict form of the JSON table, dominant
 weights and the Weyl-orbit quantum dimension."""
 
 from __future__ import annotations
@@ -11,9 +12,11 @@ from typing import Iterator
 
 import mpmath
 
-from qsystem.affine import AffineWeight, IterationCapExceeded, ReductionResult
+from qsystem.affine import AffineWeight, ReductionResult
 from qsystem.dynkin import DynkinData, Weight, positive_roots
+from qsystem.io import _mpf_str
 from qsystem.qdim import precision_bits
+from qsystem.table import QTable
 
 _WEYL_ORDER_CAP = 10**6
 
@@ -88,6 +91,46 @@ def apply_automorphism(perm: tuple[int, ...], w: AffineWeight) -> AffineWeight:
         coords[perm[i]] = c
     return AffineWeight(w.level, tuple(coords))
 
+
+class IterationCapExceeded(RuntimeError):
+    """Greedy alcove reduction ran past its reflection cap; indicates a bug."""
+
+
+def reduce_to_alcove_greedy(w: AffineWeight, dynkin: DynkinData,
+                            cap: int = 10**6) -> ReductionResult:
+    """Carry w to its dominant representative under the shifted action.
+
+    Greedy loop on mu = w + (1,...,1): a zero coordinate means mu sits on
+    a reflection wall, so the value is zero; otherwise reflect at the
+    first negative coordinate and flip the sign until all coordinates
+    are positive.  A reflection at node i negates mu_i and subtracts
+    c_ij mu_i from each neighbour j, so only those coordinates can reach
+    a wall.  Positive level guarantees termination; the cap only guards
+    against internal bugs.
+    """
+    if w.level < 1:
+        raise ValueError(f"alcove reduction requires level >= 1, got {w.level}")
+    neighbours = [[(j, c) for j, c in enumerate(row) if c and j != i]
+                  for i, row in enumerate(dynkin.extended_cartan)]
+    mu = [c + 1 for c in w.coords]
+    if 0 in mu:
+        return ReductionResult(rep=None, sign=0)
+    sign = 1
+    for _ in range(cap):
+        for i, v in enumerate(mu):
+            if v < 0:
+                break
+        else:
+            return ReductionResult(AffineWeight(w.level, tuple(v - 1 for v in mu)), sign)
+        mu[i] = -v
+        for j, c in neighbours[i]:
+            mu[j] -= c * v
+            if not mu[j]:
+                return ReductionResult(rep=None, sign=0)
+        sign = -sign
+    raise IterationCapExceeded(f"no dominant representative within {cap} reflections")
+
+
 def reduce_to_alcove_full_row(w: AffineWeight, dynkin: DynkinData,
                               cap: int = 10**6) -> ReductionResult:
     """Carry w to its dominant representative under the shifted action.
@@ -123,6 +166,58 @@ def reduce_to_alcove_full_row(w: AffineWeight, dynkin: DynkinData,
         mu = [mu[j] - mneg * row[j] for j in range(n)]
         sign = -sign
     raise IterationCapExceeded(f"no dominant representative within {cap} reflections")
+
+
+def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """Nonnegative integer tuples with the given sum, lexicographically
+    descending."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total, -1, -1):
+        for tail in compositions(total - head, parts - 1):
+            yield (head, *tail)
+
+
+def kr_terms_recursive(a: int, m: int, dynkin: DynkinData) -> list[tuple[int, ...]]:
+    """The classical summands of cell (a, m) in the order of the recursive
+    generator: m omega_a on family A and the fork tips, and on a tail node
+    of D the compositions of m over omega_a, omega_(a-2), ... (with a
+    slack part for even a)."""
+    r = dynkin.rank
+    if dynkin.family == "A" or a >= r - 1:
+        return [tuple(m * (i == a - 1) for i in range(r))]
+    indices = list(range(a, 0, -2))
+    out = []
+    for comp in compositions(m, len(indices) + (a % 2 == 0)):
+        coords = [0] * r
+        for idx, c in zip(indices, comp):
+            coords[idx - 1] = c
+        out.append(tuple(coords))
+    return out
+
+
+def qtable_to_dict(table: QTable) -> dict:
+    """The JSON table as one dict; ``json.dumps(qtable_to_dict(t),
+    indent=1)`` is the byte layout that ``qtable_to_json`` writes."""
+    cells = []
+    for a in range(1, table.rank + 1):
+        for m in range(table.m_max + 1):
+            cell = table.cells[(a, m)]
+            cells.append({
+                "a": a,
+                "m": m,
+                "exact": cell.exact,
+                "numeric": _mpf_str(cell.numeric),
+                "provenance": [list(w.coords) for w in table.summands(a, m)],
+            })
+    return {
+        "family": table.family,
+        "rank": table.rank,
+        "level": table.level,
+        "h": table.coxeter,
+        "cells": cells,
+    }
 
 
 def dominant_weights(dynkin: DynkinData, max_level: int) -> Iterator[Weight]:

@@ -1,14 +1,17 @@
 from itertools import permutations
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qsystem.affine import (AffineWeight, IterationCapExceeded, affinize,
-                            level_of, reduce_to_alcove)
+from qsystem.affine import (AffineWeight, affinize, coordinate_limit, level_of,
+                            reduce_to_alcove)
 from qsystem.dynkin import Weight, build_dynkin
 
-from oracles import (apply_automorphism, diagram_automorphisms, orbit_of_zero,
-                     reduce_to_alcove_full_row, reflect, shifted_action)
+from oracles import (IterationCapExceeded, apply_automorphism,
+                     diagram_automorphisms, orbit_of_zero,
+                     reduce_to_alcove_full_row, reduce_to_alcove_greedy,
+                     reflect, shifted_action)
 
 
 def aw(dynkin, level, *classical):
@@ -112,33 +115,81 @@ def test_reduce_sign_flip_onto_interior_representative():
 def test_reduce_cap():
     d5 = build_dynkin("D", 5)
     with pytest.raises(IterationCapExceeded):
-        reduce_to_alcove(aw(d5, 4, 12, 0, 0, 0, 0), d5, cap=2)
+        reduce_to_alcove_greedy(aw(d5, 4, 12, 0, 0, 0, 0), d5, cap=2)
 
 
-DIAGRAMS = [("A", r) for r in range(1, 10)] + [("D", r) for r in range(4, 13)]
+DIAGRAMS = [("A", r) for r in range(1, 13)] + [("D", r) for r in range(4, 13)]
 
 
 @st.composite
 def diagram_weights(draw):
-    """(family, rank, level, classical coordinates in +-(3 level + 5))."""
+    """(family, rank, level, classical coordinates): within +-(3 level + 5),
+    or within +-6N where N = level + h is the shifted level."""
     family, rank = draw(st.sampled_from(DIAGRAMS))
     level = draw(st.integers(1, 12))
-    bound = 3 * level + 5
+    shifted = level + build_dynkin(family, rank).coxeter
+    bound = draw(st.sampled_from([3 * level + 5, 6 * shifted]))
     classical = draw(st.lists(st.integers(-bound, bound), min_size=rank, max_size=rank))
     return family, rank, level, tuple(classical)
+
+
+def _outcome(res):
+    return None if res.is_zero else (res.rep, res.sign)
 
 
 @given(diagram_weights())
 @example(("A", 1, 3, (7,)))  # A1: the extended Cartan matrix has -2 off the diagonal
 @example(("A", 1, 2, (-6,)))
 @example(("D", 12, 12, (41, -41) * 6))
+@example(("D", 5, 4, (0, 3, 0, 1, 0)))  # odd mu_4 + mu_5: half-integral epsilon
+@example(("D", 6, 3, (-7, 2, 0, 5, -3, 0)))
+@example(("A", 12, 12, (150,) * 12))  # coordinates near 6N
 @settings(max_examples=600, deadline=None)
 def test_reduce_matches_full_row_oracle(case):
     family, rank, level, classical = case
     d = build_dynkin(family, rank)
     w = affinize(Weight(classical), level, d)
-    got, want = reduce_to_alcove(w, d), reduce_to_alcove_full_row(w, d)
-    assert (got.rep, got.sign, got.is_zero) == (want.rep, want.sign, want.is_zero)
+    got = _outcome(reduce_to_alcove(w, d))
+    assert got == _outcome(reduce_to_alcove_greedy(w, d))
+    assert got == _outcome(reduce_to_alcove_full_row(w, d))
+
+
+@given(st.sampled_from(DIAGRAMS), st.integers(1, 12), st.integers(0, 40), st.randoms())
+@settings(max_examples=60, deadline=None)
+def test_block_matches_rows(diagram, level, n, rnd):
+    d = build_dynkin(*diagram)
+    bound = 3 * level + 5
+    block = affinize(np.array([[rnd.randint(-bound, bound) for _ in range(d.rank)]
+                               for _ in range(n)], dtype=np.int64).reshape(n, d.rank), level, d)
+    res = reduce_to_alcove(block, d)
+    assert res.rep.shape == (n, d.rank + 1) and res.sign.shape == (n,)
+    for row, rep, sign in zip(block.tolist(), res.rep.tolist(), res.sign.tolist()):
+        one = reduce_to_alcove(AffineWeight(level, tuple(row)), d)
+        assert sign == one.sign
+        if sign:
+            assert tuple(rep) == one.rep.coords
+
+
+@pytest.mark.parametrize("family,rank,level", [("D", 5, 4), ("D", 8, 3), ("A", 1, 2), ("A", 6, 5)])
+def test_reduce_near_the_int64_limit(family, rank, level):
+    # adding a multiple of N alpha_1 (a row of the extended Cartan matrix)
+    # to lambda + rho is a translation in the affine Weyl group, so it keeps
+    # the representative and the sign; beyond coordinate_limit the
+    # reduction refuses
+    d = build_dynkin(family, rank)
+    step = [(level + d.coxeter) * c for c in d.extended_cartan[1]]
+    limit = coordinate_limit(d)
+    for classical in [(3,) + (0,) * (rank - 1), (1,) * rank, (-2,) + (1,) * (rank - 1)]:
+        small = affinize(Weight(classical), level, d)
+        t = limit // max(map(abs, step)) - 2
+        big = AffineWeight(level, tuple(c + t * s for c, s in zip(small.coords, step)))
+        assert level_of(big.coords, d) == level and max(map(abs, big.coords)) <= limit
+        assert _outcome(reduce_to_alcove(big, d)) == _outcome(reduce_to_alcove(small, d))
+    over = AffineWeight(level, (-limit - 1 + level, limit + 1) + (0,) * (rank - 1))
+    with pytest.raises(OverflowError):
+        reduce_to_alcove(over, d)
+    with pytest.raises(OverflowError):
+        reduce_to_alcove(AffineWeight(level, (level - 10**20, 10**20) + (0,) * (rank - 1)), d)
 
 
 @given(coords_st, st.integers(1, 5),

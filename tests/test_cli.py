@@ -4,10 +4,13 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from qsystem.affine import AffineWeight
 from qsystem.cli import main
-from qsystem.io import qtable_from_json
+from qsystem.io import qtable_from_json, qtable_to_json
 from qsystem.table import build_qtable
 from qsystem.dynkin import build_dynkin
+
+from oracles import reduce_to_alcove_greedy
 
 
 @pytest.fixture
@@ -31,8 +34,9 @@ def test_table_json_round_trips(runner, tmp_path):
     result = runner.invoke(main, ["table", "-f", "D", "-r", "4", "-k", "2",
                                   "--format", "json", "--out", str(out)])
     assert result.exit_code == 0
-    parsed = qtable_from_json(out.read_text())
-    assert parsed == build_qtable(build_dynkin("D", 4), 2)
+    table = build_qtable(build_dynkin("D", 4), 2)
+    assert out.read_text() == qtable_to_json(table)  # streamed piece by piece
+    assert qtable_from_json(out.read_text()) == table
 
 
 def test_table_text_level_one(runner):
@@ -141,6 +145,30 @@ def test_reduce_sign_flip(runner):
     assert "dominant [0, 0, 2, 0, 0, 0] sign -1" in result.output
 
 
+def test_reduce_json(runner):
+    result = runner.invoke(main, ["reduce", "-f", "D", "-r", "5", "-k", "4", "--format", "json",
+                                  "--", "-2", "0", "3", "0", "0", "0"])
+    assert result.exit_code == 0
+    assert json.loads(result.output) == {"zero": False, "rep": [0, 0, 2, 0, 0, 0], "sign": -1}
+    result = runner.invoke(main, ["reduce", "-f", "D", "-r", "5", "-k", "4", "--format", "json",
+                                  "--", "-1", "1", "2", "0", "0", "0"])
+    assert result.exit_code == 0
+    assert json.loads(result.output) == {"zero": True, "rep": None, "sign": 0}
+
+
+def test_reduce_large_coordinates(runner):
+    # lambda = (4 - M) omega_0 + M omega_1 at N = 12: with M = 16 mod 24 the
+    # part (M - 16) omega_1 is a translation by an even multiple of 2N
+    # epsilon_1, so M reduces like M = 16
+    small = reduce_to_alcove_greedy(AffineWeight(4, (-12, 16, 0, 0, 0, 0)), build_dynkin("D", 5))
+    big = 10**15
+    assert big % 24 == 16
+    result = runner.invoke(main, ["reduce", "-f", "D", "-r", "5", "-k", "4",
+                                  "--", str(4 - big), str(big), "0", "0", "0", "0"])
+    assert result.exit_code == 0
+    assert result.output == f"dominant {list(small.rep.coords)} sign {small.sign:+d}\n"
+
+
 def test_reduce_level_mismatch(runner):
     result = runner.invoke(main, ["reduce", "-f", "D", "-r", "5", "-k", "4",
                                   "--", "0", "0", "0", "0", "0", "0"])
@@ -222,9 +250,11 @@ def test_usage_errors(runner):
     (["verify", "-f", "D", "-r", "4", "-k", "2", "--tol", "inf"], {}),
     (["solve", "-f", "D", "-r", "4", "-k", "3", "--solver-tol", "nan"], {}),
     (["solve", "-f", "D", "-r", "4", "-k", "3", "--solver-tol", "inf"], {}),
+    (["reduce", "-f", "D", "-r", "5", "-k", "4", "--", "-99999999999999999996",
+      "100000000000000000000", "0", "0", "0", "0"], {}),
 ], ids=["precision-not-integer", "precision-below-64", "negative-m-max",
         "unwritable-out", "empty-rank-range", "empty-level-range", "tol-nan",
-        "tol-inf", "solver-tol-nan", "solver-tol-inf"])
+        "tol-inf", "solver-tol-nan", "solver-tol-inf", "reduce-beyond-int64"])
 def test_bad_input_is_a_usage_error(runner, tmp_path, monkeypatch, args, env):
     monkeypatch.chdir(tmp_path)
     result = runner.invoke(main, args, env=env)

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 from math import comb
 
@@ -5,7 +6,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from qsystem.dynkin import Weight, build_dynkin
+import qsystem.io
+import qsystem.table
+
+from qsystem.dynkin import build_dynkin
 from qsystem.io import (qtable_from_json, qtable_to_csv, qtable_to_json,
                         qtable_to_text)
 from qsystem.qdim import QDimValue, precision_bits, qdim_affine
@@ -13,6 +17,8 @@ from qsystem.recurrence import terms
 from qsystem.table import (build_qtable, forced_tail_report, kr_decompose,
                            kr_term_count, midpoint_checks, verify_kns,
                            verify_qsystem)
+
+from oracles import kr_terms_recursive, qtable_to_dict
 
 
 @pytest.fixture(scope="module")
@@ -31,7 +37,7 @@ def test_decompose_tips_and_a_family():
     d5 = build_dynkin("D", 5)
     for a in (4, 5):
         dec = kr_decompose(a, 3, d5)
-        assert dec.terms == (Weight(tuple(3 * (i == a - 1) for i in range(5))),)
+        assert dec.terms.tolist() == [[3 * (i == a - 1) for i in range(5)]]
     a3 = build_dynkin("A", 3)
     for a in (1, 2, 3):
         assert len(kr_decompose(a, 5, a3).terms) == 1
@@ -39,23 +45,23 @@ def test_decompose_tips_and_a_family():
 
 def test_decompose_even_node(d5):
     dec = kr_decompose(2, 1, d5)
-    assert dec.terms == (Weight((0, 1, 0, 0, 0)), Weight((0, 0, 0, 0, 0)))
+    assert dec.terms.tolist() == [[0, 1, 0, 0, 0], [0, 0, 0, 0, 0]]
 
 
 def test_decompose_odd_node_order(d5):
     # lexicographically descending in (k_3, k_1)
     dec = kr_decompose(3, 2, d5)
-    assert dec.terms == (
-        Weight((0, 0, 2, 0, 0)),
-        Weight((1, 0, 1, 0, 0)),
-        Weight((2, 0, 0, 0, 0)),
-    )
+    assert dec.terms.tolist() == [
+        [0, 0, 2, 0, 0],
+        [1, 0, 1, 0, 0],
+        [2, 0, 0, 0, 0],
+    ]
 
 
 def test_decompose_m_zero(d5):
     for a in range(1, 6):
         dec = kr_decompose(a, 0, d5)
-        assert dec.terms == (Weight((0,) * 5),)
+        assert dec.terms.tolist() == [[0] * 5]
 
 
 @pytest.mark.parametrize("rank", [4, 6, 8])
@@ -69,6 +75,15 @@ def test_term_count_stars_and_bars(rank):
                 assert n == comb(m + a // 2, a // 2)
             else:
                 assert n == 1
+
+
+@pytest.mark.parametrize("family,rank", [("A", 1), ("A", 5), ("D", 4), ("D", 7), ("D", 10)])
+def test_decompose_matches_recursive_order(family, rank):
+    d = build_dynkin(family, rank)
+    for a in range(1, rank + 1):
+        for m in range(0, 13):
+            assert kr_decompose(a, m, d).terms.tolist() == \
+                [list(t) for t in kr_terms_recursive(a, m, d)]
 
 
 def test_decompose_bad_node(d5):
@@ -329,11 +344,35 @@ def test_forced_tail_not_applicable_for_a():
     assert not any(c.applicable for c in report.checks) and report.passed
 
 
+@pytest.mark.parametrize("family,rank,k", [("D", 6, 3), ("D", 7, 2), ("A", 3, 3)])
+def test_chunked_reduction_matches_one_chunk(monkeypatch, family, rank, k):
+    # 5-row chunks split cells across reduce_to_alcove calls, so survivors
+    # are merged across chunks
+    d = build_dynkin(family, rank)
+    whole = build_qtable(d, k)
+    survivors = {cell: whole.survivors(*cell) for cell in whole.cells}
+    monkeypatch.setattr(qsystem.table, "_CHUNK_ROWS", 5)
+    assert build_qtable(d, k) == whole
+    assert {cell: whole.survivors(*cell) for cell in whole.cells} == survivors
+
+
 # --- serialization ---------------------------------------------------------------
 
 def test_json_round_trip(d5_table):
     back = qtable_from_json(qtable_to_json(d5_table))
     assert back == d5_table  # a table is its header and cells
+
+
+JSON_GRID = ([("D", r, k) for r in range(4, 9) for k in range(1, 7)]
+             + [("A", r, k) for r in range(1, 6) for k in range(1, 6)])
+
+
+def test_json_matches_dict_dump(monkeypatch):
+    monkeypatch.setattr(qsystem.io, "_JSON_ROWS", 7)  # split provenance across pieces
+    for family, rank, k in JSON_GRID:
+        table = build_qtable(build_dynkin(family, rank), k)
+        want = json.dumps(qtable_to_dict(table), indent=1)
+        assert qtable_to_json(table) == want, (family, rank, k)
 
 
 @pytest.mark.parametrize("family,rank,k", [("D", 5, 4), ("D", 6, 3), ("A", 3, 3)])
