@@ -50,6 +50,12 @@ def _check_tol(name: str, tol: float) -> None:
         raise UsageFailure(f"{name} must be {'finite' if tol > 0 else 'positive'}, got {tol}")
 
 
+def _text_or_json(fmt: str, name: str) -> None:
+    """Reject the shared ``--format csv`` for a command that has no table to print."""
+    if fmt == "csv":
+        raise UsageFailure(f"{name} prints text or json, not csv")
+
+
 def _emit(out: str | None, pieces: Iterable[str]) -> None:
     """Write the pieces to the file ``out``, or to stdout ending in a newline."""
     if out:
@@ -195,6 +201,7 @@ def _parse_grid(spec: tuple[str, str]) -> tuple[range, range]:
               help="sweep a rectangle of ranks and levels")
 def verify(family, rank, level, tol, fmt, out, max_rank, max_level, grid) -> int:
     """Run the recurrence, property, midpoint and tail checks."""
+    _text_or_json(fmt, "verify")
     if grid is None:
         pairs = [(rank, level)]
     else:
@@ -216,6 +223,7 @@ def verify(family, rank, level, tol, fmt, out, max_rank, max_level, grid) -> int
 @click.argument("coords", nargs=-1, type=int, required=True)
 def reduce(family, rank, level, tol, fmt, out, max_rank, max_level, coords) -> int:
     """Alcove-reduce an affine weight given as lambda_0 .. lambda_r."""
+    _text_or_json(fmt, "reduce")
     dynkin = _dynkin(family, rank, level, max_rank, max_level)
     if len(coords) != dynkin.rank + 1:
         raise UsageFailure(
@@ -248,6 +256,7 @@ def reduce(family, rank, level, tol, fmt, out, max_rank, max_level, coords) -> i
 def solve(family, rank, level, tol, fmt, out, max_rank, max_level,
           against_table, with_dilog, solver_tol) -> int:
     """Solve the level-k restricted system for its positive solution."""
+    _text_or_json(fmt, "solve")
     dynkin = _dynkin(family, rank, level, max_rank, max_level)
     _check_tol("solver tolerance", solver_tol)
     try:
@@ -281,6 +290,7 @@ def solve(family, rank, level, tol, fmt, out, max_rank, max_level,
 @click.option("--solver-tol", type=float, default=1e-12, show_default=True)
 def dilog(family, rank, level, tol, fmt, out, max_rank, max_level, solver_tol) -> int:
     """Solve the restricted system and evaluate the dilogarithm identity."""
+    _text_or_json(fmt, "dilog")
     return solve(family, rank, level, tol, fmt, out, max_rank, max_level,
                  against_table=False, with_dilog=True, solver_tol=solver_tol)
 

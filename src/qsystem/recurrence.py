@@ -1,5 +1,6 @@
 """The Q-system recurrence (Q^(a)_m)^2 = prod_{b~a} Q^(b)_m + Q^(a)_{m-1} Q^(a)_{m+1}
-on a value grid: one row per node a, one column per label m."""
+on a value grid: one row per node a, one column per label m, with any
+number of leading axes for a stack of grids."""
 
 from __future__ import annotations
 
@@ -17,11 +18,13 @@ def _neighbours(rank: int, edges: bytes) -> tuple[np.ndarray, np.ndarray]:
 
 def terms(q: np.ndarray, adj: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The three terms Q_m^2, prod_{b~a} Q^(b)_m and Q_{m-1} Q_{m+1} of
-    every equation 1 <= m <= m_max-1 of the value grid ``q``, for the 0/1
-    adjacency matrix ``adj`` of a connected diagram.  Works on float64
-    arrays and on object arrays of mpf alike.  Each caller combines the
-    terms in its own order, which fixes the low digits it reports."""
-    mid = q[:, 1:-1]
+    every equation 1 <= m <= m_max-1 of the value grid ``q``, shape
+    (..., rank, m_max+1), for the 0/1 adjacency matrix ``adj`` of a
+    connected diagram.  Works on float64 arrays and on object arrays of mpf
+    alike.  Each caller combines the terms in its own order, which fixes
+    the low digits it reports."""
+    mid = q[..., 1:-1]
     nbrs, starts = _neighbours(len(adj), (adj != 0).tobytes())
-    prod = np.multiply.reduceat(mid[nbrs], starts) if len(nbrs) else np.ones_like(mid)
-    return mid**2, prod, q[:, :-2] * q[:, 2:]
+    prod = (np.multiply.reduceat(mid[..., nbrs, :], starts, axis=-2) if len(nbrs)
+            else np.ones_like(mid))
+    return mid**2, prod, q[..., :-2] * q[..., 2:]

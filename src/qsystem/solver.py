@@ -6,15 +6,22 @@ pinned to 1.  Positivity is built in by solving for u = log Q.  Damped
 Newton in float64 solves the log form of the recurrence,
 log Q_m^2 - log(prod + Q_{m-1} Q_{m+1}) = 0, which is close to linear in
 u, with no fallback: the degenerate zero solutions sit at u = -inf, where
-the log form does not vanish.  Mixed-precision iterative refinement then
-carries the float solution to working precision: each step evaluates the
-residual at working precision and solves for the log-coordinate
-correction in float64 with the Jacobian of the raw residual (Higham,
-*Accuracy and Stability of Numerical Algorithms*, ch. 12).  Residuals are
+the log form does not vanish.  It runs on a stack of starts at once, with
+stacked linear solves and each start's line search and stop test its own;
+the solve uses a single start and the uniqueness probe all of its starts
+together.  Mixed-precision iterative refinement then carries the float
+solution to working precision: each step evaluates the residual at
+working precision and solves for the log-coordinate correction in
+float64 with the Jacobian of the raw residual (Higham, *Accuracy and
+Stability of Numerical Algorithms*, ch. 12).  Residuals are
 judged relative to the term scale S, the largest term in any equation:
 refinement stops at 2^(8 - bits) S, and a solve is accepted when its
 residual is at most tol * max(1, S).  Both phases log each step at DEBUG
 to the ``qsystem.solver`` logger.
+
+The Rogers dilogarithm sums the dilogarithm power series in
+Python-integer fixed point with 20 guard bits and takes the log product
+through log1p, so it stays relatively accurate however small its argument.
 """
 
 from __future__ import annotations
@@ -22,10 +29,12 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping
 
 import mpmath
 import numpy as np
+from mpmath.libmp import from_man_exp, to_fixed
 
 from .dynkin import DynkinData
 from .qdim import precision_bits
@@ -41,6 +50,12 @@ _LOG_TOL = 1e-13
 # A refinement step gains about -log2(cond(J) * 2^-53) bits, some 40 in
 # practice; one step per 16 bits of working precision leaves ample room.
 _BITS_PER_POLISH_STEP = 16
+# Most Jacobian entries (float64) solved together in one stacked linear
+# solve.  On a 2-CPU Linux host, a single stack of 21 A8k8 Jacobians (56 x 56,
+# 527 KiB) raised the peak RSS of a D8k6 and A8k8 solve-and-probe process by
+# 0.6 MiB; groups of at most 256 KiB raise it about as little as solving one
+# start at a time.
+_JACOBIAN_ENTRIES = 1 << 15
 
 
 class InvalidLevel(ValueError):
@@ -87,10 +102,10 @@ class RestrictedSolution:
 
 
 def _grid(dynkin: DynkinData, k: int, inner: np.ndarray) -> np.ndarray:
-    """Full (rank, k+1) value grid with unit boundary columns."""
-    q = np.ones((dynkin.rank, k + 1))
+    """Full (..., rank, k+1) value grids with unit boundary columns."""
+    q = np.ones((*inner.shape[:-2], dynkin.rank, k + 1))
     if k >= 2:
-        q[:, 1:k] = inner
+        q[..., 1:k] = inner
     return q
 
 
@@ -105,20 +120,41 @@ def _scale(q: np.ndarray, adj: np.ndarray) -> float:
     return float(np.max(sum(terms(q, adj))))
 
 
-def _jacobian_log(q: np.ndarray, adj: np.ndarray, k: int) -> np.ndarray:
-    """Jacobian of the residual with respect to log-coordinates.
+@lru_cache(maxsize=None)
+def _couplings(rank: int, n: int, edges: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """Flat positions in the (rank n)^2 Jacobian of the neighbour
+    couplings (a, j)-(b, j), b ~ a, and of the chain couplings
+    (a, j)-(a, j -+ 1), for n unknowns per node."""
+    adj = np.frombuffer(edges, dtype=bool).reshape(rank, rank)
+    chain = np.eye(n, k=1, dtype=bool) | np.eye(n, k=-1, dtype=bool)
+    return (np.flatnonzero(np.kron(adj, np.eye(n, dtype=bool))),
+            np.flatnonzero(np.kron(np.eye(rank, dtype=bool), chain)))
+
+
+def _assemble(adj: np.ndarray, diag: np.ndarray, prod: np.ndarray,
+              cross: np.ndarray) -> np.ndarray:
+    """The (..., rn, rn) matrix, rn = rank (k-1), with ``diag`` on the
+    diagonal, -prod at the neighbour couplings and -cross at the chain
+    couplings of each row, built in one zeroed array."""
+    *batch, rank, n = prod.shape
+    size = rank * n
+    nbr, chain = _couplings(rank, n, (adj != 0).tobytes())
+    jac = np.zeros((*batch, size * size))
+    jac[..., ::size + 1] = diag.reshape(*batch, size)
+    jac[..., nbr] = -prod.reshape(*batch, size)[..., nbr // size]
+    jac[..., chain] = -cross.reshape(*batch, size)[..., chain // size]
+    return jac.reshape(*batch, size, size)
+
+
+def _jacobian_log(q: np.ndarray, adj: np.ndarray) -> np.ndarray:
+    """Jacobian of the residual with respect to log-coordinates, one per
+    grid of the stack ``q``.
 
     Row (a, m) couples to the r unknowns at the same m through Q_m^2 and
     the neighbour product, and to (a, m -+ 1) through Q_{m-1} Q_{m+1}.
     """
-    r = q.shape[0]
     square, prod, cross = terms(q, adj)
-    same_m, eye = np.eye(k - 1), np.eye(r)
-    jac = (np.einsum("ab,aj,ji->ajbi", 2 * eye, square, same_m)
-           - np.einsum("ab,aj,ji->ajbi", adj, prod, same_m)
-           - np.einsum("ab,aj,ji->ajbi", eye, cross,
-                       np.eye(k - 1, k=1) + np.eye(k - 1, k=-1)))
-    return jac.reshape(r * (k - 1), r * (k - 1))
+    return _assemble(adj, 2 * square, prod, cross)
 
 
 def _log_residual(q: np.ndarray, adj: np.ndarray) -> np.ndarray:
@@ -128,13 +164,15 @@ def _log_residual(q: np.ndarray, adj: np.ndarray) -> np.ndarray:
     return np.log(square / (prod + cross))
 
 
-def _jacobian_log_form(q: np.ndarray, adj: np.ndarray, k: int) -> np.ndarray:
+def _jacobian_log_form(q: np.ndarray, adj: np.ndarray) -> np.ndarray:
     """Jacobian of the log form with respect to log-coordinates,
     diag(prod + cross)^-1 (J_f - 2 diag(f)) for the raw residual f and its
-    Jacobian J_f."""
+    Jacobian J_f, one per grid of the stack ``q``."""
     square, prod, cross = terms(q, adj)
-    f = square - prod - cross
-    return (_jacobian_log(q, adj, k) - 2 * np.diag(f.reshape(-1))) / (prod + cross).reshape(-1, 1)
+    # Scaling the terms before assembly gives the bits of scaling the
+    # assembled rows, since -(x / d) == (-x) / d, without a second matrix.
+    d = prod + cross
+    return _assemble(adj, (2 * square - 2 * (square - prod - cross)) / d, prod / d, cross / d)
 
 
 def _initial_guess(rank: int, k: int) -> np.ndarray:
@@ -142,46 +180,93 @@ def _initial_guess(rank: int, k: int) -> np.ndarray:
     return np.tile(1.0 + m * (k - m) / k, (rank, 1))
 
 
-def _newton_float(dynkin: DynkinData, k: int, u0: np.ndarray,
-                  max_iter: int) -> tuple[np.ndarray, float, int, bool]:
-    """Damped Newton on the log form of the recurrence at machine precision.
+def _newton_steps(q: np.ndarray, g: np.ndarray,
+                  adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Newton steps J^-1 (-g) of the log form for a stack of grids, and
+    which of them have a singular Jacobian (their step is NaN).
+
+    The stack is solved in even groups of at most ``_JACOBIAN_ENTRIES``
+    Jacobian entries each; a group with a singular Jacobian is solved
+    again one grid at a time.
+    """
+    rhs = -g.reshape(len(g), -1, 1)
+    step = np.empty_like(rhs)
+    singular = np.zeros(len(g), dtype=bool)
+    groups = -(-len(g) * rhs.shape[1] ** 2 // _JACOBIAN_ENTRIES)
+    per = -(-len(g) // groups)
+    for lo in range(0, len(g), per):
+        group = slice(lo, lo + per)
+        try:
+            step[group] = np.linalg.solve(_jacobian_log_form(q[group], adj), rhs[group])
+        except np.linalg.LinAlgError:
+            for i in range(lo, min(lo + per, len(g))):
+                try:
+                    step[i] = np.linalg.solve(_jacobian_log_form(q[i], adj), rhs[i])
+                except np.linalg.LinAlgError:
+                    step[i], singular[i] = np.nan, True
+    return step.reshape(g.shape), singular
+
+
+def _newton_float(dynkin: DynkinData, k: int, u0: np.ndarray, max_iter: int
+                  ) -> tuple[np.ndarray, float | list, int | list, bool | list]:
+    """Damped Newton on the log form of the recurrence at machine precision,
+    from each start of the stack ``u0``, shape (..., rank, k-1).
 
     Solves g(u) = log Q_m^2 - log(prod + Q_{m-1} Q_{m+1}) = 0 in the
     log-coordinates u = log Q, with Armijo backtracking on ||g||^2
     (Dennis & Schnabel, ch. 6).  g is dimensionless, so the stop test is
-    the fixed log-ratio ``_LOG_TOL``.  Returns the value grid, max |g|,
-    the iteration count and a convergence flag; final accuracy comes from
+    the fixed log-ratio ``_LOG_TOL``.  The live starts share the stacked
+    linear solves of :func:`_newton_steps` and one line search per
+    iteration; each keeps its own step length, iteration count and stop
+    test, and a singular Jacobian or a failed line search stops only its
+    own start, so every start follows the path it would follow alone.
+    Returns the value grids, shape (..., rank, k+1), and per start max |g|,
+    the iteration count and a convergence flag, as Python numbers for a
+    single start and nested lists for a stack; final accuracy comes from
     the refinement at working precision afterwards.
     """
     adj = np.array(dynkin.adjacency, dtype=float)
-    u = u0
-    q = _grid(dynkin, k, np.exp(u))
-    iterations = 0
+    batch = u0.shape[:-2]
+    u = u0.reshape(-1, *u0.shape[-2:]).copy()
+    iterations = np.zeros(len(u), dtype=int)
+    stopped = np.zeros(len(u), dtype=bool)
+    debug = _log.isEnabledFor(logging.DEBUG)
     # Overflowed or underflowed line-search candidates give inf/NaN in g;
     # the descent test rejects them, so silence the warnings.
     with np.errstate(all="ignore"):
+        q = _grid(dynkin, k, np.exp(u))
         g = _log_residual(q, adj)
-        nrm = float(np.max(np.abs(g)))
-        while not nrm <= _LOG_TOL and iterations < max_iter:
-            try:
-                step = np.linalg.solve(_jacobian_log_form(q, adj, k), -g.reshape(-1))
-            except np.linalg.LinAlgError:
+        nrm = np.max(np.abs(g), axis=(1, 2))
+        while True:
+            live = np.flatnonzero(~(nrm <= _LOG_TOL) & (iterations < max_iter) & ~stopped)
+            if not len(live):
                 break
-            step = step.reshape(u.shape)
-            base, t = float(np.sum(g**2)), 1.0
-            while t > _BACKTRACK_FLOOR:
-                q_t = _grid(dynkin, k, np.exp(u + t * step))
+            step, singular = _newton_steps(q[live], g[live], adj)
+            stopped[live[singular]] = True
+            step, live = step[~singular], live[~singular]
+            base = np.sum(g[live].reshape(len(live), -1) ** 2, axis=1)
+            t = np.ones(len(live))
+            search = np.arange(len(live))
+            while len(search):
+                cand = u[live[search]] + t[search, None, None] * step[search]
+                q_t = _grid(dynkin, k, np.exp(cand))
                 g_t = _log_residual(q_t, adj)
-                if float(np.sum(g_t**2)) < base * (1 - 1e-4 * t):
-                    break
-                t /= 2
-            else:
-                break
-            u, q, g = u + t * step, q_t, g_t
-            nrm = float(np.max(np.abs(g)))
-            iterations += 1
-            _log.debug("newton %d: max|g| %.3e, step length %g", iterations, nrm, t)
-    return q, nrm, iterations, nrm <= _LOG_TOL
+                good = (np.sum(g_t.reshape(len(search), -1) ** 2, axis=1)
+                        < base[search] * (1 - 1e-4 * t[search]))
+                done = live[search[good]]
+                u[done], q[done], g[done] = cand[good], q_t[good], g_t[good]
+                nrm[done] = np.max(np.abs(g_t[good]), axis=(1, 2))
+                iterations[done] += 1
+                if debug:
+                    for i, j in zip(done, search[good]):
+                        _log.debug("newton %d: max|g| %.3e, step length %g (start %d)",
+                                   iterations[i], nrm[i], t[j], i)
+                search = search[~good]
+                t[search] /= 2
+                stopped[live[search[t[search] <= _BACKTRACK_FLOOR]]] = True
+                search = search[t[search] > _BACKTRACK_FLOOR]
+    return (q.reshape(*batch, *q.shape[1:]), nrm.reshape(batch).tolist(),
+            iterations.reshape(batch).tolist(), (nrm <= _LOG_TOL).reshape(batch).tolist())
 
 
 def _polish(dynkin: DynkinData, k: int, q_float: np.ndarray,
@@ -198,7 +283,7 @@ def _polish(dynkin: DynkinData, k: int, q_float: np.ndarray,
     bits = precision_bits()
     adj = np.array(dynkin.adjacency)
     target = mpmath.ldexp(scale, 8 - bits)
-    jac = _jacobian_log(q_float, adj, k)
+    jac = _jacobian_log(q_float, adj)
     q = np.frompyfunc(mpmath.mpf, 1, 1)(q_float)
     f = _residual(q, adj)
     res = np.max(np.abs(f))
@@ -273,26 +358,23 @@ def uniqueness_probe(dynkin: DynkinData, k: int, n_starts: int = 20,
                      seed: int = 0, tol: float = 1e-8,
                      max_iter: int = 400) -> ProbeReport:
     """Rerun the float solve from log-coordinates jittered by +-50% and
-    measure the spread, elementwise relative to max(1, |ref|).  Evidence
-    for uniqueness, never a proof."""
+    measure the spread, elementwise relative to max(1, |ref|).  The
+    deterministic reference and every jittered start run as one stack
+    through the batched Newton.  Evidence for uniqueness, never a proof."""
     if k < 1:
         raise InvalidLevel(f"level must be >= 1, got {k}")
     if k == 1:
         return ProbeReport(n_starts, n_starts, 0.0, True)
     u0 = np.log(_initial_guess(dynkin.rank, k))
-    ref, _, _, ok = _newton_float(dynkin, k, u0, max_iter)
-    if not ok:
-        raise NoConvergence("reference solve failed", float("inf"))
     rng = np.random.default_rng(seed)
-    converged = 0
-    worst = 0.0
-    for _ in range(n_starts):
-        start = u0 * (1 + rng.uniform(-0.5, 0.5, size=u0.shape))
-        q, _, _, ok = _newton_float(dynkin, k, start, max_iter)
-        if not ok:
-            continue
-        converged += 1
-        worst = max(worst, float(np.max(np.abs(q - ref) / np.maximum(1.0, np.abs(ref)))))
+    starts = [u0] + [u0 * (1 + rng.uniform(-0.5, 0.5, size=u0.shape))
+                     for _ in range(n_starts)]
+    q, _, _, ok = _newton_float(dynkin, k, np.stack(starts), max_iter)
+    if not ok[0]:
+        raise NoConvergence("reference solve failed", float("inf"))
+    ref, ok = q[0], np.array(ok[1:], dtype=bool)
+    deviation = np.max(np.abs(q[1:][ok] - ref) / np.maximum(1.0, np.abs(ref)), axis=(1, 2))
+    converged, worst = int(ok.sum()), float(deviation.max(initial=0.0))
     return ProbeReport(n_starts, converged, worst,
                        converged == n_starts and worst <= tol)
 
@@ -302,25 +384,37 @@ def uniqueness_probe(dynkin: DynkinData, k: int, n_starts: int = 20,
 
 
 def _li2_series(x: mpmath.mpf) -> mpmath.mpf:
-    """Power series for the dilogarithm, adequate on [0, 1/2]."""
-    eps = mpmath.mpf(2) ** (-(mpmath.mp.prec + 10))
-    total = mpmath.mpf(0)
-    power = mpmath.mpf(1)
-    n = 0
-    while True:
+    """The dilogarithm on (0, 1/2] as x * sum_{n>=1} x^(n-1)/n^2.
+
+    The sum runs in Python-integer fixed point at 20 bits above the working
+    precision, the technique of mpmath's own ``libmp`` series: each power
+    is a product shifted back by ``>>`` and each term a floor division by
+    n^2.  With x <= 1/2 the truncation errors do not grow from power to
+    power, so each term is off by under three units of the last place and
+    the roughly prec terms together stay far inside the guard bits.  The
+    sum is at least 1, so those units are relative to it, and the factor
+    x, applied in floating point, keeps Li2(x) relatively accurate however
+    small x is.
+    """
+    wp = mpmath.mp.prec + 20
+    xf = to_fixed(x._mpf_, wp)
+    total = term = power = 1 << wp
+    n = 1
+    while term:
         n += 1
-        power *= x
-        term = power / (n * n)
+        power = power * xf >> wp
+        term = power // (n * n)
         total += term
-        if term < eps:
-            return total
+    return x * mpmath.mp.make_mpf(from_man_exp(total, -wp))
 
 
 def rogers_L(x) -> mpmath.mpf:
     """Rogers dilogarithm on [0, 1], with L(0) = 0 and L(1) = pi^2/6.
 
-    Uses the dilogarithm series on [0, 1/2] plus the log product, and the
-    reflection L(x) + L(1-x) = pi^2/6 above 1/2.
+    Uses the fixed-point dilogarithm series on (0, 1/2] plus the log
+    product log(x) log1p(-x) / 2, and the reflection L(x) + L(1-x) = pi^2/6
+    above 1/2.  log1p keeps the product relatively accurate for tiny x,
+    where 1 - x would round to 1.
     """
     with mpmath.workprec(precision_bits()):
         x = mpmath.mpf(x)
@@ -332,7 +426,7 @@ def rogers_L(x) -> mpmath.mpf:
             return mpmath.pi**2 / 6
         if 2 * x > 1:
             return mpmath.pi**2 / 6 - rogers_L(1 - x)
-        return _li2_series(x) + mpmath.log(x) * mpmath.log(1 - x) / 2
+        return _li2_series(x) + mpmath.log(x) * mpmath.log1p(-x) / 2
 
 
 @dataclass(frozen=True)

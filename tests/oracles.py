@@ -1,7 +1,8 @@
 """Reference implementations that only the tests call: reflection actions,
 extended-diagram automorphisms, greedy and full-row alcove reduction, the
 recursive summand enumeration, the dict form of the JSON table, dominant
-weights and the Weyl-orbit quantum dimension."""
+weights, the Weyl-orbit quantum dimension, and the one-start-at-a-time
+float Newton with its einsum Jacobians and uniqueness probe."""
 
 from __future__ import annotations
 
@@ -11,7 +12,9 @@ from functools import lru_cache
 from typing import Iterator
 
 import mpmath
+import numpy as np
 
+from qsystem import solver
 from qsystem.affine import AffineWeight, ReductionResult
 from qsystem.dynkin import DynkinData, Weight, positive_roots
 from qsystem.io import _mpf_str
@@ -298,3 +301,85 @@ def qdim_oracle(weight: Weight, level: int, dynkin: DynkinData) -> mpmath.mpf:
         value = numer / denom
         assert abs(value.imag) < mpmath.mpf(2) ** (-precision_bits() // 2)
         return value.real
+
+
+# ---------------------------------------------------------------------------
+# The float Newton one start at a time, as the solver ran it before it took
+# a stack of starts.  The grid, the log residual and the recurrence terms
+# are the solver's own.
+
+
+def jacobian_log_einsum(q: np.ndarray, adj: np.ndarray) -> np.ndarray:
+    """Jacobian of the raw residual in log-coordinates for one grid, as
+    three dense einsum blocks."""
+    r, k = q.shape[0], q.shape[1] - 1
+    square, prod, cross = solver.terms(q, adj)
+    same_m, eye = np.eye(k - 1), np.eye(r)
+    jac = (np.einsum("ab,aj,ji->ajbi", 2 * eye, square, same_m)
+           - np.einsum("ab,aj,ji->ajbi", adj, prod, same_m)
+           - np.einsum("ab,aj,ji->ajbi", eye, cross,
+                       np.eye(k - 1, k=1) + np.eye(k - 1, k=-1)))
+    return jac.reshape(r * (k - 1), r * (k - 1))
+
+
+def jacobian_log_form_einsum(q: np.ndarray, adj: np.ndarray) -> np.ndarray:
+    """Jacobian of the log form for one grid, from :func:`jacobian_log_einsum`."""
+    square, prod, cross = solver.terms(q, adj)
+    f = square - prod - cross
+    return ((jacobian_log_einsum(q, adj) - 2 * np.diag(f.reshape(-1)))
+            / (prod + cross).reshape(-1, 1))
+
+
+def newton_float_sequential(dynkin: DynkinData, k: int, u0: np.ndarray,
+                            max_iter: int) -> tuple[np.ndarray, float, int, bool]:
+    """Damped Newton with Armijo backtracking from the single start ``u0``."""
+    adj = np.array(dynkin.adjacency, dtype=float)
+    u = u0
+    q = solver._grid(dynkin, k, np.exp(u))
+    iterations = 0
+    with np.errstate(all="ignore"):
+        g = solver._log_residual(q, adj)
+        nrm = float(np.max(np.abs(g)))
+        while not nrm <= solver._LOG_TOL and iterations < max_iter:
+            try:
+                step = np.linalg.solve(jacobian_log_form_einsum(q, adj), -g.reshape(-1))
+            except np.linalg.LinAlgError:
+                break
+            step = step.reshape(u.shape)
+            base, t = float(np.sum(g**2)), 1.0
+            while t > solver._BACKTRACK_FLOOR:
+                q_t = solver._grid(dynkin, k, np.exp(u + t * step))
+                g_t = solver._log_residual(q_t, adj)
+                if float(np.sum(g_t**2)) < base * (1 - 1e-4 * t):
+                    break
+                t /= 2
+            else:
+                break
+            u, q, g = u + t * step, q_t, g_t
+            nrm = float(np.max(np.abs(g)))
+            iterations += 1
+    return q, nrm, iterations, nrm <= solver._LOG_TOL
+
+
+def uniqueness_probe_sequential(dynkin: DynkinData, k: int, n_starts: int = 20,
+                                seed: int = 0, tol: float = 1e-8,
+                                max_iter: int = 400) -> solver.ProbeReport:
+    """The uniqueness probe with one Newton solve per start."""
+    if k == 1:
+        return solver.ProbeReport(n_starts, n_starts, 0.0, True)
+    u0 = np.log(solver._initial_guess(dynkin.rank, k))
+    ref, _, _, ok = newton_float_sequential(dynkin, k, u0, max_iter)
+    if not ok:
+        raise solver.NoConvergence("reference solve failed", float("inf"))
+    rng = np.random.default_rng(seed)
+    converged = 0
+    worst = 0.0
+    for _ in range(n_starts):
+        start = u0 * (1 + rng.uniform(-0.5, 0.5, size=u0.shape))
+        q, _, _, ok = newton_float_sequential(dynkin, k, start, max_iter)
+        if not ok:
+            continue
+        converged += 1
+        worst = max(worst, float(np.max(np.abs(q - ref) / np.maximum(1.0, np.abs(ref)))))
+    return solver.ProbeReport(n_starts, converged, worst,
+                              converged == n_starts and worst <= tol)

@@ -252,9 +252,15 @@ def test_usage_errors(runner):
     (["solve", "-f", "D", "-r", "4", "-k", "3", "--solver-tol", "inf"], {}),
     (["reduce", "-f", "D", "-r", "5", "-k", "4", "--", "-99999999999999999996",
       "100000000000000000000", "0", "0", "0", "0"], {}),
+    (["verify", "-f", "D", "-r", "4", "-k", "2", "--format", "csv"], {}),
+    (["reduce", "-f", "D", "-r", "5", "-k", "4", "--format", "csv", "--",
+      "2", "0", "1", "0", "0", "0"], {}),
+    (["solve", "-f", "D", "-r", "4", "-k", "3", "--format", "csv"], {}),
+    (["dilog", "-f", "D", "-r", "4", "-k", "3", "--format", "csv"], {}),
 ], ids=["precision-not-integer", "precision-below-64", "negative-m-max",
         "unwritable-out", "empty-rank-range", "empty-level-range", "tol-nan",
-        "tol-inf", "solver-tol-nan", "solver-tol-inf", "reduce-beyond-int64"])
+        "tol-inf", "solver-tol-nan", "solver-tol-inf", "reduce-beyond-int64",
+        "verify-csv", "reduce-csv", "solve-csv", "dilog-csv"])
 def test_bad_input_is_a_usage_error(runner, tmp_path, monkeypatch, args, env):
     monkeypatch.chdir(tmp_path)
     result = runner.invoke(main, args, env=env)

@@ -32,3 +32,13 @@ def test_neighbour_product_matches_power_form_bit_for_bit(family, rank, k):
         for got, want in zip(terms(qo, adj), power_form(qo, adj)):
             assert got.shape == want.shape
             assert all(x == y for x, y in zip(got.flat, want.flat))
+
+
+@pytest.mark.parametrize("family,rank,k", [("A", 1, 4), ("A", 5, 6), ("D", 8, 6)])
+def test_stack_of_grids_matches_each_grid_bit_for_bit(family, rank, k):
+    adj = np.array(build_dynkin(family, rank).adjacency, dtype=float)
+    q = np.random.default_rng(rank + k).uniform(0.1, 50.0, size=(2, 3, rank, k + 1))
+    stacked = terms(q, adj)
+    for index in np.ndindex(q.shape[:2]):
+        for got, want in zip(stacked, terms(q[index], adj)):
+            assert np.array_equal(got[index], want)

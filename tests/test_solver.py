@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import (jacobian_log_einsum, jacobian_log_form_einsum,
+                     newton_float_sequential, uniqueness_probe_sequential)
+from qsystem import solver
 from qsystem.dynkin import build_dynkin
 from qsystem.qdim import precision_bits
 from qsystem.solver import (DomainError, InvalidLevel, NoConvergence,
@@ -129,7 +132,7 @@ def test_jacobian_against_finite_differences():
     rng = np.random.default_rng(3)
     adj = np.array(d4.adjacency, dtype=float)
     u = np.log(_initial_guess(4, k)) + rng.uniform(-0.2, 0.2, (4, k - 1))
-    jac = _jacobian_log(_grid(d4, k, np.exp(u)), adj, k)
+    jac = _jacobian_log(_grid(d4, k, np.exp(u)), adj)
     fd = _finite_difference_jacobian(_residual, d4, k, u, adj)
     assert np.max(np.abs(jac - fd)) / np.max(np.abs(fd)) < 1e-6
 
@@ -140,7 +143,7 @@ def test_log_form_jacobian_against_finite_differences():
     rng = np.random.default_rng(4)
     adj = np.array(d5.adjacency, dtype=float)
     u = np.log(_initial_guess(5, k)) + rng.uniform(-0.5, 0.5, (5, k - 1))
-    jac = _jacobian_log_form(_grid(d5, k, np.exp(u)), adj, k)
+    jac = _jacobian_log_form(_grid(d5, k, np.exp(u)), adj)
     fd = _finite_difference_jacobian(_log_residual, d5, k, u, adj)
     assert np.max(np.abs(jac - fd)) / np.max(np.abs(fd)) < 1e-6
 
@@ -171,6 +174,88 @@ def test_float_newton_from_jittered_starts(case, k, seed):
     q, _, _, ok = _newton_float(dynkin, k, start, 400)
     assert ok
     assert np.max(np.abs(q - ref) / ref) <= 1e-10
+
+
+def test_jacobians_match_einsum_blocks_bit_for_bit():
+    # the assembled Jacobians, on a stack of grids and on one grid, against
+    # the dense einsum form they replaced
+    rng = np.random.default_rng(5)
+    for family, rank, k in (("A", 1, 2), ("A", 3, 5), ("D", 5, 4), ("D", 8, 6)):
+        dynkin = build_dynkin(family, rank)
+        adj = np.array(dynkin.adjacency, dtype=float)
+        u = np.log(_initial_guess(rank, k)) + rng.uniform(-0.5, 0.5, (3, rank, k - 1))
+        q = _grid(dynkin, k, np.exp(u))
+        for fast, dense in ((_jacobian_log, jacobian_log_einsum),
+                            (_jacobian_log_form, jacobian_log_form_einsum)):
+            stacked = fast(q, adj)
+            for i in range(len(q)):
+                assert np.array_equal(stacked[i], dense(q[i], adj))
+                assert np.array_equal(fast(q[i], adj), stacked[i])
+
+
+@given(st.sampled_from([c for c in GRID if c[1] <= 8]), st.integers(1, 10),
+       st.integers(0, 2**32 - 1), st.integers(3, 9))
+@settings(max_examples=40, deadline=None)
+def test_batched_probe_matches_sequential_oracle(case, k, seed, max_iter):
+    # the stacked Newton must follow every start's own path: same count,
+    # bit-identical deviation, or the same failure of the reference
+    dynkin = build_dynkin(*case)
+    try:
+        want = uniqueness_probe_sequential(dynkin, k, seed=seed, max_iter=max_iter)
+    except NoConvergence:
+        with pytest.raises(NoConvergence):
+            uniqueness_probe(dynkin, k, seed=seed, max_iter=max_iter)
+        return
+    got = uniqueness_probe(dynkin, k, seed=seed, max_iter=max_iter)
+    assert (got.starts, got.converged, got.agree) == (want.starts, want.converged, want.agree)
+    assert repr(got.max_deviation) == repr(want.max_deviation)
+
+
+@pytest.mark.parametrize("family,rank,k,seed", [("D", 8, 6, 0), ("A", 8, 8, 1),
+                                                ("D", 12, 12, 2), ("A", 12, 12, 3)])
+def test_batched_probe_matches_sequential_oracle_at_default_budget(family, rank, k, seed):
+    dynkin = build_dynkin(family, rank)
+    got = uniqueness_probe(dynkin, k, n_starts=8, seed=seed)
+    want = uniqueness_probe_sequential(dynkin, k, n_starts=8, seed=seed)
+    assert got == want and repr(got.max_deviation) == repr(want.max_deviation)
+
+
+def test_batched_newton_stops_only_the_singular_start(monkeypatch):
+    d5 = build_dynkin("D", 5)
+    k = 4
+    u0 = np.log(_initial_guess(5, k))
+    starts = np.stack([u0, u0 * 1.2])
+    stuck = _grid(d5, k, np.exp(starts[1]))
+    jacobian = solver._jacobian_log_form
+
+    def singular_at_stuck(q, adj):
+        # zero the Jacobian of every grid equal to the second start's
+        jac = jacobian(q, adj)
+        jac[np.all(q == stuck, axis=(-2, -1))] = 0.0
+        return jac
+
+    monkeypatch.setattr(solver, "_jacobian_log_form", singular_at_stuck)
+    q, res, iterations, ok = _newton_float(d5, k, starts, 200)
+    assert ok == [True, False] and iterations[1] == 0
+    assert np.array_equal(q[1], stuck)
+    alone = newton_float_sequential(d5, k, u0, 200)
+    assert np.array_equal(q[0], alone[0]) and (res[0], iterations[0]) == alone[1:3]
+
+
+@pytest.mark.parametrize("family,rank,k", [("D", 8, 6), ("A", 8, 8), ("D", 12, 12)])
+def test_solve_restricted_values_match_sequential_newton(monkeypatch, family, rank, k):
+    # the whole solve, float phase and refinement, with the sequential
+    # Newton and the einsum Jacobian swapped back in
+    monkeypatch.setenv("QSYS_PRECISION_BITS", "128")
+    dynkin = build_dynkin(family, rank)
+    got = solve_restricted(dynkin, k)
+    monkeypatch.setattr(solver, "_newton_float", newton_float_sequential)
+    monkeypatch.setattr(solver, "_jacobian_log", jacobian_log_einsum)
+    want = solve_restricted(dynkin, k)
+    assert got.values.keys() == want.values.keys()
+    assert all(got.values[key] == want.values[key] for key in want.values)
+    assert (got.residual, got.float_iterations, got.polish_steps, got.term_scale) == (
+        want.residual, want.float_iterations, want.polish_steps, want.term_scale)
 
 
 @pytest.fixture(scope="module")
@@ -251,6 +336,37 @@ def test_rogers_against_mpmath_polylog(x):
         x = mpmath.mpf(x)
         expected = mpmath.polylog(2, x) + mpmath.log(x) * mpmath.log(1 - x) / 2
         assert abs(rogers_L(x) - expected) < mpmath.mpf(10) ** -30
+
+
+FIXED_X = {"2^-70": 2.0**-70, "2^-200": 2.0**-200, "1e-300": 1e-300,
+           "1e-3": 1e-3, "0.5": 0.5, "0.999": 0.999}
+
+
+def _assert_rogers_within_bound(x, bits):
+    """rogers_L(x) at ``bits`` within 2^(8 - bits) relative of
+    Li2(x) + log(x) log1p(-x) / 2 computed at bits + 60."""
+    got = rogers_L(x)
+    with mpmath.workprec(bits + 60):
+        x = mpmath.mpf(x)
+        want = mpmath.polylog(2, x) + mpmath.log(x) * mpmath.log1p(-x) / 2
+        assert abs(got - want) <= mpmath.ldexp(want, 8 - bits), (bits, x)
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256, 512])
+@pytest.mark.parametrize("x", FIXED_X.values(), ids=FIXED_X.keys())
+def test_rogers_relative_error_against_polylog(monkeypatch, bits, x):
+    # below 2^-bits, 1 - x rounds to 1 and log(1 - x) loses every digit;
+    # log1p(-x) keeps them
+    monkeypatch.setenv("QSYS_PRECISION_BITS", str(bits))
+    _assert_rogers_within_bound(x, bits)
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256, 512])
+def test_rogers_relative_error_at_random_points(monkeypatch, bits):
+    monkeypatch.setenv("QSYS_PRECISION_BITS", str(bits))
+    rng = np.random.default_rng(bits)
+    for x in [*rng.uniform(0.0, 0.5, 6), *rng.uniform(0.5, 1.0, 6)]:
+        _assert_rogers_within_bound(float(x), bits)
 
 
 @pytest.mark.parametrize("x", [-0.1, 1.1, 2.0])
