@@ -25,6 +25,7 @@ from .table import (build_qtable, forced_tail_report, midpoint_checks, scale,
 
 DEFAULT_MAX_RANK = 12
 DEFAULT_MAX_LEVEL = 12
+DEFAULT_TOL = 1e-9
 
 
 class UsageFailure(Exception):
@@ -86,7 +87,7 @@ _SHARED_OPTIONS = (
     click.option("--family", "-f", type=click.Choice(["A", "D"]), required=True),
     click.option("--rank", "-r", type=int, required=True),
     click.option("--level", "-k", type=int, required=True),
-    click.option("--tol", type=float, default=1e-9, show_default=True,
+    click.option("--tol", type=float, default=DEFAULT_TOL, show_default=True,
                  help="verification tolerance"),
     click.option("--format", "fmt", type=click.Choice(["json", "csv", "text"]),
                  default="text", show_default=True),
@@ -130,6 +131,8 @@ def command(fn):
               help="last row to compute (default: level + coxeter)")
 def table(family, rank, level, tol, fmt, out, max_rank, max_level, m_max) -> int:
     """Build and print the z table with provenance."""
+    if tol != DEFAULT_TOL:
+        raise UsageFailure("table runs no verification, so it takes no --tol")
     dynkin = _dynkin(family, rank, level, max_rank, max_level)
     if m_max is not None and m_max < 0:
         raise UsageFailure(f"--m-max must be >= 0, got {m_max}")

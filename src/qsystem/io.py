@@ -36,8 +36,9 @@ def _mpf_parse(s: str) -> mpmath.mpf:
 def qtable_json_chunks(table: QTable) -> Iterator[str]:
     """The JSON table in pieces, cell by cell: its header, then per cell the
     exact tag, the numeric value and the provenance (the unreduced
-    affinized summands), formatted from the summand blocks with one
-    ``%d`` template per row.  The pieces join to the bytes that
+    affinized summands), formatted from the summand blocks of
+    ``cell_summands``, at most _JSON_ROWS rows at a time, with one ``%d``
+    template per row.  The pieces join to the bytes that
     ``json.dumps`` with ``indent=1`` writes for the same data."""
     dynkin = build_dynkin(table.family, table.rank)
     row = "    [\n" + ",\n".join(["     %d"] * (table.rank + 1)) + "\n    ]"
@@ -49,11 +50,12 @@ def qtable_json_chunks(table: QTable) -> Iterator[str]:
             yield (f'{"," if (a, m) != (1, 0) else ""}\n  {{\n   "a": {a},\n   "m": {m},\n'
                    f'   "exact": {json.dumps(cell.exact)},\n'
                    f'   "numeric": {json.dumps(_mpf_str(cell.numeric))},\n   "provenance": [\n')
-            block = cell_summands(a, m, table.level, dynkin)
-            for lo in range(0, len(block), _JSON_ROWS):
-                rows = block[lo:lo + _JSON_ROWS]
-                text = ",\n".join([row] * len(rows)) % tuple(rows.ravel().tolist())
-                yield ",\n" + text if lo else text
+            sep = ""
+            for block in cell_summands(a, m, table.level, dynkin, _JSON_ROWS):
+                for lo in range(0, len(block), _JSON_ROWS):
+                    rows = block[lo:lo + _JSON_ROWS]
+                    yield sep + ",\n".join([row] * len(rows)) % tuple(rows.ravel().tolist())
+                    sep = ",\n"
             yield "\n   ]\n  }"
     yield "\n ]\n}"
 

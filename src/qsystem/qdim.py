@@ -82,10 +82,8 @@ class _SineTable:
         heights = np.array([r.height for r in roots], dtype=np.int64)
         canon = np.minimum(heights, n_mod - heights)
         self.height_counts = np.bincount(canon, minlength=n_mod)
+        self.sines = _sines(n_mod, bits)
         with mpmath.workprec(bits):
-            self.sines = tuple(
-                mpmath.sinpi(mpmath.mpf(q) / n_mod) for q in range(n_mod)
-            )
             self.denominator = self._product(self.height_counts)
         assert all(self.sines[q] > 0 for q in range(1, n_mod))
 
@@ -94,6 +92,14 @@ class _SineTable:
         for q in np.nonzero(counts)[0]:
             out *= self.sines[int(q)] ** int(counts[q])
         return out
+
+
+@lru_cache(maxsize=None)
+def _sines(n_mod: int, bits: int) -> tuple[mpmath.mpf, ...]:
+    """sin(pi q / N) for q in 0..N-1 at ``bits`` of precision; they depend
+    on N = h + k alone, which tables of different rank share."""
+    with mpmath.workprec(bits):
+        return tuple(mpmath.sinpi(mpmath.mpf(q) / n_mod) for q in range(n_mod))
 
 
 @lru_cache(maxsize=None)

@@ -8,10 +8,11 @@ first carried to their dominant alcove representatives with signs; equal
 representatives cancel in integer arithmetic, so a cell whose summands
 cancel completely is certified zero exactly, and a cell collapsing to
 representatives with certified values gets an exact integer tag.  The
-summands of a cell are one int64 block of coordinate rows, and a whole
-table is reduced in a few array calls.  A table stores only its cell
-values: the summands of a cell and the survivors of their cancellation
-are derived again on demand.
+tail cells of D are slices of two chains of weights, so each distinct
+summand is reduced once, in int64 blocks of coordinate rows, and every
+cell is read off prefix sums of the signed representatives.  A table
+stores only its cell values: the summands of a cell and the survivors of
+their cancellation are derived again on demand.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .recurrence import terms
 Cell = tuple[int, int]
 
 
-_CHUNK_ROWS = 2**11  # summand rows per reduce_to_alcove call, which bounds its memory
+_BLOCK_ROWS = 2**11  # chain weights per reduce_to_alcove call, which bounds its memory
 
 
 @dataclass(frozen=True)
@@ -46,17 +47,21 @@ class KRDecomposition:
     terms: np.ndarray
 
 
-def stars_and_bars(total: int, parts: int) -> np.ndarray:
+def stars_and_bars(total: int, parts: int, heads: range | None = None) -> np.ndarray:
     """The block of nonnegative integer rows of length ``parts`` with the
     given sum, lexicographically descending: each head total..0 followed by
-    the block of the rest with one part fewer.  Those smaller blocks are
-    memoised by (total, parts); the returned block is not, so the memo
-    holds only blocks below the largest number of parts in use."""
+    the block of the rest with one part fewer.  ``heads``, a descending
+    range, keeps only the rows with those heads, a contiguous slice.  The
+    smaller blocks of a whole block are memoised by (total, parts), and
+    those of a slice are built afresh, so the memo holds only blocks below
+    the largest number of parts of a whole block in use."""
     if parts == 1:
         return np.array([[total]], dtype=np.int64)
-    tails = [_stars_and_bars_memo(total - head, parts - 1) for head in range(total, -1, -1)]
-    heads = np.repeat(np.arange(total, -1, -1), [len(t) for t in tails])
-    return np.column_stack([heads, np.concatenate(tails)])
+    rest = _stars_and_bars_memo if heads is None else stars_and_bars
+    heads = range(total, -1, -1) if heads is None else heads
+    tails = [rest(total - head, parts - 1) for head in heads]
+    return np.column_stack([np.repeat(np.array(heads, dtype=np.int64), [len(t) for t in tails]),
+                            np.concatenate(tails)])
 
 
 @lru_cache(maxsize=None)
@@ -66,7 +71,22 @@ def _stars_and_bars_memo(total: int, parts: int) -> np.ndarray:
     return block
 
 
-def kr_decompose(a: int, m: int, dynkin: DynkinData) -> KRDecomposition:
+def head_groups(total: int, parts: int, rows: int) -> Iterator[range]:
+    """Descending ranges of heads that cut ``stars_and_bars(total, parts)``,
+    parts >= 2, into consecutive blocks of at most ``rows`` rows, or of a
+    single head that alone has more."""
+    start, size = total, 0
+    for head in range(total, -1, -1):
+        n = comb(total - head + parts - 2, parts - 2)
+        if size and size + n > rows:
+            yield range(start, head, -1)
+            start, size = head, 0
+        size += n
+    yield range(start, -1, -1)
+
+
+def kr_decompose(a: int, m: int, dynkin: DynkinData,
+                 heads: range | None = None) -> KRDecomposition:
     """Irreducible decomposition of the (a, m) character.
 
     For family A and for the two fork tips of family D the character is
@@ -75,7 +95,8 @@ def kr_decompose(a: int, m: int, dynkin: DynkinData) -> KRDecomposition:
     + ... down the alternating chain (ending at omega_1 for odd a, with a
     slack variable in place of the vanishing omega_0 for even a), the
     coefficients summing to m, lexicographically descending in
-    (k_a, k_{a-2}, ...).
+    (k_a, k_{a-2}, ...).  ``heads``, a descending range, keeps only the
+    tail summands whose leading coefficient k_a lies in it.
     """
     r = dynkin.rank
     if not 1 <= a <= r:
@@ -86,11 +107,16 @@ def kr_decompose(a: int, m: int, dynkin: DynkinData) -> KRDecomposition:
         terms = np.zeros((1, r), dtype=np.int64)
         terms[0, a - 1] = m
         return KRDecomposition(a, m, terms)
-    columns = np.arange(a - 1, -1, -2)  # nodes a, a-2, ..., down to 2 or 1
-    comps = stars_and_bars(m, a // 2 + 1)  # one slack part for even a
-    terms = np.zeros((len(comps), r), dtype=np.int64)
-    terms[:, columns] = comps[:, :len(columns)]
-    return KRDecomposition(a, m, terms)
+    return KRDecomposition(a, m, _chain_weights(a, stars_and_bars(m, a // 2 + 1, heads), r))
+
+
+def _chain_weights(a: int, comps: np.ndarray, rank: int) -> np.ndarray:
+    """Classical (n, rank) rows with the leading columns of ``comps`` as the
+    coefficients of omega_a, omega_(a-2), ...; a column past the chain is
+    the slack and is dropped."""
+    terms = np.zeros((len(comps), rank), dtype=np.int64)
+    terms[:, a - 1::-2] = comps[:, :(a + 1) // 2]
+    return terms
 
 
 def kr_term_count(a: int, m: int, dynkin: DynkinData) -> int:
@@ -101,49 +127,85 @@ def kr_term_count(a: int, m: int, dynkin: DynkinData) -> int:
     return comb(m + a // 2, a // 2)
 
 
-def cell_summands(a: int, m: int, level: int, dynkin: DynkinData) -> np.ndarray:
-    """The (n, rank + 1) block of unreduced affinized summands of cell (a, m)."""
-    return affinize(kr_decompose(a, m, dynkin).terms, level, dynkin)
+def cell_summands(a: int, m: int, level: int, dynkin: DynkinData,
+                  rows: int | None = None) -> Iterator[np.ndarray]:
+    """The unreduced affinized summands of cell (a, m) in order, as
+    (n, rank + 1) blocks of whole leading coefficients k_a of at most
+    ``rows`` rows, or of one coefficient that alone has more (one block
+    when ``rows`` is None)."""
+    whole = rows is None or kr_term_count(a, m, dynkin) <= rows
+    for heads in [None] if whole else head_groups(m, a // 2 + 1, rows):
+        yield affinize(kr_decompose(a, m, dynkin, heads).terms, level, dynkin)
 
 
-def _summand_chunks(cells: list[Cell], level: int,
-                    dynkin: DynkinData) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The summands of ``cells`` as (cell index, affine row) blocks of at
-    most _CHUNK_ROWS rows, in cell order."""
-    ids, blocks, rows = [], [], 0
-    for i, (a, m) in enumerate(cells):
-        summands = cell_summands(a, m, level, dynkin)
-        for lo in range(0, len(summands), _CHUNK_ROWS):
-            piece = summands[lo:lo + _CHUNK_ROWS]
-            if rows + len(piece) > _CHUNK_ROWS:
-                yield np.concatenate(ids), np.concatenate(blocks)
-                ids, blocks, rows = [], [], 0
-            ids.append(np.full(len(piece), i))
-            blocks.append(piece)
-            rows += len(piece)
-    yield np.concatenate(ids), np.concatenate(blocks)
+def _rank_rows(rows: np.ndarray, radices: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows in lexicographic order and the index of each row
+    among them.  Column i holds values in 0..radices[i] - 1; the columns
+    are packed into one mixed-radix int64 key, and the key built so far is
+    replaced by its rank whenever the next column would overflow int64."""
+    key, span = np.zeros(len(rows), dtype=np.int64), 1
+    for column, radix in zip(rows.T, radices):
+        if span > (2**63 - 1) // radix:
+            ranked, key = np.unique(key, return_inverse=True)
+            span = len(ranked)
+        key, span = key * radix + column, span * radix
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    return rows[first], inverse
 
 
-def _survivors(cells: list[Cell], level: int,
-               dynkin: DynkinData) -> dict[Cell, list[tuple[tuple[int, ...], int]]]:
-    """Signed dominant representatives of each cell left after
-    cancellation, sorted by coordinates (empty for a combinatorially
-    certified zero).  Each chunk of summands is reduced in one call, and
-    equal (cell, representative) rows are grouped by ``np.unique``."""
-    keys, counts = [], []
-    for index, block in _summand_chunks(cells, level, dynkin):
-        res = reduce_to_alcove(block, dynkin)
-        live = res.sign != 0
-        uniq, inverse = np.unique(np.column_stack([index[live], res.rep[live]]),
-                                  axis=0, return_inverse=True)
-        keys.append(uniq)
-        counts.append(np.bincount(inverse.ravel(), weights=res.sign[live], minlength=len(uniq)))
-    uniq, inverse = np.unique(np.concatenate(keys), axis=0, return_inverse=True)
-    mult = np.bincount(inverse.ravel(), weights=np.concatenate(counts),
-                       minlength=len(uniq)).astype(np.int64)
-    out: dict[Cell, list[tuple[tuple[int, ...], int]]] = {cell: [] for cell in cells}
-    for row, c in zip(uniq[mult != 0].tolist(), mult[mult != 0].tolist()):
-        out[cells[row[0]]].append((tuple(row[1:]), c))
+def _survivors(level: int, dynkin: DynkinData,
+               m_max: int) -> dict[Cell, list[tuple[tuple[int, ...], int]]]:
+    """Signed dominant representatives of every cell (a, m <= m_max) left
+    after cancellation, sorted by coordinates (empty for a combinatorially
+    certified zero).
+
+    The tail cells of D of one parity are slices of one chain: the weights
+    k_t omega_t + k_(t-2) omega_(t-2) + ... of the top tail node t of that
+    parity with coefficient sum s <= m_max.  Cell (a, m) holds those that
+    vanish above a, with s <= m for even a and s = m for odd a.  The chain
+    is enumerated by runs of leading coefficients k_t and reduced in
+    blocks of at most _BLOCK_ROWS rows, each weight once; its sign goes
+    into a dense (representative, highest nonzero position, s) array,
+    whose prefix sums over the position (and over s for even t) hold
+    every cell as one column.  Fork tips and family A have one summand per
+    cell, reduced together in one block.
+    """
+    r, sums = dynkin.rank, m_max + 1
+    singles = [(a, m) for a in range(1, r + 1) for m in range(sums)
+               if dynkin.family == "A" or a >= r - 1]
+    terms = np.zeros((len(singles), r), dtype=np.int64)
+    terms[np.arange(len(singles)), [a - 1 for a, _ in singles]] = [m for _, m in singles]
+    res = reduce_to_alcove(affinize(terms, level, dynkin), dynkin)
+    out = {cell: [(tuple(rep), sign)] if sign else []
+           for cell, rep, sign in zip(singles, res.rep.tolist(), res.sign.tolist())}
+    radices = [level // mark + 1 for mark in dynkin.marks]
+    for top in (r - 2, r - 3) if dynkin.family == "D" else ():
+        p = (top + 1) // 2  # chain nodes top, top - 2, ..., 2 or 1
+        reps, index, signs = [], [], []
+        for heads in head_groups(m_max, p + 1, _BLOCK_ROWS):
+            block = stars_and_bars(m_max, p + 1, heads)  # the last part is the slack
+            for comps in np.split(block, range(_BLOCK_ROWS, len(block), _BLOCK_ROWS)):
+                res = reduce_to_alcove(affinize(_chain_weights(top, comps, r), level, dynkin),
+                                       dynkin)
+                live = res.sign != 0
+                nonzero = comps[live, :p] != 0
+                position = np.where(nonzero.any(1), nonzero.argmax(1), p - 1)
+                reps.append(res.rep[live])
+                index.append(position * sums + m_max - comps[live, p])
+                signs.append(res.sign[live])
+        uniq, rank = _rank_rows(np.concatenate(reps), radices)
+        dense = np.bincount(rank * (p * sums) + np.concatenate(index),
+                            weights=np.concatenate(signs), minlength=len(uniq) * p * sums)
+        dense = dense.astype(np.int64).reshape(len(uniq), p, sums)
+        dense = dense[:, ::-1].cumsum(1)[:, ::-1]  # position i: every weight vanishing above it
+        if top % 2 == 0:
+            dense = dense.cumsum(2)  # s <= m
+        out.update({(a, m): [] for a in range(top, 0, -2) for m in range(sums)})
+        rep_tuples = [tuple(row) for row in uniq.tolist()]
+        cols = dense.transpose(1, 2, 0)
+        nonzero = np.nonzero(cols)
+        for i, m, j, c in zip(*[x.tolist() for x in nonzero], cols[nonzero].tolist()):
+            out[(top - 2 * i, m)].append((rep_tuples[j], c))
     return out
 
 
@@ -167,11 +229,11 @@ class QTable:
         return self.cells[(a, m)].numeric
 
     def summands(self, a: int, m: int) -> tuple[AffineWeight, ...]:
-        block = cell_summands(a, m, self.level, build_dynkin(self.family, self.rank))
+        block, = cell_summands(a, m, self.level, build_dynkin(self.family, self.rank))
         return tuple(AffineWeight(self.level, tuple(row)) for row in block.tolist())
 
     def survivors(self, a: int, m: int) -> tuple[tuple[AffineWeight, int], ...]:
-        found = _survivors([(a, m)], self.level, build_dynkin(self.family, self.rank))
+        found = _survivors(self.level, build_dynkin(self.family, self.rank), m)
         return tuple((AffineWeight(self.level, rep), mult) for rep, mult in found[(a, m)])
 
 
@@ -194,8 +256,8 @@ def _combine(parts: list[tuple[int, QDimValue]]) -> QDimValue:
 def build_qtable(dynkin: DynkinData, level: int, m_max: int | None = None) -> QTable:
     """Assemble the full table of specialised character values.
 
-    The summands of all cells are affinized and alcove-reduced with signs
-    together, and each cell is summed over its surviving dominant
+    The summands of all cells are alcove-reduced with signs, each distinct
+    one once, and each cell is summed over its surviving dominant
     representatives.
     """
     if level < 1:
@@ -204,7 +266,7 @@ def build_qtable(dynkin: DynkinData, level: int, m_max: int | None = None) -> QT
         m_max = level + dynkin.coxeter
 
     keys = [(a, m) for a in range(1, dynkin.rank + 1) for m in range(m_max + 1)]
-    survivors = _survivors(keys, level, dynkin)
+    survivors = _survivors(level, dynkin, m_max)
     value_cache: dict[tuple[int, ...], QDimValue] = {}
     cells: dict[Cell, QDimValue] = {}
 

@@ -1,8 +1,9 @@
 """Reference implementations that only the tests call: reflection actions,
 extended-diagram automorphisms, greedy and full-row alcove reduction, the
-recursive summand enumeration, the dict form of the JSON table, dominant
-weights, the Weyl-orbit quantum dimension, and the one-start-at-a-time
-float Newton with its einsum Jacobians and uniqueness probe."""
+recursive summand enumeration, the chunked per-cell survivor grouping,
+the dict form of the JSON table, dominant weights, the Weyl-orbit
+quantum dimension, and the one-start-at-a-time float Newton with its
+einsum Jacobians and uniqueness probe."""
 
 from __future__ import annotations
 
@@ -15,11 +16,11 @@ import mpmath
 import numpy as np
 
 from qsystem import solver
-from qsystem.affine import AffineWeight, ReductionResult
+from qsystem.affine import AffineWeight, ReductionResult, affinize, reduce_to_alcove
 from qsystem.dynkin import DynkinData, Weight, positive_roots
 from qsystem.io import _mpf_str
 from qsystem.qdim import precision_bits
-from qsystem.table import QTable
+from qsystem.table import QTable, kr_decompose
 
 _WEYL_ORDER_CAP = 10**6
 
@@ -197,6 +198,50 @@ def kr_terms_recursive(a: int, m: int, dynkin: DynkinData) -> list[tuple[int, ..
         for idx, c in zip(indices, comp):
             coords[idx - 1] = c
         out.append(tuple(coords))
+    return out
+
+
+CHUNK_ROWS = 2**11  # summand rows per reduce_to_alcove call in the chunked oracle
+
+
+def summand_chunks(cells: list[tuple[int, int]], level: int, dynkin: DynkinData,
+                   chunk_rows: int = CHUNK_ROWS) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The summands of ``cells`` as (cell index, affine row) blocks of at
+    most ``chunk_rows`` rows, in cell order."""
+    ids, blocks, rows = [], [], 0
+    for i, (a, m) in enumerate(cells):
+        summands = affinize(kr_decompose(a, m, dynkin).terms, level, dynkin)
+        for lo in range(0, len(summands), chunk_rows):
+            piece = summands[lo:lo + chunk_rows]
+            if rows + len(piece) > chunk_rows:
+                yield np.concatenate(ids), np.concatenate(blocks)
+                ids, blocks, rows = [], [], 0
+            ids.append(np.full(len(piece), i))
+            blocks.append(piece)
+            rows += len(piece)
+    yield np.concatenate(ids), np.concatenate(blocks)
+
+
+def survivors_chunked(cells: list[tuple[int, int]], level: int, dynkin: DynkinData,
+                      chunk_rows: int = CHUNK_ROWS) -> dict:
+    """Signed dominant representatives of each cell left after
+    cancellation, sorted by coordinates, from every summand of every cell:
+    each chunk of summands is reduced in one call, and equal (cell,
+    representative) rows are grouped by ``np.unique``."""
+    keys, counts = [], []
+    for index, block in summand_chunks(cells, level, dynkin, chunk_rows):
+        res = reduce_to_alcove(block, dynkin)
+        live = res.sign != 0
+        uniq, inverse = np.unique(np.column_stack([index[live], res.rep[live]]),
+                                  axis=0, return_inverse=True)
+        keys.append(uniq)
+        counts.append(np.bincount(inverse.ravel(), weights=res.sign[live], minlength=len(uniq)))
+    uniq, inverse = np.unique(np.concatenate(keys), axis=0, return_inverse=True)
+    mult = np.bincount(inverse.ravel(), weights=np.concatenate(counts),
+                       minlength=len(uniq)).astype(np.int64)
+    out = {cell: [] for cell in cells}
+    for row, c in zip(uniq[mult != 0].tolist(), mult[mult != 0].tolist()):
+        out[cells[row[0]]].append((tuple(row[1:]), c))
     return out
 
 

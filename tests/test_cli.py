@@ -257,10 +257,11 @@ def test_usage_errors(runner):
       "2", "0", "1", "0", "0", "0"], {}),
     (["solve", "-f", "D", "-r", "4", "-k", "3", "--format", "csv"], {}),
     (["dilog", "-f", "D", "-r", "4", "-k", "3", "--format", "csv"], {}),
+    (["table", "-f", "D", "-r", "4", "-k", "2", "--tol", "1e-6"], {}),
 ], ids=["precision-not-integer", "precision-below-64", "negative-m-max",
         "unwritable-out", "empty-rank-range", "empty-level-range", "tol-nan",
         "tol-inf", "solver-tol-nan", "solver-tol-inf", "reduce-beyond-int64",
-        "verify-csv", "reduce-csv", "solve-csv", "dilog-csv"])
+        "verify-csv", "reduce-csv", "solve-csv", "dilog-csv", "table-tol"])
 def test_bad_input_is_a_usage_error(runner, tmp_path, monkeypatch, args, env):
     monkeypatch.chdir(tmp_path)
     result = runner.invoke(main, args, env=env)

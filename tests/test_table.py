@@ -5,6 +5,7 @@ from math import comb
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qsystem.io
 import qsystem.table
@@ -14,11 +15,11 @@ from qsystem.io import (qtable_from_json, qtable_to_csv, qtable_to_json,
                         qtable_to_text)
 from qsystem.qdim import QDimValue, precision_bits, qdim_affine
 from qsystem.recurrence import terms
-from qsystem.table import (build_qtable, forced_tail_report, kr_decompose,
-                           kr_term_count, midpoint_checks, verify_kns,
-                           verify_qsystem)
+from qsystem.table import (_rank_rows, _survivors, build_qtable, forced_tail_report,
+                           head_groups, kr_decompose, kr_term_count, midpoint_checks,
+                           stars_and_bars, verify_kns, verify_qsystem)
 
-from oracles import kr_terms_recursive, qtable_to_dict
+from oracles import kr_terms_recursive, qtable_to_dict, survivors_chunked
 
 
 @pytest.fixture(scope="module")
@@ -344,16 +345,62 @@ def test_forced_tail_not_applicable_for_a():
     assert not any(c.applicable for c in report.checks) and report.passed
 
 
+ORACLE_SUMMANDS = 50_000  # summands the chunked oracle reduces per example, at most
+
+
+def _cells(d, m_max):
+    return [(a, m) for a in range(1, d.rank + 1) for m in range(m_max + 1)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(rank=st.integers(4, 12), k=st.integers(1, 8), data=st.data())
+def test_chain_survivors_match_chunked_oracle(rank, k, data):
+    # m_max runs up to k + h + 3 where the oracle's summand count allows,
+    # which covers the rows past k + h on D4..D9
+    d = build_dynkin("D", rank)
+    limit, total = 0, 0
+    for m in range(k + d.coxeter + 4):
+        total += sum(kr_term_count(a, m, d) for a in range(1, rank + 1))
+        if total > ORACLE_SUMMANDS:
+            break
+        limit = m
+    m_max = data.draw(st.integers(0, limit), label="m_max")
+    assert _survivors(k, d, m_max) == survivors_chunked(_cells(d, m_max), k, d, chunk_rows=97)
+
+
 @pytest.mark.parametrize("family,rank,k", [("D", 6, 3), ("D", 7, 2), ("A", 3, 3)])
-def test_chunked_reduction_matches_one_chunk(monkeypatch, family, rank, k):
-    # 5-row chunks split cells across reduce_to_alcove calls, so survivors
-    # are merged across chunks
+def test_chain_survivors_in_small_blocks(monkeypatch, family, rank, k):
+    # 5-row blocks split one leading coefficient across reduce_to_alcove calls
     d = build_dynkin(family, rank)
-    whole = build_qtable(d, k)
-    survivors = {cell: whole.survivors(*cell) for cell in whole.cells}
-    monkeypatch.setattr(qsystem.table, "_CHUNK_ROWS", 5)
-    assert build_qtable(d, k) == whole
-    assert {cell: whole.survivors(*cell) for cell in whole.cells} == survivors
+    whole = _survivors(k, d, k + d.coxeter)
+    monkeypatch.setattr(qsystem.table, "_BLOCK_ROWS", 5)
+    assert _survivors(k, d, k + d.coxeter) == whole
+
+
+@pytest.mark.parametrize("rank,k", [(16, 40), (20, 20)])
+def test_packed_key_past_int64(rank, k):
+    d = build_dynkin("D", rank)
+    assert np.prod([float(k // mark + 1) for mark in d.marks]) > 2**63  # the key is re-ranked
+    assert _survivors(k, d, 3) == survivors_chunked(_cells(d, 3), k, d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(radices=st.lists(st.integers(1, 2**40), min_size=1, max_size=6),
+       seed=st.integers(0, 2**32 - 1), n=st.integers(0, 60))
+def test_rank_rows_matches_unique(radices, seed, n):
+    rng = np.random.default_rng(seed)
+    rows = np.stack([rng.integers(0, radix, n) for radix in radices], axis=1)
+    rows[n // 2:] = rows[:n - n // 2]  # repeat rows
+    uniq, inverse = _rank_rows(rows, radices)
+    want, want_inverse = np.unique(rows, axis=0, return_inverse=True)
+    assert np.array_equal(uniq, want) and np.array_equal(inverse, want_inverse.ravel())
+
+
+@pytest.mark.parametrize("total,parts,rows", [(9, 2, 3), (9, 4, 7), (12, 5, 40), (0, 3, 1)])
+def test_head_groups_cut_stars_and_bars(total, parts, rows):
+    blocks = [stars_and_bars(total, parts, heads) for heads in head_groups(total, parts, rows)]
+    assert np.array_equal(np.concatenate(blocks), stars_and_bars(total, parts))
+    assert all(len(b) <= rows or len(set(b[:, 0].tolist())) == 1 for b in blocks)
 
 
 # --- serialization ---------------------------------------------------------------
