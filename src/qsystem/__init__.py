@@ -8,9 +8,9 @@ and evaluates the Rogers-dilogarithm identity for the positive solution.
 
 from .affine import (AffineWeight, ReductionResult, affinize, level_of,
                      reduce_to_alcove)
-from .dynkin import (DynkinData, RankMismatch, Root, UnsupportedType, Weight,
+from .dynkin import (DynkinData, RankMismatch, Root, UnsupportedType,
                      build_dynkin, positive_roots)
-from .qdim import QDimValue, precision_bits, qdim, qdim_affine
+from .qdim import QDimValue, precision_bits, qdim_affine
 from .solver import (DilogReport, DomainError, InvalidLevel, NoConvergence,
                      RestrictedSolution, XOutOfRange,
                      check_positive_solution_properties, dilog_identity,
@@ -26,11 +26,10 @@ __all__ = [
     "InvalidLevel", "KRDecomposition",
     "NoConvergence", "PropertyCheck", "PropertyReport", "QDimValue",
     "QTable", "RankMismatch", "ReductionResult", "RestrictedSolution",
-    "Root", "UnsupportedType",
-    "Weight", "XOutOfRange", "affinize", "build_dynkin", "build_qtable",
-    "check_positive_solution_properties", "dilog_identity",
+    "Root", "UnsupportedType", "XOutOfRange", "affinize", "build_dynkin",
+    "build_qtable", "check_positive_solution_properties", "dilog_identity",
     "forced_tail_report", "kr_decompose", "kr_term_count", "level_of",
-    "midpoint_checks", "positive_roots", "precision_bits", "qdim",
-    "qdim_affine", "reduce_to_alcove", "rogers_L", "solve_restricted",
+    "midpoint_checks", "positive_roots", "precision_bits", "qdim_affine",
+    "reduce_to_alcove", "rogers_L", "solve_restricted",
     "uniqueness_probe", "verify_kns", "verify_qsystem",
 ]

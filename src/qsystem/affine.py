@@ -5,8 +5,9 @@ An affine weight is stored as the integer coordinate vector
 (lambda_0, ..., lambda_r); membership at level k means the mark-weighted
 coordinate sum equals k.  The shifted action conjugates the linear
 reflections by adding one to every coordinate first (the affine Weyl
-vector has all coordinates one).  ``affinize`` and ``reduce_to_alcove``
-take one weight or a block of coordinate rows, one weight per row.
+vector has all coordinates one).  ``affinize`` takes a block of classical
+rows and ``reduce_to_alcove`` a block of affine rows, one weight per row;
+``reduce_to_alcove`` also takes one :class:`AffineWeight`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynkin import DynkinData, RankMismatch, Weight
+from .dynkin import DynkinData, RankMismatch
 
 
 @dataclass(frozen=True)
@@ -24,16 +25,6 @@ class AffineWeight:
 
     level: int
     coords: tuple[int, ...]
-
-    @property
-    def rank(self) -> int:
-        return len(self.coords) - 1
-
-    def is_dominant(self) -> bool:
-        return all(c >= 0 for c in self.coords)
-
-    def classical(self) -> Weight:
-        return Weight(self.coords[1:])
 
 
 @dataclass(frozen=True)
@@ -62,21 +53,16 @@ def level_of(coords: tuple[int, ...], dynkin: DynkinData) -> int:
     return sum(a * c for a, c in zip(dynkin.marks, coords))
 
 
-def affinize(weight: Weight | np.ndarray, level: int,
-             dynkin: DynkinData) -> AffineWeight | np.ndarray:
-    """Extend a classical weight by the zeroth coordinate fixing its level;
-    an (n, r) block of classical rows gives the (n, r+1) block.
+def affinize(block: np.ndarray, level: int, dynkin: DynkinData) -> np.ndarray:
+    """Extend an (n, r) block of classical rows by the zeroth coordinate
+    fixing their level: the (n, r+1) block of affine rows.
 
     The zeroth coordinate may come out negative; such weights are
     legitimate inputs to the shifted action and to alcove reduction.
     """
-    coords = weight.coords if isinstance(weight, Weight) else weight
-    if np.shape(coords)[-1] != dynkin.rank:
-        raise RankMismatch(f"weight rank {np.shape(coords)[-1]} != diagram rank {dynkin.rank}")
-    if isinstance(weight, Weight):
-        lam0 = level - sum(a * c for a, c in zip(dynkin.marks[1:], coords))
-        return AffineWeight(level, (lam0, *coords))
-    block = np.asarray(coords, dtype=np.int64)
+    if np.shape(block)[-1] != dynkin.rank:
+        raise RankMismatch(f"weight rank {np.shape(block)[-1]} != diagram rank {dynkin.rank}")
+    block = np.asarray(block, dtype=np.int64)
     return np.column_stack([level - block @ np.array(dynkin.marks[1:]), block])
 
 

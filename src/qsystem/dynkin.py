@@ -33,33 +33,17 @@ class Root:
 
 
 @dataclass(frozen=True)
-class Weight:
-    """An integral weight in the fundamental-weight basis."""
-
-    coords: tuple[int, ...]
-
-    @property
-    def rank(self) -> int:
-        return len(self.coords)
-
-    def is_dominant(self) -> bool:
-        return all(c >= 0 for c in self.coords)
-
-
-@dataclass(frozen=True)
 class DynkinData:
     """Static data of a simply laced diagram and its untwisted extension.
 
-    ``extended_cartan`` is the (r+1) x (r+1) matrix of pairings between
-    the simple roots together with the negative of the highest root at
-    index 0.  ``marks`` are the coefficients of the highest root with a
-    leading 1 at index 0; their total is the Coxeter number.
+    ``marks`` are the coefficients of the highest root with a leading 1
+    at index 0 (for the zeroth node of the extended diagram); their total
+    is the Coxeter number.
     """
 
     family: str
     rank: int
     cartan: tuple[tuple[int, ...], ...]
-    extended_cartan: tuple[tuple[int, ...], ...]
     marks: tuple[int, ...]
     coxeter: int
     adjacency: tuple[tuple[int, ...], ...]
@@ -95,22 +79,10 @@ def build_dynkin(family: str, rank: int) -> DynkinData:
     else:
         marks = (1, 1) + (2,) * (rank - 3) + (1, 1)
 
-    # Highest-root pairings give row/column 0 of the extended matrix.
-    theta = marks[1:]
-    theta_pair = [sum(theta[i] * cartan[i][j] for i in range(rank)) for j in range(rank)]
-    ext = [[0] * (rank + 1) for _ in range(rank + 1)]
-    ext[0][0] = sum(theta[i] * theta_pair[i] for i in range(rank))
-    for j in range(rank):
-        ext[0][j + 1] = ext[j + 1][0] = -theta_pair[j]
-        for i in range(rank):
-            ext[i + 1][j + 1] = cartan[i][j]
-    assert ext[0][0] == 2, "highest root must have squared length 2"
-
     return DynkinData(
         family=family,
         rank=rank,
         cartan=tuple(tuple(row) for row in cartan),
-        extended_cartan=tuple(tuple(row) for row in ext),
         marks=marks,
         coxeter=sum(marks),
         adjacency=tuple(tuple(row) for row in adjacency),

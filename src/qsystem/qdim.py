@@ -17,6 +17,11 @@ root heights, the ratio telescopes and the value is exactly the
 accumulated sign.  Otherwise the value is computed numerically from a
 precomputed sine table at the working precision selected by the
 ``QSYS_PRECISION_BITS`` environment variable (default 128 bits).
+
+``qdim_affine`` is the one evaluator, and it takes a block of weights:
+the pairings, the zero and sign tests, the canonical counts and the
+exact test run on the whole block in int64, and only the rows left
+without an exact value take an mpf product.
 """
 
 from __future__ import annotations
@@ -28,8 +33,7 @@ from functools import lru_cache
 import mpmath
 import numpy as np
 
-from .affine import AffineWeight
-from .dynkin import DynkinData, Weight, positive_roots
+from .dynkin import DynkinData, positive_roots
 
 DEFAULT_PRECISION_BITS = 128
 
@@ -69,31 +73,6 @@ class QDimValue:
         return self.exact is not None
 
 
-class _SineTable:
-    """Per-(diagram, level, precision) data for fast product evaluation."""
-
-    __slots__ = ("n_mod", "root_matrix", "height_counts", "sines", "denominator")
-
-    def __init__(self, dynkin: DynkinData, level: int, bits: int):
-        roots = positive_roots(dynkin)
-        n_mod = dynkin.coxeter + level
-        self.n_mod = n_mod
-        self.root_matrix = np.array([r.coeffs for r in roots], dtype=np.int64)
-        heights = np.array([r.height for r in roots], dtype=np.int64)
-        canon = np.minimum(heights, n_mod - heights)
-        self.height_counts = np.bincount(canon, minlength=n_mod)
-        self.sines = _sines(n_mod, bits)
-        with mpmath.workprec(bits):
-            self.denominator = self._product(self.height_counts)
-        assert all(self.sines[q] > 0 for q in range(1, n_mod))
-
-    def _product(self, counts: np.ndarray) -> mpmath.mpf:
-        out = mpmath.mpf(1)
-        for q in np.nonzero(counts)[0]:
-            out *= self.sines[int(q)] ** int(counts[q])
-        return out
-
-
 @lru_cache(maxsize=None)
 def _sines(n_mod: int, bits: int) -> tuple[mpmath.mpf, ...]:
     """sin(pi q / N) for q in 0..N-1 at ``bits`` of precision; they depend
@@ -102,37 +81,59 @@ def _sines(n_mod: int, bits: int) -> tuple[mpmath.mpf, ...]:
         return tuple(mpmath.sinpi(mpmath.mpf(q) / n_mod) for q in range(n_mod))
 
 
+def _product(sines: tuple[mpmath.mpf, ...], counts: np.ndarray) -> mpmath.mpf:
+    out = mpmath.mpf(1)
+    for q in np.nonzero(counts)[0]:
+        out *= sines[int(q)] ** int(counts[q])
+    return out
+
+
 @lru_cache(maxsize=None)
-def _sine_table(dynkin: DynkinData, level: int, bits: int) -> _SineTable:
-    return _SineTable(dynkin, level, bits)
+def _root_data(dynkin: DynkinData, level: int,
+               bits: int) -> tuple[np.ndarray, np.ndarray, mpmath.mpf]:
+    """The positive roots as columns, the canonical magnitude counts of
+    their heights, and the sine product of those counts (the value at
+    lambda = 0)."""
+    roots = positive_roots(dynkin)
+    n_mod = dynkin.coxeter + level
+    heights = np.array([r.height for r in roots], dtype=np.int64)
+    height_counts = np.bincount(np.minimum(heights, n_mod - heights), minlength=n_mod)
+    with mpmath.workprec(bits):
+        denominator = _product(_sines(n_mod, bits), height_counts)
+    return np.array([r.coeffs for r in roots], dtype=np.int64).T, height_counts, denominator
 
 
-def qdim(weight: Weight, level: int, dynkin: DynkinData) -> QDimValue:
-    """Quantum dimension of the level-k affinization of a classical weight."""
+def qdim_affine(reps: np.ndarray, level: int, dynkin: DynkinData) -> list[QDimValue]:
+    """Quantum dimensions of an (n, r+1) block of affine weights at level k,
+    one per row (the zeroth coordinate only fixes the level).
+
+    The zero and exact-sign tests run on the whole block in integers; only
+    the rows that are neither take a sine product.
+    """
     if level < 1:
         raise ValueError(f"level must be >= 1, got {level}")
     bits = precision_bits()
-    table = _sine_table(dynkin, level, bits)
-    n_mod = table.n_mod
+    root_matrix, height_counts, denominator = _root_data(dynkin, level, bits)
+    n_mod = dynkin.coxeter + level
+    sines = _sines(n_mod, bits)
 
-    shifted = np.array(weight.coords, dtype=np.int64) + 1
-    pairings = table.root_matrix @ shifted
-    residues = pairings % (2 * n_mod)
-    if np.any(residues % n_mod == 0):
-        return QDimValue(exact=0, numeric=mpmath.mpf(0))
+    residues = ((np.asarray(reps, dtype=np.int64)[:, 1:] + 1) @ root_matrix) % (2 * n_mod)
+    zero = (residues % n_mod == 0).any(1)
     over = residues > n_mod
-    sign = -1 if (np.count_nonzero(over) & 1) else 1
+    signs = np.where(np.count_nonzero(over, 1) & 1, -1, 1)
     magnitudes = np.where(over, 2 * n_mod - residues, residues)
-    canon = np.minimum(magnitudes, n_mod - magnitudes)
-    counts = np.bincount(canon, minlength=n_mod)
-    if np.array_equal(counts, table.height_counts):
-        return QDimValue(exact=sign, numeric=mpmath.mpf(sign))
+    canon = np.minimum(magnitudes, n_mod - magnitudes) + n_mod * np.arange(len(residues))[:, None]
+    counts = np.bincount(canon.ravel(), minlength=len(residues) * n_mod).reshape(-1, n_mod)
+    exact = (counts == height_counts).all(1)
+    out = []
     with mpmath.workprec(bits):
-        value = sign * table._product(counts) / table.denominator
-    return QDimValue(exact=None, numeric=value)
-
-
-def qdim_affine(w: AffineWeight, dynkin: DynkinData) -> QDimValue:
-    """Quantum dimension of an affine weight (the zeroth coordinate only
-    fixes the level)."""
-    return qdim(w.classical(), w.level, dynkin)
+        for sign, is_zero, is_exact, row in zip(signs.tolist(), zero.tolist(),
+                                                exact.tolist(), counts):
+            if is_zero:
+                out.append(QDimValue(exact=0, numeric=mpmath.mpf(0)))
+            elif is_exact:
+                out.append(QDimValue(exact=sign, numeric=mpmath.mpf(sign)))
+            else:
+                out.append(QDimValue(exact=None,
+                                     numeric=sign * _product(sines, row) / denominator))
+    return out

@@ -257,8 +257,8 @@ def build_qtable(dynkin: DynkinData, level: int, m_max: int | None = None) -> QT
     """Assemble the full table of specialised character values.
 
     The summands of all cells are alcove-reduced with signs, each distinct
-    one once, and each cell is summed over its surviving dominant
-    representatives.
+    one once; the distinct surviving dominant representatives of the whole
+    table are evaluated as one block, and each cell is summed over its own.
     """
     if level < 1:
         raise ValueError(f"level must be >= 1, got {level}")
@@ -267,18 +267,12 @@ def build_qtable(dynkin: DynkinData, level: int, m_max: int | None = None) -> QT
 
     keys = [(a, m) for a in range(1, dynkin.rank + 1) for m in range(m_max + 1)]
     survivors = _survivors(level, dynkin, m_max)
-    value_cache: dict[tuple[int, ...], QDimValue] = {}
-    cells: dict[Cell, QDimValue] = {}
-
+    reps = sorted({rep for found in survivors.values() for rep, _ in found})
+    block = np.array(reps, dtype=np.int64).reshape(len(reps), dynkin.rank + 1)
+    values = dict(zip(reps, qdim_affine(block, level, dynkin)))
     with mpmath.workprec(precision_bits()):
-        for key in keys:
-            parts = []
-            for rep, mult in survivors[key]:
-                val = value_cache.get(rep)
-                if val is None:
-                    val = value_cache[rep] = qdim_affine(AffineWeight(level, rep), dynkin)
-                parts.append((mult, val))
-            cells[key] = _combine(parts)
+        cells = {key: _combine([(mult, values[rep]) for rep, mult in survivors[key]])
+                 for key in keys}
 
     return QTable(family=dynkin.family, rank=dynkin.rank, level=level,
                   coxeter=dynkin.coxeter, m_max=m_max, cells=cells)

@@ -1,13 +1,16 @@
-"""Reference implementations that only the tests call: reflection actions,
-extended-diagram automorphisms, greedy and full-row alcove reduction, the
-recursive summand enumeration, the chunked per-cell survivor grouping,
-the dict form of the JSON table, dominant weights, the Weyl-orbit
-quantum dimension, and the one-start-at-a-time float Newton with its
-einsum Jacobians and uniqueness probe."""
+"""Reference implementations that only the tests call: classical weights
+and the extended Cartan matrix, reflection actions, extended-diagram
+automorphisms, greedy and full-row alcove reduction, the recursive
+summand enumeration, the chunked per-cell survivor grouping, the dict
+form of the JSON table, dominant weights, the Weyl-orbit and the
+one-weight sine-product quantum dimensions, one-weight wrappers of the
+library's block functions, and the one-start-at-a-time float Newton with
+its einsum Jacobians and uniqueness probe."""
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
@@ -15,19 +18,70 @@ from typing import Iterator
 import mpmath
 import numpy as np
 
+import qsystem.affine
+import qsystem.qdim
 from qsystem import solver
-from qsystem.affine import AffineWeight, ReductionResult, affinize, reduce_to_alcove
-from qsystem.dynkin import DynkinData, Weight, positive_roots
+from qsystem.affine import AffineWeight, ReductionResult, reduce_to_alcove
+from qsystem.dynkin import DynkinData, positive_roots
 from qsystem.io import _mpf_str
-from qsystem.qdim import precision_bits
+from qsystem.qdim import QDimValue, precision_bits
 from qsystem.table import QTable, kr_decompose
 
 _WEYL_ORDER_CAP = 10**6
 
 
+@dataclass(frozen=True)
+class Weight:
+    """An integral weight in the fundamental-weight basis."""
+
+    coords: tuple[int, ...]
+
+    def is_dominant(self) -> bool:
+        return all(c >= 0 for c in self.coords)
+
+
+def is_dominant(w: AffineWeight) -> bool:
+    return all(c >= 0 for c in w.coords)
+
+
+@lru_cache(maxsize=None)
+def extended_cartan(dynkin: DynkinData) -> tuple[tuple[int, ...], ...]:
+    """The (r+1) x (r+1) matrix of pairings between the simple roots
+    together with the negative of the highest root at index 0."""
+    rank, cartan = dynkin.rank, dynkin.cartan
+    # Highest-root pairings give row/column 0 of the extended matrix.
+    theta = dynkin.marks[1:]
+    theta_pair = [sum(theta[i] * cartan[i][j] for i in range(rank)) for j in range(rank)]
+    ext = [[0] * (rank + 1) for _ in range(rank + 1)]
+    ext[0][0] = sum(theta[i] * theta_pair[i] for i in range(rank))
+    for j in range(rank):
+        ext[0][j + 1] = ext[j + 1][0] = -theta_pair[j]
+        for i in range(rank):
+            ext[i + 1][j + 1] = cartan[i][j]
+    assert ext[0][0] == 2, "highest root must have squared length 2"
+    return tuple(tuple(row) for row in ext)
+
+
+def affinize(weight: Weight, level: int, dynkin: DynkinData) -> AffineWeight:
+    """One classical weight through the library's block ``affinize``."""
+    row, = qsystem.affine.affinize(np.array([weight.coords], dtype=np.int64), level, dynkin)
+    return AffineWeight(level, tuple(int(c) for c in row))
+
+
+def qdim_affine(w: AffineWeight, dynkin: DynkinData) -> QDimValue:
+    """One affine weight through the library's block ``qdim_affine``."""
+    value, = qsystem.qdim.qdim_affine(np.array([w.coords], dtype=np.int64), w.level, dynkin)
+    return value
+
+
+def qdim(weight: Weight, level: int, dynkin: DynkinData) -> QDimValue:
+    """One classical weight at level k through the library's block ``qdim_affine``."""
+    return qdim_affine(affinize(weight, level, dynkin), dynkin)
+
+
 def reflect(i: int, w: AffineWeight, dynkin: DynkinData) -> AffineWeight:
     """Fundamental reflection at node i, acting linearly on coordinates."""
-    row = dynkin.extended_cartan[i]
+    row = extended_cartan(dynkin)[i]
     wi = w.coords[i]
     if wi == 0:
         return w
@@ -43,7 +97,7 @@ def shifted_action(word: tuple[int, ...] | list[int], w: AffineWeight,
     """
     mu = [c + 1 for c in w.coords]
     for i in word:
-        row = dynkin.extended_cartan[i]
+        row = extended_cartan(dynkin)[i]
         mi = mu[i]
         if mi:
             mu = [mu[j] - mi * row[j] for j in range(len(mu))]
@@ -58,7 +112,7 @@ def diagram_automorphisms(dynkin: DynkinData) -> tuple[tuple[int, ...], ...]:
     row profile of the extended matrix.  Marks are preserved
     automatically by any such permutation.
     """
-    c = dynkin.extended_cartan
+    c = extended_cartan(dynkin)
     n = dynkin.rank + 1
     profile = [tuple(sorted(row)) for row in c]
     found: list[tuple[int, ...]] = []
@@ -115,7 +169,7 @@ def reduce_to_alcove_greedy(w: AffineWeight, dynkin: DynkinData,
     if w.level < 1:
         raise ValueError(f"alcove reduction requires level >= 1, got {w.level}")
     neighbours = [[(j, c) for j, c in enumerate(row) if c and j != i]
-                  for i, row in enumerate(dynkin.extended_cartan)]
+                  for i, row in enumerate(extended_cartan(dynkin))]
     mu = [c + 1 for c in w.coords]
     if 0 in mu:
         return ReductionResult(rep=None, sign=0)
@@ -148,7 +202,7 @@ def reduce_to_alcove_full_row(w: AffineWeight, dynkin: DynkinData,
     if w.level < 1:
         raise ValueError(f"alcove reduction requires level >= 1, got {w.level}")
     n = len(w.coords)
-    rows = dynkin.extended_cartan
+    rows = extended_cartan(dynkin)
     mu = [c + 1 for c in w.coords]
     sign = 1
     for _ in range(cap):
@@ -210,7 +264,7 @@ def summand_chunks(cells: list[tuple[int, int]], level: int, dynkin: DynkinData,
     most ``chunk_rows`` rows, in cell order."""
     ids, blocks, rows = [], [], 0
     for i, (a, m) in enumerate(cells):
-        summands = affinize(kr_decompose(a, m, dynkin).terms, level, dynkin)
+        summands = qsystem.affine.affinize(kr_decompose(a, m, dynkin).terms, level, dynkin)
         for lo in range(0, len(summands), chunk_rows):
             piece = summands[lo:lo + chunk_rows]
             if rows + len(piece) > chunk_rows:
@@ -346,6 +400,63 @@ def qdim_oracle(weight: Weight, level: int, dynkin: DynkinData) -> mpmath.mpf:
         value = numer / denom
         assert abs(value.imag) < mpmath.mpf(2) ** (-precision_bits() // 2)
         return value.real
+
+
+class SineTable:
+    """Per-(diagram, level, precision) data for fast product evaluation."""
+
+    __slots__ = ("n_mod", "root_matrix", "height_counts", "sines", "denominator")
+
+    def __init__(self, dynkin: DynkinData, level: int, bits: int):
+        roots = positive_roots(dynkin)
+        n_mod = dynkin.coxeter + level
+        self.n_mod = n_mod
+        self.root_matrix = np.array([r.coeffs for r in roots], dtype=np.int64)
+        heights = np.array([r.height for r in roots], dtype=np.int64)
+        canon = np.minimum(heights, n_mod - heights)
+        self.height_counts = np.bincount(canon, minlength=n_mod)
+        with mpmath.workprec(bits):
+            self.sines = tuple(mpmath.sinpi(mpmath.mpf(q) / n_mod) for q in range(n_mod))
+            self.denominator = self._product(self.height_counts)
+        assert all(self.sines[q] > 0 for q in range(1, n_mod))
+
+    def _product(self, counts: np.ndarray) -> mpmath.mpf:
+        out = mpmath.mpf(1)
+        for q in np.nonzero(counts)[0]:
+            out *= self.sines[int(q)] ** int(counts[q])
+        return out
+
+
+@lru_cache(maxsize=None)
+def sine_table(dynkin: DynkinData, level: int, bits: int) -> SineTable:
+    return SineTable(dynkin, level, bits)
+
+
+def qdim_scalar(weight: Weight, level: int, dynkin: DynkinData) -> QDimValue:
+    """Quantum dimension of the level-k affinization of one classical
+    weight by its own sine product: the differential oracle of the block
+    ``qdim_affine``, which must give the same tag and the same mpf."""
+    if level < 1:
+        raise ValueError(f"level must be >= 1, got {level}")
+    bits = precision_bits()
+    table = sine_table(dynkin, level, bits)
+    n_mod = table.n_mod
+
+    shifted = np.array(weight.coords, dtype=np.int64) + 1
+    pairings = table.root_matrix @ shifted
+    residues = pairings % (2 * n_mod)
+    if np.any(residues % n_mod == 0):
+        return QDimValue(exact=0, numeric=mpmath.mpf(0))
+    over = residues > n_mod
+    sign = -1 if (np.count_nonzero(over) & 1) else 1
+    magnitudes = np.where(over, 2 * n_mod - residues, residues)
+    canon = np.minimum(magnitudes, n_mod - magnitudes)
+    counts = np.bincount(canon, minlength=n_mod)
+    if np.array_equal(counts, table.height_counts):
+        return QDimValue(exact=sign, numeric=mpmath.mpf(sign))
+    with mpmath.workprec(bits):
+        value = sign * table._product(counts) / table.denominator
+    return QDimValue(exact=None, numeric=value)
 
 
 # ---------------------------------------------------------------------------

@@ -11,17 +11,17 @@ import mpmath
 import numpy as np
 import pytest
 
-from qsystem.affine import affinize
-from qsystem.dynkin import Weight, build_dynkin
-from qsystem.qdim import precision_bits, qdim, qdim_affine
+from qsystem.dynkin import build_dynkin
+from qsystem.qdim import precision_bits
 from qsystem.solver import (check_positive_solution_properties,
                             dilog_identity, solve_restricted,
                             uniqueness_probe)
 from qsystem.table import (build_qtable, forced_tail_report, kr_term_count,
                            midpoint_checks, verify_kns, verify_qsystem)
 
-from oracles import (apply_automorphism, diagram_automorphisms,
-                     dominant_weights, qdim_oracle, shifted_action)
+from oracles import (Weight, affinize, apply_automorphism,
+                     diagram_automorphisms, dominant_weights, qdim, qdim_affine,
+                     qdim_oracle, shifted_action)
 
 GRID = [(r, k) for r in range(4, 9) for k in range(1, 7)]
 

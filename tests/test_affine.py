@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qsystem.affine import (AffineWeight, affinize, coordinate_limit, level_of,
-                            reduce_to_alcove)
-from qsystem.dynkin import Weight, build_dynkin
+import qsystem.affine
+from qsystem.affine import AffineWeight, coordinate_limit, level_of, reduce_to_alcove
+from qsystem.dynkin import build_dynkin
 
-from oracles import (IterationCapExceeded, apply_automorphism,
-                     diagram_automorphisms, orbit_of_zero,
-                     reduce_to_alcove_full_row, reduce_to_alcove_greedy,
-                     reflect, shifted_action)
+from oracles import (IterationCapExceeded, Weight, affinize, apply_automorphism,
+                     diagram_automorphisms, extended_cartan, is_dominant,
+                     orbit_of_zero, reduce_to_alcove_full_row,
+                     reduce_to_alcove_greedy, reflect, shifted_action)
 
 
 def aw(dynkin, level, *classical):
@@ -91,7 +91,7 @@ def test_reduce_dominant_is_identity():
     d5 = build_dynkin("D", 5)
     for w in [aw(d5, 4, 1, 0, 0, 0, 0), aw(d5, 4, 0, 0, 1, 0, 0),
               aw(d5, 4, 3, 0, 0, 0, 0)]:
-        assert w.is_dominant()
+        assert is_dominant(w)
         res = reduce_to_alcove(w, d5)
         assert res.rep == w and res.sign == 1
 
@@ -159,7 +159,7 @@ def test_reduce_matches_full_row_oracle(case):
 def test_block_matches_rows(diagram, level, n, rnd):
     d = build_dynkin(*diagram)
     bound = 3 * level + 5
-    block = affinize(np.array([[rnd.randint(-bound, bound) for _ in range(d.rank)]
+    block = qsystem.affine.affinize(np.array([[rnd.randint(-bound, bound) for _ in range(d.rank)]
                                for _ in range(n)], dtype=np.int64).reshape(n, d.rank), level, d)
     res = reduce_to_alcove(block, d)
     assert res.rep.shape == (n, d.rank + 1) and res.sign.shape == (n,)
@@ -177,7 +177,7 @@ def test_reduce_near_the_int64_limit(family, rank, level):
     # the representative and the sign; beyond coordinate_limit the
     # reduction refuses
     d = build_dynkin(family, rank)
-    step = [(level + d.coxeter) * c for c in d.extended_cartan[1]]
+    step = [(level + d.coxeter) * c for c in extended_cartan(d)[1]]
     limit = coordinate_limit(d)
     for classical in [(3,) + (0,) * (rank - 1), (1,) * rank, (-2,) + (1,) * (rank - 1)]:
         small = affinize(Weight(classical), level, d)
@@ -209,7 +209,7 @@ def test_reduce_commutes_with_shifted_action(classical, level, word):
 
 
 def _brute_force_automorphisms(dynkin):
-    c = dynkin.extended_cartan
+    c = extended_cartan(dynkin)
     n = dynkin.rank + 1
     out = []
     for p in permutations(range(n)):

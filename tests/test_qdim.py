@@ -1,13 +1,16 @@
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qsystem.affine import affinize, reduce_to_alcove
-from qsystem.dynkin import Weight, build_dynkin
-from qsystem.qdim import precision_bits, qdim, qdim_affine
+import qsystem.qdim
+from qsystem.affine import reduce_to_alcove
+from qsystem.dynkin import build_dynkin
+from qsystem.qdim import precision_bits
 
-from oracles import (RankTooLarge, apply_automorphism, diagram_automorphisms,
-                     dominant_weights, orbit_of_zero, qdim_oracle,
+from oracles import (RankTooLarge, Weight, affinize, apply_automorphism,
+                     diagram_automorphisms, dominant_weights, orbit_of_zero,
+                     qdim, qdim_affine, qdim_oracle, qdim_scalar,
                      shifted_action, weyl_group_order)
 
 
@@ -176,3 +179,52 @@ def test_precision_env_override(monkeypatch):
 def test_level_zero_rejected():
     with pytest.raises(ValueError):
         qdim(wt(1), 0, build_dynkin("A", 1))
+
+
+DIAGRAMS = [("A", r) for r in range(1, 13)] + [("D", r) for r in range(4, 13)]
+
+
+def _mixed_block(d, k, rnd):
+    """Affine rows of four kinds, shuffled: walls ((lambda + rho | alpha_i)
+    = 0), images of the zero weight under the shifted action (exact +-1),
+    dominant weights of level <= k, and rows with negative coordinates."""
+    r = d.rank
+    rows = []
+    for _ in range(rnd.randint(1, 4)):
+        coords = [rnd.randint(0, k) for _ in range(r)]
+        coords[rnd.randrange(r)] = -1
+        rows.append(affinize(Weight(tuple(coords)), k, d).coords)
+    for _ in range(rnd.randint(1, 4)):
+        word = [rnd.randrange(r + 1) for _ in range(rnd.randint(0, 12))]
+        rows.append(shifted_action(word, affinize(Weight((0,) * r), k, d), d).coords)
+    for _ in range(rnd.randint(1, 6)):
+        coords = [0] * r
+        for _ in range(rnd.randint(1, k)):
+            coords[rnd.randrange(r)] += 1
+        rows.append(affinize(Weight(tuple(coords)), k, d).coords)
+    for _ in range(rnd.randint(1, 6)):
+        rows.append(affinize(Weight(tuple(rnd.randint(-2 * k - 5, 2 * k + 5)
+                                          for _ in range(r))), k, d).coords)
+    rnd.shuffle(rows)
+    return np.array(rows, dtype=np.int64)
+
+
+@given(st.sampled_from(DIAGRAMS), st.integers(1, 12), st.randoms(use_true_random=False))
+@settings(max_examples=120, deadline=None)
+def test_block_matches_scalar_oracle(diagram, k, rnd):
+    d = build_dynkin(*diagram)
+    rows = _mixed_block(d, k, rnd)
+    got = qsystem.qdim.qdim_affine(rows, k, d)
+    want = [qdim_scalar(Weight(tuple(row[1:])), k, d) for row in rows.tolist()]
+    assert [v.exact for v in got] == [v.exact for v in want]
+    assert [v.numeric._mpf_ for v in got] == [v.numeric._mpf_ for v in want]
+    assert 0 in [v.exact for v in want] and {1, -1} & {v.exact for v in want}
+
+
+@pytest.mark.parametrize("family,rank", [("A", 1), ("A", 7), ("D", 4), ("D", 9)])
+def test_block_edges(family, rank):
+    d = build_dynkin(family, rank)
+    assert qsystem.qdim.qdim_affine(np.zeros((0, rank + 1), dtype=np.int64), 3, d) == []
+    for level in (0, -2):
+        with pytest.raises(ValueError):
+            qsystem.qdim.qdim_affine(np.zeros((1, rank + 1), dtype=np.int64), level, d)

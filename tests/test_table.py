@@ -13,13 +13,13 @@ import qsystem.table
 from qsystem.dynkin import build_dynkin
 from qsystem.io import (qtable_from_json, qtable_to_csv, qtable_to_json,
                         qtable_to_text)
-from qsystem.qdim import QDimValue, precision_bits, qdim_affine
+from qsystem.qdim import QDimValue, precision_bits
 from qsystem.recurrence import terms
 from qsystem.table import (_rank_rows, _survivors, build_qtable, forced_tail_report,
                            head_groups, kr_decompose, kr_term_count, midpoint_checks,
                            stars_and_bars, verify_kns, verify_qsystem)
 
-from oracles import kr_terms_recursive, qtable_to_dict, survivors_chunked
+from oracles import kr_terms_recursive, qdim_affine, qtable_to_dict, survivors_chunked
 
 
 @pytest.fixture(scope="module")
@@ -375,6 +375,24 @@ def test_chain_survivors_in_small_blocks(monkeypatch, family, rank, k):
     whole = _survivors(k, d, k + d.coxeter)
     monkeypatch.setattr(qsystem.table, "_BLOCK_ROWS", 5)
     assert _survivors(k, d, k + d.coxeter) == whole
+
+
+@pytest.mark.parametrize("family,rank,k", [("D", 5, 4), ("D", 7, 3), ("A", 4, 3)])
+def test_build_evaluates_one_block(monkeypatch, family, rank, k):
+    # one qdim_affine call per table, on the sorted distinct survivors
+    d = build_dynkin(family, rank)
+    calls = []
+
+    def counted(reps, level, dynkin):
+        calls.append((reps.tolist(), level, dynkin))
+        return evaluate(reps, level, dynkin)
+
+    evaluate = qsystem.table.qdim_affine
+    monkeypatch.setattr(qsystem.table, "qdim_affine", counted)
+    build_qtable(d, k)
+    found = survivors_chunked(_cells(d, k + d.coxeter), k, d)
+    reps = sorted({rep for cell in found.values() for rep, _ in cell})
+    assert calls == [([list(rep) for rep in reps], k, d)]
 
 
 @pytest.mark.parametrize("rank,k", [(16, 40), (20, 20)])
