@@ -10,10 +10,12 @@ the log form does not vanish.  It runs on a stack of starts at once, with
 stacked linear solves and each start's line search and stop test its own;
 the solve uses a single start and the uniqueness probe all of its starts
 together.  Mixed-precision iterative refinement then carries the float
-solution to working precision: each step evaluates the residual at
-working precision and solves for the log-coordinate correction in
-float64 with the Jacobian of the raw residual (Higham, *Accuracy and
-Stability of Numerical Algorithms*, ch. 12).  Residuals are
+solution to working precision: each step evaluates the raw residual
+square - prod - Q_{m-1} Q_{m+1} at working precision, divides it in
+float64 by prod + Q_{m-1} Q_{m+1} at the float solution, which gives the
+log form to first order, and solves for the log-coordinate correction
+in float64 with the Newton's own Jacobian of the log form (Higham,
+*Accuracy and Stability of Numerical Algorithms*, ch. 12).  Residuals are
 judged relative to the term scale S, the largest term in any equation:
 refinement stops at 2^(8 - bits) S, and a solve is accepted when its
 residual is at most tol * max(1, S).  Both phases log each step at DEBUG
@@ -114,12 +116,6 @@ def _residual(q: np.ndarray, adj: np.ndarray) -> np.ndarray:
     return square - prod - cross
 
 
-def _scale(q: np.ndarray, adj: np.ndarray) -> float:
-    """Largest term appearing in any equation; residuals are measured
-    against it."""
-    return float(np.max(sum(terms(q, adj))))
-
-
 @lru_cache(maxsize=None)
 def _couplings(rank: int, n: int, edges: bytes) -> tuple[np.ndarray, np.ndarray]:
     """Flat positions in the (rank n)^2 Jacobian of the neighbour
@@ -131,32 +127,6 @@ def _couplings(rank: int, n: int, edges: bytes) -> tuple[np.ndarray, np.ndarray]
             np.flatnonzero(np.kron(np.eye(rank, dtype=bool), chain)))
 
 
-def _assemble(adj: np.ndarray, diag: np.ndarray, prod: np.ndarray,
-              cross: np.ndarray) -> np.ndarray:
-    """The (..., rn, rn) matrix, rn = rank (k-1), with ``diag`` on the
-    diagonal, -prod at the neighbour couplings and -cross at the chain
-    couplings of each row, built in one zeroed array."""
-    *batch, rank, n = prod.shape
-    size = rank * n
-    nbr, chain = _couplings(rank, n, (adj != 0).tobytes())
-    jac = np.zeros((*batch, size * size))
-    jac[..., ::size + 1] = diag.reshape(*batch, size)
-    jac[..., nbr] = -prod.reshape(*batch, size)[..., nbr // size]
-    jac[..., chain] = -cross.reshape(*batch, size)[..., chain // size]
-    return jac.reshape(*batch, size, size)
-
-
-def _jacobian_log(q: np.ndarray, adj: np.ndarray) -> np.ndarray:
-    """Jacobian of the residual with respect to log-coordinates, one per
-    grid of the stack ``q``.
-
-    Row (a, m) couples to the r unknowns at the same m through Q_m^2 and
-    the neighbour product, and to (a, m -+ 1) through Q_{m-1} Q_{m+1}.
-    """
-    square, prod, cross = terms(q, adj)
-    return _assemble(adj, 2 * square, prod, cross)
-
-
 def _log_residual(q: np.ndarray, adj: np.ndarray) -> np.ndarray:
     """The log form log Q_m^2 - log(prod + Q_{m-1} Q_{m+1}) of every
     equation: dimensionless and close to linear in log Q."""
@@ -164,15 +134,27 @@ def _log_residual(q: np.ndarray, adj: np.ndarray) -> np.ndarray:
     return np.log(square / (prod + cross))
 
 
-def _jacobian_log_form(q: np.ndarray, adj: np.ndarray) -> np.ndarray:
-    """Jacobian of the log form with respect to log-coordinates,
-    diag(prod + cross)^-1 (J_f - 2 diag(f)) for the raw residual f and its
-    Jacobian J_f, one per grid of the stack ``q``."""
+def _jacobian_log(q: np.ndarray, adj: np.ndarray) -> np.ndarray:
+    """Jacobian of the log form with respect to log-coordinates, one
+    (rn, rn) matrix, rn = rank (k-1), per grid of the stack ``q``.
+
+    It is diag(prod + cross)^-1 (J_f - 2 diag(f)) for the raw residual f
+    and its Jacobian J_f: row (a, m) couples to the r unknowns at the same
+    m through Q_m^2 and the neighbour product, and to (a, m -+ 1) through
+    Q_{m-1} Q_{m+1}.
+    """
     square, prod, cross = terms(q, adj)
+    *batch, rank, n = prod.shape
+    size = rank * n
+    nbr, chain = _couplings(rank, n, (adj != 0).tobytes())
     # Scaling the terms before assembly gives the bits of scaling the
     # assembled rows, since -(x / d) == (-x) / d, without a second matrix.
     d = prod + cross
-    return _assemble(adj, (2 * square - 2 * (square - prod - cross)) / d, prod / d, cross / d)
+    jac = np.zeros((*batch, size * size))
+    jac[..., ::size + 1] = ((2 * square - 2 * (square - prod - cross)) / d).reshape(*batch, size)
+    jac[..., nbr] = -(prod / d).reshape(*batch, size)[..., nbr // size]
+    jac[..., chain] = -(cross / d).reshape(*batch, size)[..., chain // size]
+    return jac.reshape(*batch, size, size)
 
 
 def _initial_guess(rank: int, k: int) -> np.ndarray:
@@ -197,11 +179,11 @@ def _newton_steps(q: np.ndarray, g: np.ndarray,
     for lo in range(0, len(g), per):
         group = slice(lo, lo + per)
         try:
-            step[group] = np.linalg.solve(_jacobian_log_form(q[group], adj), rhs[group])
+            step[group] = np.linalg.solve(_jacobian_log(q[group], adj), rhs[group])
         except np.linalg.LinAlgError:
             for i in range(lo, min(lo + per, len(g))):
                 try:
-                    step[i] = np.linalg.solve(_jacobian_log_form(q[i], adj), rhs[i])
+                    step[i] = np.linalg.solve(_jacobian_log(q[i], adj), rhs[i])
                 except np.linalg.LinAlgError:
                     step[i], singular[i] = np.nan, True
     return step.reshape(g.shape), singular
@@ -269,19 +251,24 @@ def _newton_float(dynkin: DynkinData, k: int, u0: np.ndarray, max_iter: int
             iterations.reshape(batch).tolist(), (nrm <= _LOG_TOL).reshape(batch).tolist())
 
 
-def _polish(dynkin: DynkinData, k: int, q_float: np.ndarray,
-            scale: float) -> tuple[np.ndarray, mpmath.mpf, int]:
+def _polish(dynkin: DynkinData, k: int,
+            q_float: np.ndarray) -> tuple[np.ndarray, mpmath.mpf, int, float]:
     """Mixed-precision iterative refinement of the float solution.
 
-    Each step computes the residual at working precision and solves for
-    the log-coordinate correction in float64 with the Jacobian at the
-    float solution.  Stops once the residual is at most 2^(8 - bits)
-    times the term scale, or after one step per 16 bits of precision.
-    Returns the value grid as an object array of mpf, the residual and
-    the number of steps taken.
+    Each step computes the raw residual f at working precision and solves
+    J_g delta = -f / d in float64 for the log-coordinate correction delta,
+    with J_g the Jacobian of the log form and d = prod + Q_{m-1} Q_{m+1},
+    both taken at the float solution: f / d is the log form to first
+    order, and its rows are O(1) where those of f scale with the terms.
+    Stops once the residual is at most 2^(8 - bits) times the term scale
+    S, or after one step per 16 bits of precision.  Returns the value grid
+    as an object array of mpf, the residual, the number of steps taken
+    and S.
     """
     bits = precision_bits()
     adj = np.array(dynkin.adjacency)
+    square, prod, cross = terms(q_float, adj)
+    scale, d = float(np.max(square + prod + cross)), (prod + cross).reshape(-1)
     target = mpmath.ldexp(scale, 8 - bits)
     jac = _jacobian_log(q_float, adj)
     q = np.frompyfunc(mpmath.mpf, 1, 1)(q_float)
@@ -289,13 +276,13 @@ def _polish(dynkin: DynkinData, k: int, q_float: np.ndarray,
     res = np.max(np.abs(f))
     steps = 0
     while res > target and steps < bits // _BITS_PER_POLISH_STEP:
-        step = np.linalg.solve(jac, -f.astype(float).reshape(-1))
+        step = np.linalg.solve(jac, -f.astype(float).reshape(-1) / d)
         q[:, 1:k] *= np.frompyfunc(mpmath.exp, 1, 1)(step.reshape(f.shape))
         f = _residual(q, adj)
         res = np.max(np.abs(f))
         steps += 1
         _log.debug("refine %d: residual / S %.3e", steps, float(res) / scale)
-    return q, res, steps
+    return q, res, steps, scale
 
 
 def solve_restricted(dynkin: DynkinData, k: int, tol: float = 1e-12,
@@ -321,9 +308,8 @@ def solve_restricted(dynkin: DynkinData, k: int, tol: float = 1e-12,
     if not ok:
         raise NoConvergence(
             f"float phase stalled at log residual {res_float:.3e}", res_float)
-    scale = _scale(q_float, np.array(dynkin.adjacency))
     with mpmath.workprec(precision_bits()):
-        q, res, polish_its = _polish(dynkin, k, q_float, scale)
+        q, res, polish_its, scale = _polish(dynkin, k, q_float)
         if res > tol * max(1.0, scale):
             raise NoConvergence(
                 f"residual {mpmath.nstr(res)} above tolerance {tol}"

@@ -153,22 +153,23 @@ def _rank_rows(rows: np.ndarray, radices: list[int]) -> tuple[np.ndarray, np.nda
     return rows[first], inverse
 
 
-def _survivors(level: int, dynkin: DynkinData,
-               m_max: int) -> dict[Cell, list[tuple[tuple[int, ...], int]]]:
-    """Signed dominant representatives of every cell (a, m <= m_max) left
-    after cancellation, sorted by coordinates (empty for a combinatorially
-    certified zero).
+def _survivors(level: int, dynkin: DynkinData, m_max: int,
+               tops: tuple[int, ...]) -> dict[Cell, list[tuple[tuple[int, ...], int]]]:
+    """Signed dominant representatives left after cancellation, sorted by
+    coordinates (empty for a combinatorially certified zero), of the cells
+    (a, m <= m_max) of the fork tips and family A and of the tail nodes of
+    D at and below each chain top t in ``tops``, down by twos.
 
-    The tail cells of D of one parity are slices of one chain: the weights
-    k_t omega_t + k_(t-2) omega_(t-2) + ... of the top tail node t of that
-    parity with coefficient sum s <= m_max.  Cell (a, m) holds those that
-    vanish above a, with s <= m for even a and s = m for odd a.  The chain
-    is enumerated by runs of leading coefficients k_t and reduced in
-    blocks of at most _BLOCK_ROWS rows, each weight once; its sign goes
-    into a dense (representative, highest nonzero position, s) array,
-    whose prefix sums over the position (and over s for even t) hold
-    every cell as one column.  Fork tips and family A have one summand per
-    cell, reduced together in one block.
+    The tail cells of D below t are slices of one chain: the weights
+    k_t omega_t + k_(t-2) omega_(t-2) + ... with coefficient sum
+    s <= m_max.  Cell (a, m) holds those that vanish above a, with s <= m
+    for even a and s = m for odd a.  The chain is enumerated by runs of
+    leading coefficients k_t and reduced in blocks of at most _BLOCK_ROWS
+    rows, each weight once; its sign goes into a dense (representative,
+    highest nonzero position, s) array, whose prefix sums over the
+    position (and over s for even t) hold every cell as one column.  The
+    tops r - 2 and r - 3 cover the whole tail.  Fork tips and family A
+    have one summand per cell, reduced together in one block.
     """
     r, sums = dynkin.rank, m_max + 1
     singles = [(a, m) for a in range(1, r + 1) for m in range(sums)
@@ -179,7 +180,7 @@ def _survivors(level: int, dynkin: DynkinData,
     out = {cell: [(tuple(rep), sign)] if sign else []
            for cell, rep, sign in zip(singles, res.rep.tolist(), res.sign.tolist())}
     radices = [level // mark + 1 for mark in dynkin.marks]
-    for top in (r - 2, r - 3) if dynkin.family == "D" else ():
+    for top in tops:
         p = (top + 1) // 2  # chain nodes top, top - 2, ..., 2 or 1
         reps, index, signs = [], [], []
         for heads in head_groups(m_max, p + 1, _BLOCK_ROWS):
@@ -233,7 +234,9 @@ class QTable:
         return tuple(AffineWeight(self.level, tuple(row)) for row in block.tolist())
 
     def survivors(self, a: int, m: int) -> tuple[tuple[AffineWeight, int], ...]:
-        found = _survivors(self.level, build_dynkin(self.family, self.rank), m)
+        tail = self.family == "D" and a < self.rank - 1
+        found = _survivors(self.level, build_dynkin(self.family, self.rank), m,
+                           (a,) if tail else ())
         return tuple((AffineWeight(self.level, rep), mult) for rep, mult in found[(a, m)])
 
 
@@ -266,7 +269,8 @@ def build_qtable(dynkin: DynkinData, level: int, m_max: int | None = None) -> QT
         m_max = level + dynkin.coxeter
 
     keys = [(a, m) for a in range(1, dynkin.rank + 1) for m in range(m_max + 1)]
-    survivors = _survivors(level, dynkin, m_max)
+    tops = (dynkin.rank - 2, dynkin.rank - 3) if dynkin.family == "D" else ()
+    survivors = _survivors(level, dynkin, m_max, tops)
     reps = sorted({rep for found in survivors.values() for rep, _ in found})
     block = np.array(reps, dtype=np.int64).reshape(len(reps), dynkin.rank + 1)
     values = dict(zip(reps, qdim_affine(block, level, dynkin)))

@@ -15,7 +15,7 @@ from qsystem.io import (qtable_from_json, qtable_to_csv, qtable_to_json,
                         qtable_to_text)
 from qsystem.qdim import QDimValue, precision_bits
 from qsystem.recurrence import terms
-from qsystem.table import (_rank_rows, _survivors, build_qtable, forced_tail_report,
+from qsystem.table import (QTable, _rank_rows, _survivors, build_qtable, forced_tail_report,
                            head_groups, kr_decompose, kr_term_count, midpoint_checks,
                            stars_and_bars, verify_kns, verify_qsystem)
 
@@ -352,6 +352,11 @@ def _cells(d, m_max):
     return [(a, m) for a in range(1, d.rank + 1) for m in range(m_max + 1)]
 
 
+def _tops(d):
+    """The chain tops that cover the whole table."""
+    return (d.rank - 2, d.rank - 3) if d.family == "D" else ()
+
+
 @settings(max_examples=40, deadline=None)
 @given(rank=st.integers(4, 12), k=st.integers(1, 8), data=st.data())
 def test_chain_survivors_match_chunked_oracle(rank, k, data):
@@ -365,16 +370,47 @@ def test_chain_survivors_match_chunked_oracle(rank, k, data):
             break
         limit = m
     m_max = data.draw(st.integers(0, limit), label="m_max")
-    assert _survivors(k, d, m_max) == survivors_chunked(_cells(d, m_max), k, d, chunk_rows=97)
+    assert _survivors(k, d, m_max, _tops(d)) == survivors_chunked(_cells(d, m_max), k, d,
+                                                                  chunk_rows=97)
 
 
 @pytest.mark.parametrize("family,rank,k", [("D", 6, 3), ("D", 7, 2), ("A", 3, 3)])
 def test_chain_survivors_in_small_blocks(monkeypatch, family, rank, k):
     # 5-row blocks split one leading coefficient across reduce_to_alcove calls
     d = build_dynkin(family, rank)
-    whole = _survivors(k, d, k + d.coxeter)
+    whole = _survivors(k, d, k + d.coxeter, _tops(d))
     monkeypatch.setattr(qsystem.table, "_BLOCK_ROWS", 5)
-    assert _survivors(k, d, k + d.coxeter) == whole
+    assert _survivors(k, d, k + d.coxeter, _tops(d)) == whole
+
+
+@pytest.mark.parametrize("rank,k", [(4, 3), (5, 4), (6, 2), (7, 5), (8, 6), (9, 8)])
+def test_cell_survivors_match_whole_table(rank, k):
+    # a tail cell reads the chain below its own node only
+    d = build_dynkin("D", rank)
+    m_max = k + d.coxeter
+    whole = _survivors(k, d, m_max, _tops(d))
+    table = QTable("D", rank, k, d.coxeter, m_max, cells={})
+    for a, m in _cells(d, m_max):
+        assert [(w.coords, s) for w, s in table.survivors(a, m)] == whole[(a, m)], (a, m)
+
+
+@pytest.mark.parametrize("family,rank,a", [("D", 12, 11), ("D", 12, 12), ("A", 5, 3)])
+def test_single_summand_survivors_reduce_once(monkeypatch, family, rank, a):
+    # a fork tip or a node of A has one summand per cell and builds no chain
+    d = build_dynkin(family, rank)
+    k, m = 12, 12 + d.coxeter
+    want = _survivors(k, d, m, ())[(a, m)]
+    calls = []
+
+    def counted(weights, dynkin):
+        calls.append(len(weights))
+        return reduce(weights, dynkin)
+
+    reduce = qsystem.table.reduce_to_alcove
+    monkeypatch.setattr(qsystem.table, "reduce_to_alcove", counted)
+    got = QTable(family, rank, k, d.coxeter, m, cells={}).survivors(a, m)
+    assert [(w.coords, s) for w, s in got] == want
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("family,rank,k", [("D", 5, 4), ("D", 7, 3), ("A", 4, 3)])
@@ -399,7 +435,7 @@ def test_build_evaluates_one_block(monkeypatch, family, rank, k):
 def test_packed_key_past_int64(rank, k):
     d = build_dynkin("D", rank)
     assert np.prod([float(k // mark + 1) for mark in d.marks]) > 2**63  # the key is re-ranked
-    assert _survivors(k, d, 3) == survivors_chunked(_cells(d, 3), k, d)
+    assert _survivors(k, d, 3, _tops(d)) == survivors_chunked(_cells(d, 3), k, d)
 
 
 @settings(max_examples=200, deadline=None)
