@@ -20,8 +20,6 @@ from .qdim import QDimValue, precision_bits
 from .solver import DilogReport, RestrictedSolution
 from .table import QTable, cell_summands
 
-_JSON_ROWS = 2**14  # provenance rows formatted per piece
-
 
 def _mpf_str(x: mpmath.mpf) -> str:
     digits = int(precision_bits() * 0.30103) + 10
@@ -36,9 +34,8 @@ def _mpf_parse(s: str) -> mpmath.mpf:
 def qtable_json_chunks(table: QTable) -> Iterator[str]:
     """The JSON table in pieces, cell by cell: its header, then per cell the
     exact tag, the numeric value and the provenance (the unreduced
-    affinized summands), formatted from the summand blocks of
-    ``cell_summands``, at most _JSON_ROWS rows at a time, with one ``%d``
-    template per row.  The pieces join to the bytes that
+    affinized summands), formatted one ``cell_summands`` block per piece
+    with one ``%d`` template per row.  The pieces join to the bytes that
     ``json.dumps`` with ``indent=1`` writes for the same data."""
     dynkin = build_dynkin(table.family, table.rank)
     row = "    [\n" + ",\n".join(["     %d"] * (table.rank + 1)) + "\n    ]"
@@ -51,11 +48,9 @@ def qtable_json_chunks(table: QTable) -> Iterator[str]:
                    f'   "exact": {json.dumps(cell.exact)},\n'
                    f'   "numeric": {json.dumps(_mpf_str(cell.numeric))},\n   "provenance": [\n')
             sep = ""
-            for block in cell_summands(a, m, table.level, dynkin, _JSON_ROWS):
-                for lo in range(0, len(block), _JSON_ROWS):
-                    rows = block[lo:lo + _JSON_ROWS]
-                    yield sep + ",\n".join([row] * len(rows)) % tuple(rows.ravel().tolist())
-                    sep = ",\n"
+            for rows in cell_summands(a, m, table.level, dynkin):
+                yield sep + ",\n".join([row] * len(rows)) % tuple(rows.ravel().tolist())
+                sep = ",\n"
             yield "\n   ]\n  }"
     yield "\n ]\n}"
 

@@ -21,9 +21,10 @@ refinement stops at 2^(8 - bits) S, and a solve is accepted when its
 residual is at most tol * max(1, S).  Both phases log each step at DEBUG
 to the ``qsystem.solver`` logger.
 
-The Rogers dilogarithm sums the dilogarithm power series in
-Python-integer fixed point with 20 guard bits and takes the log product
-through log1p, so it stays relatively accurate however small its argument.
+The Rogers dilogarithm takes y = min(x, 1 - x) <= 1/2 and sums Li2(y)
+and -log(1 - y) over the same powers of y in one Python-integer
+fixed-point loop with 20 guard bits, so it stays relatively accurate
+however small y is, and reflects through L(x) + L(1 - x) = pi^2/6.
 """
 
 from __future__ import annotations
@@ -67,10 +68,6 @@ class InvalidLevel(ValueError):
 class NoConvergence(RuntimeError):
     """Solver failed to reach the requested residual."""
 
-    def __init__(self, message: str, best_residual: float):
-        super().__init__(message)
-        self.best_residual = best_residual
-
 
 class DomainError(ValueError):
     """Argument outside the domain of the Rogers dilogarithm."""
@@ -106,8 +103,7 @@ class RestrictedSolution:
 def _grid(dynkin: DynkinData, k: int, inner: np.ndarray) -> np.ndarray:
     """Full (..., rank, k+1) value grids with unit boundary columns."""
     q = np.ones((*inner.shape[:-2], dynkin.rank, k + 1))
-    if k >= 2:
-        q[..., 1:k] = inner
+    q[..., 1:k] = inner
     return q
 
 
@@ -291,8 +287,8 @@ def solve_restricted(dynkin: DynkinData, k: int, tol: float = 1e-12,
 
     Deterministic start Q^(a)_m = 1 + m(k-m)/k.  The solve succeeds when
     the residual is at most ``tol * max(1, S)``, with S the largest term
-    in any equation; otherwise it raises :class:`NoConvergence` with the
-    best residual.
+    in any equation; otherwise it raises :class:`NoConvergence`, whose
+    message gives the residual reached.
     """
     if k < 1:
         raise InvalidLevel(f"level must be >= 1, got {k}")
@@ -306,14 +302,13 @@ def solve_restricted(dynkin: DynkinData, k: int, tol: float = 1e-12,
     u0 = np.log(_initial_guess(dynkin.rank, k))
     q_float, res_float, its, ok = _newton_float(dynkin, k, u0, max_iter)
     if not ok:
-        raise NoConvergence(
-            f"float phase stalled at log residual {res_float:.3e}", res_float)
+        raise NoConvergence(f"float phase stalled at log residual {res_float:.3e}")
     with mpmath.workprec(precision_bits()):
         q, res, polish_its, scale = _polish(dynkin, k, q_float)
         if res > tol * max(1.0, scale):
             raise NoConvergence(
                 f"residual {mpmath.nstr(res)} above tolerance {tol}"
-                f" relative to term scale {scale:.3e}", float(res))
+                f" relative to term scale {scale:.3e}")
     values = {(a, m): q[a - 1, m]
               for a in range(1, dynkin.rank + 1) for m in range(k + 1)}
     return RestrictedSolution(dynkin.family, dynkin.rank, k, values, residual=float(res),
@@ -357,7 +352,7 @@ def uniqueness_probe(dynkin: DynkinData, k: int, n_starts: int = 20,
                      for _ in range(n_starts)]
     q, _, _, ok = _newton_float(dynkin, k, np.stack(starts), max_iter)
     if not ok[0]:
-        raise NoConvergence("reference solve failed", float("inf"))
+        raise NoConvergence("reference solve failed")
     ref, ok = q[0], np.array(ok[1:], dtype=bool)
     deviation = np.max(np.abs(q[1:][ok] - ref) / np.maximum(1.0, np.abs(ref)), axis=(1, 2))
     converged, worst = int(ok.sum()), float(deviation.max(initial=0.0))
@@ -369,38 +364,21 @@ def uniqueness_probe(dynkin: DynkinData, k: int, n_starts: int = 20,
 # Rogers dilogarithm and the central-charge identity
 
 
-def _li2_series(x: mpmath.mpf) -> mpmath.mpf:
-    """The dilogarithm on (0, 1/2] as x * sum_{n>=1} x^(n-1)/n^2.
-
-    The sum runs in Python-integer fixed point at 20 bits above the working
-    precision, the technique of mpmath's own ``libmp`` series: each power
-    is a product shifted back by ``>>`` and each term a floor division by
-    n^2.  With x <= 1/2 the truncation errors do not grow from power to
-    power, so each term is off by under three units of the last place and
-    the roughly prec terms together stay far inside the guard bits.  The
-    sum is at least 1, so those units are relative to it, and the factor
-    x, applied in floating point, keeps Li2(x) relatively accurate however
-    small x is.
-    """
-    wp = mpmath.mp.prec + 20
-    xf = to_fixed(x._mpf_, wp)
-    total = term = power = 1 << wp
-    n = 1
-    while term:
-        n += 1
-        power = power * xf >> wp
-        term = power // (n * n)
-        total += term
-    return x * mpmath.mp.make_mpf(from_man_exp(total, -wp))
-
-
 def rogers_L(x) -> mpmath.mpf:
     """Rogers dilogarithm on [0, 1], with L(0) = 0 and L(1) = pi^2/6.
 
-    Uses the fixed-point dilogarithm series on (0, 1/2] plus the log
-    product log(x) log1p(-x) / 2, and the reflection L(x) + L(1-x) = pi^2/6
-    above 1/2.  log1p keeps the product relatively accurate for tiny x,
-    where 1 - x would round to 1.
+    With y = min(x, 1 - x) <= 1/2, L(y) = Li2(y) - log(y) (-log(1 - y)) / 2
+    (Zagier, *The Dilogarithm Function*), and L(x) = pi^2/6 - L(y) above
+    1/2.  Li2(y) = y sum_{n>=1} y^(n-1)/n^2 and -log(1 - y) = y sum_{n>=1}
+    y^(n-1)/n are summed over the same powers in one Python-integer
+    fixed-point loop at 20 bits above the working precision, the technique
+    of mpmath's own ``libmp`` series: each power is a product shifted back
+    by ``>>`` and each term a floor division.  With y <= 1/2 the truncation
+    errors do not grow from power to power, so each term is off by under
+    three units of the last place and the few hundred terms together stay
+    far inside the guard bits.  Both sums are at least 1, so those units
+    are relative to them, and the factor y, applied in floating point,
+    keeps both series relatively accurate however small y is.
     """
     with mpmath.workprec(precision_bits()):
         x = mpmath.mpf(x)
@@ -410,9 +388,19 @@ def rogers_L(x) -> mpmath.mpf:
             return mpmath.mpf(0)
         if x == 1:
             return mpmath.pi**2 / 6
-        if 2 * x > 1:
-            return mpmath.pi**2 / 6 - rogers_L(1 - x)
-        return _li2_series(x) + mpmath.log(x) * mpmath.log1p(-x) / 2
+        y = min(x, 1 - x)  # 1 - x is exact for x >= 1/2
+        wp = mpmath.mp.prec + 20
+        yf = to_fixed(y._mpf_, wp)
+        li2 = log = power = 1 << wp
+        n = 1
+        while power >= n:
+            n += 1
+            power = power * yf >> wp
+            li2 += power // (n * n)
+            log += power // n
+        li2, log = (y * mpmath.mp.make_mpf(from_man_exp(s, -wp)) for s in (li2, log))
+        L = li2 - mpmath.log(y) * log / 2
+        return mpmath.pi**2 / 6 - L if 2 * x > 1 else L
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,9 @@ from .recurrence import terms
 Cell = tuple[int, int]
 
 
-_BLOCK_ROWS = 2**11  # chain weights per reduce_to_alcove call, which bounds its memory
+# Rows per block of chain weights reduced in one reduce_to_alcove call, and
+# of provenance rows formatted in one piece of JSON; it bounds their memory.
+_BLOCK_ROWS = 2**11
 
 
 @dataclass(frozen=True)
@@ -127,15 +129,15 @@ def kr_term_count(a: int, m: int, dynkin: DynkinData) -> int:
     return comb(m + a // 2, a // 2)
 
 
-def cell_summands(a: int, m: int, level: int, dynkin: DynkinData,
-                  rows: int | None = None) -> Iterator[np.ndarray]:
+def cell_summands(a: int, m: int, level: int, dynkin: DynkinData) -> Iterator[np.ndarray]:
     """The unreduced affinized summands of cell (a, m) in order, as
-    (n, rank + 1) blocks of whole leading coefficients k_a of at most
-    ``rows`` rows, or of one coefficient that alone has more (one block
-    when ``rows`` is None)."""
-    whole = rows is None or kr_term_count(a, m, dynkin) <= rows
-    for heads in [None] if whole else head_groups(m, a // 2 + 1, rows):
-        yield affinize(kr_decompose(a, m, dynkin, heads).terms, level, dynkin)
+    (n, rank + 1) blocks of at most _BLOCK_ROWS rows: runs of whole leading
+    coefficients k_a, and a coefficient that alone has more cut in
+    pieces."""
+    whole = kr_term_count(a, m, dynkin) <= _BLOCK_ROWS
+    for heads in [None] if whole else head_groups(m, a // 2 + 1, _BLOCK_ROWS):
+        block = affinize(kr_decompose(a, m, dynkin, heads).terms, level, dynkin)
+        yield from np.split(block, range(_BLOCK_ROWS, len(block), _BLOCK_ROWS))
 
 
 def _rank_rows(rows: np.ndarray, radices: list[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -230,8 +232,9 @@ class QTable:
         return self.cells[(a, m)].numeric
 
     def summands(self, a: int, m: int) -> tuple[AffineWeight, ...]:
-        block, = cell_summands(a, m, self.level, build_dynkin(self.family, self.rank))
-        return tuple(AffineWeight(self.level, tuple(row)) for row in block.tolist())
+        blocks = cell_summands(a, m, self.level, build_dynkin(self.family, self.rank))
+        return tuple(AffineWeight(self.level, tuple(row))
+                     for block in blocks for row in block.tolist())
 
     def survivors(self, a: int, m: int) -> tuple[tuple[AffineWeight, int], ...]:
         tail = self.family == "D" and a < self.rank - 1

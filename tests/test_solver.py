@@ -335,14 +335,19 @@ def test_rogers_against_mpmath_polylog(x):
 
 
 FIXED_X = {"2^-70": 2.0**-70, "2^-200": 2.0**-200, "1e-300": 1e-300,
-           "1e-3": 1e-3, "0.5": 0.5, "0.999": 0.999}
+           "1e-3": 1e-3, "0.5": 0.5, "0.999": 0.999,
+           # 1 - x far below 2^-bits; at 64 bits 1 - 2^-70 rounds to 1
+           "1-2^-70": mpmath.fsub(1, mpmath.ldexp(1, -70), exact=True),
+           "1-2^-200": mpmath.fsub(1, mpmath.ldexp(1, -200), exact=True)}
 
 
 def _assert_rogers_within_bound(x, bits):
     """rogers_L(x) at ``bits`` within 2^(8 - bits) relative of
-    Li2(x) + log(x) log1p(-x) / 2 computed at bits + 60."""
+    Li2(x) + log(x) log1p(-x) / 2 computed 60 bits above ``bits`` or above
+    the mantissa of x, whichever is longer, so x is taken exactly."""
     got = rogers_L(x)
-    with mpmath.workprec(bits + 60):
+    x = mpmath.mpmathify(x)
+    with mpmath.workprec(max(bits, x.bc) + 60):
         x = mpmath.mpf(x)
         want = mpmath.polylog(2, x) + mpmath.log(x) * mpmath.log1p(-x) / 2
         assert abs(got - want) <= mpmath.ldexp(want, 8 - bits), (bits, x)
@@ -363,6 +368,15 @@ def test_rogers_relative_error_at_random_points(monkeypatch, bits):
     rng = np.random.default_rng(bits)
     for x in [*rng.uniform(0.0, 0.5, 6), *rng.uniform(0.5, 1.0, 6)]:
         _assert_rogers_within_bound(float(x), bits)
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256, 512])
+@pytest.mark.parametrize("side", [-1, 1], ids=["below", "above"])
+def test_rogers_relative_error_next_to_half(monkeypatch, bits, side):
+    # the working-precision neighbours of 1/2, on either side of the reflection
+    monkeypatch.setenv("QSYS_PRECISION_BITS", str(bits))
+    ulp = mpmath.ldexp(1, -bits - (side < 0))
+    _assert_rogers_within_bound(mpmath.fadd(0.5, side * ulp, exact=True), bits)
 
 
 @pytest.mark.parametrize("x", [-0.1, 1.1, 2.0])
@@ -402,6 +416,16 @@ def test_dilog_x_in_unit_interval():
     d6 = build_dynkin("D", 6)
     report = dilog_identity(solve_restricted(d6, 5), d6)
     assert all(0 < x < 1 for x in report.x_values.values())
+
+
+@pytest.mark.parametrize("bits", [128, 512])
+@pytest.mark.parametrize("family,rank,k", [("D", 8, 6), ("A", 8, 8), ("D", 12, 12),
+                                           ("D", 16, 16)])
+def test_dilog_identity_within_working_precision(monkeypatch, family, rank, k, bits):
+    monkeypatch.setenv("QSYS_PRECISION_BITS", str(bits))
+    d = build_dynkin(family, rank)
+    report = dilog_identity(solve_restricted(d, k), d)
+    assert report.delta <= 2.0 ** (8 - bits) * report.rhs, (report.delta, report.rhs)
 
 
 def test_dilog_rejects_bad_solution():

@@ -469,7 +469,7 @@ JSON_GRID = ([("D", r, k) for r in range(4, 9) for k in range(1, 7)]
 
 
 def test_json_matches_dict_dump(monkeypatch):
-    monkeypatch.setattr(qsystem.io, "_JSON_ROWS", 7)  # split provenance across pieces
+    monkeypatch.setattr(qsystem.table, "_BLOCK_ROWS", 7)  # split provenance across pieces
     for family, rank, k in JSON_GRID:
         table = build_qtable(build_dynkin(family, rank), k)
         want = json.dumps(qtable_to_dict(table), indent=1)
