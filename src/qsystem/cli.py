@@ -2,6 +2,10 @@
 
 Exit codes form a stable contract: 0 on success, 1 when verification or
 convergence fails, 2 on usage errors.
+
+Each command imports the layers it runs in its own body, after its
+arguments are checked, so a usage error, ``--help`` or ``--version``
+loads neither numpy nor mpmath, and ``reduce`` loads no mpmath.
 """
 
 from __future__ import annotations
@@ -14,14 +18,8 @@ from typing import Iterable
 
 import click
 
-from . import io as qio
-from .affine import AffineWeight, level_of, reduce_to_alcove
+from . import __version__, precision_bits
 from .dynkin import DynkinData, UnsupportedType, build_dynkin
-from .qdim import precision_bits
-from .solver import (NoConvergence, XOutOfRange, dilog_identity,
-                     solve_restricted)
-from .table import (build_qtable, forced_tail_report, midpoint_checks, scale,
-                    verify_kns, verify_qsystem)
 
 DEFAULT_MAX_RANK = 12
 DEFAULT_MAX_LEVEL = 12
@@ -74,7 +72,7 @@ def _emit(out: str | None, pieces: Iterable[str]) -> None:
 
 
 @click.group()
-@click.version_option()
+@click.version_option(__version__)
 def main() -> None:
     """Quantum-dimension tables of simply laced Q-systems, property
     verification, alcove reduction, and the restricted-system solver.
@@ -136,6 +134,8 @@ def table(family, rank, level, tol, fmt, out, max_rank, max_level, m_max) -> int
     dynkin = _dynkin(family, rank, level, max_rank, max_level)
     if m_max is not None and m_max < 0:
         raise UsageFailure(f"--m-max must be >= 0, got {m_max}")
+    from . import io as qio
+    from .table import build_qtable
     table = build_qtable(dynkin, level, m_max=m_max)
     if fmt == "json":
         _emit(out, qio.qtable_json_chunks(table))
@@ -146,6 +146,8 @@ def table(family, rank, level, tol, fmt, out, max_rank, max_level, m_max) -> int
 
 def _verify_one(dynkin: DynkinData, level: int, tol: float) -> dict:
     """Every verification suite on the (dynkin, level) table, as JSON data."""
+    from .table import (build_qtable, forced_tail_report, midpoint_checks, verify_kns,
+                        verify_qsystem)
     table = build_qtable(dynkin, level)
     qsys = verify_qsystem(table, dynkin, tol=tol)
     reports = (verify_kns(table, tol=tol), midpoint_checks(table, tol=tol),
@@ -228,6 +230,7 @@ def reduce(family, rank, level, tol, fmt, out, max_rank, max_level, coords) -> i
     """Alcove-reduce an affine weight given as lambda_0 .. lambda_r."""
     _text_or_json(fmt, "reduce")
     dynkin = _dynkin(family, rank, level, max_rank, max_level)
+    from .affine import AffineWeight, level_of, reduce_to_alcove
     if len(coords) != dynkin.rank + 1:
         raise UsageFailure(
             f"expected {dynkin.rank + 1} coordinates, got {len(coords)}")
@@ -262,6 +265,8 @@ def solve(family, rank, level, tol, fmt, out, max_rank, max_level,
     _text_or_json(fmt, "solve")
     dynkin = _dynkin(family, rank, level, max_rank, max_level)
     _check_tol("solver tolerance", solver_tol)
+    from . import io as qio
+    from .solver import NoConvergence, XOutOfRange, dilog_identity, solve_restricted
     try:
         sol = solve_restricted(dynkin, level, tol=solver_tol)
     except NoConvergence as exc:
@@ -270,6 +275,7 @@ def solve(family, rank, level, tol, fmt, out, max_rank, max_level,
     failed = False
     deviation = None
     if against_table:
+        from .table import build_qtable, scale
         table = build_qtable(dynkin, level, m_max=level)
         pairs = [(x, table.value(a, m)) for (a, m), x in sol.values.items()]
         deviation = max(float(abs(x - y) / scale(x, y)) for x, y in pairs)

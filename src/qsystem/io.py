@@ -11,14 +11,17 @@ import csv
 import io as _io
 import json
 from fractions import Fraction
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 import mpmath
 
+from . import precision_bits
 from .dynkin import build_dynkin
-from .qdim import QDimValue, precision_bits
-from .solver import DilogReport, RestrictedSolution
+from .qdim import QDimValue
 from .table import QTable, cell_summands
+
+if TYPE_CHECKING:
+    from .solver import DilogReport, RestrictedSolution
 
 
 def _mpf_str(x: mpmath.mpf) -> str:

@@ -26,30 +26,14 @@ without an exact value take an mpf product.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 
 import mpmath
 import numpy as np
 
+from . import precision_bits
 from .dynkin import DynkinData, positive_roots
-
-DEFAULT_PRECISION_BITS = 128
-
-
-def precision_bits() -> int:
-    """Working precision in bits, from QSYS_PRECISION_BITS (default 128)."""
-    raw = os.environ.get("QSYS_PRECISION_BITS")
-    if raw is None:
-        return DEFAULT_PRECISION_BITS
-    try:
-        bits = int(raw)
-    except ValueError:
-        bits = 0
-    if bits < 64:
-        raise ValueError(f"QSYS_PRECISION_BITS must be an integer >= 64, got {raw!r}")
-    return bits
 
 
 @dataclass(frozen=True)

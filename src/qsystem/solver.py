@@ -39,8 +39,8 @@ import mpmath
 import numpy as np
 from mpmath.libmp import from_man_exp, to_fixed
 
+from . import precision_bits
 from .dynkin import DynkinData
-from .qdim import precision_bits
 from .recurrence import terms
 from .table import PropertyReport, positive_checks
 

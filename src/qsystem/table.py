@@ -25,9 +25,10 @@ from typing import Callable, Iterable, Iterator, Mapping
 import mpmath
 import numpy as np
 
+from . import precision_bits
 from .affine import AffineWeight, affinize, reduce_to_alcove
 from .dynkin import DynkinData, build_dynkin
-from .qdim import QDimValue, precision_bits, qdim_affine
+from .qdim import QDimValue, qdim_affine
 from .recurrence import terms
 
 Cell = tuple[int, int]
@@ -237,10 +238,18 @@ class QTable:
                      for block in blocks for row in block.tolist())
 
     def survivors(self, a: int, m: int) -> tuple[tuple[AffineWeight, int], ...]:
-        tail = self.family == "D" and a < self.rank - 1
-        found = _survivors(self.level, build_dynkin(self.family, self.rank), m,
-                           (a,) if tail else ())
-        return tuple((AffineWeight(self.level, rep), mult) for rep, mult in found[(a, m)])
+        dynkin = build_dynkin(self.family, self.rank)
+        reps, signs = [], []
+        for block in cell_summands(a, m, self.level, dynkin):
+            res = reduce_to_alcove(block, dynkin)
+            live = res.sign != 0
+            reps.append(res.rep[live])
+            signs.append(res.sign[live])
+        radices = [self.level // mark + 1 for mark in dynkin.marks]
+        uniq, rank = _rank_rows(np.concatenate(reps), radices)
+        mult = np.bincount(rank, weights=np.concatenate(signs), minlength=len(uniq))
+        return tuple((AffineWeight(self.level, tuple(rep)), c)
+                     for rep, c in zip(uniq.tolist(), mult.astype(np.int64).tolist()) if c)
 
 
 def _combine(parts: list[tuple[int, QDimValue]]) -> QDimValue:

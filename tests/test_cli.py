@@ -1,9 +1,12 @@
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+from qsystem import __version__
 from qsystem.affine import AffineWeight
 from qsystem.cli import main
 from qsystem.io import qtable_from_json, qtable_to_json
@@ -275,6 +278,15 @@ def test_max_rank_override(runner):
     result = runner.invoke(main, ["table", "-f", "A", "-r", "13", "-k", "1",
                                   "--max-rank", "14", "--format", "csv"])
     assert result.exit_code == 0
+
+
+def test_version_is_the_project_version(runner):
+    result = runner.invoke(main, ["--version"], prog_name="qsys")
+    assert result.exit_code == 0
+    assert result.stdout == f"qsys, version {__version__}\n"
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    project = re.search(r"^\[project\]\n(.*?)(?=^\[|\Z)", pyproject, re.M | re.S).group(1)
+    assert re.search(r'^version = "([^"]+)"', project, re.M).group(1) == __version__
 
 
 # Byte-level pins of the CLI.  Each digest is the sha256 of the JSON list

@@ -385,7 +385,7 @@ def test_chain_survivors_in_small_blocks(monkeypatch, family, rank, k):
 
 @pytest.mark.parametrize("rank,k", [(4, 3), (5, 4), (6, 2), (7, 5), (8, 6), (9, 8)])
 def test_cell_survivors_match_whole_table(rank, k):
-    # a tail cell reads the chain below its own node only
+    # a cell reduces only its own summands, and agrees with its column of the chain
     d = build_dynkin("D", rank)
     m_max = k + d.coxeter
     whole = _survivors(k, d, m_max, _tops(d))
