@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator
 
 import mpmath
+import numpy as np
 
 from . import precision_bits
 from .dynkin import build_dynkin
@@ -38,10 +39,10 @@ def qtable_json_chunks(table: QTable) -> Iterator[str]:
     """The JSON table in pieces, cell by cell: its header, then per cell the
     exact tag, the numeric value and the provenance (the unreduced
     affinized summands), formatted one ``cell_summands`` block per piece
-    with one ``%d`` template per row.  The pieces join to the bytes that
+    with one template per row, where a column 0 throughout the block is a
+    literal 0 and the rest are ``%d``.  The pieces join to the bytes that
     ``json.dumps`` with ``indent=1`` writes for the same data."""
     dynkin = build_dynkin(table.family, table.rank)
-    row = "    [\n" + ",\n".join(["     %d"] * (table.rank + 1)) + "\n    ]"
     yield (f'{{\n "family": {json.dumps(table.family)},\n "rank": {table.rank},\n'
            f' "level": {table.level},\n "h": {table.coxeter},\n "cells": [')
     for a in range(1, table.rank + 1):
@@ -52,7 +53,9 @@ def qtable_json_chunks(table: QTable) -> Iterator[str]:
                    f'   "numeric": {json.dumps(_mpf_str(cell.numeric))},\n   "provenance": [\n')
             sep = ""
             for rows in cell_summands(a, m, table.level, dynkin):
-                yield sep + ",\n".join([row] * len(rows)) % tuple(rows.ravel().tolist())
+                live = rows.any(0)
+                row = "    [\n" + ",\n".join(np.where(live, "     %d", "     0")) + "\n    ]"
+                yield sep + ",\n".join([row] * len(rows)) % tuple(rows[:, live].ravel().tolist())
                 sep = ",\n"
             yield "\n   ]\n  }"
     yield "\n ]\n}"

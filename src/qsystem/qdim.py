@@ -21,7 +21,8 @@ precomputed sine table at the working precision selected by the
 ``qdim_affine`` is the one evaluator, and it takes a block of weights:
 the pairings, the zero and sign tests, the canonical counts and the
 exact test run on the whole block in int64, and only the rows left
-without an exact value take an mpf product.
+without an exact value take an mpf product, from powers sin(pi q / N) ** c
+each taken once per call.
 """
 
 from __future__ import annotations
@@ -65,10 +66,14 @@ def _sines(n_mod: int, bits: int) -> tuple[mpmath.mpf, ...]:
         return tuple(mpmath.sinpi(mpmath.mpf(q) / n_mod) for q in range(n_mod))
 
 
-def _product(sines: tuple[mpmath.mpf, ...], counts: np.ndarray) -> mpmath.mpf:
+def _product(sines: tuple[mpmath.mpf, ...], counts: np.ndarray,
+             powers: dict[tuple[int, int], mpmath.mpf]) -> mpmath.mpf:
+    """The product of sines[q] ** counts[q] in ascending q; ``powers`` memoises each power."""
     out = mpmath.mpf(1)
-    for q in np.nonzero(counts)[0]:
-        out *= sines[int(q)] ** int(counts[q])
+    for key in zip(np.flatnonzero(counts).tolist(), counts[counts != 0].tolist()):
+        if key not in powers:
+            powers[key] = sines[key[0]] ** key[1]
+        out *= powers[key]
     return out
 
 
@@ -83,7 +88,7 @@ def _root_data(dynkin: DynkinData, level: int,
     heights = np.array([r.height for r in roots], dtype=np.int64)
     height_counts = np.bincount(np.minimum(heights, n_mod - heights), minlength=n_mod)
     with mpmath.workprec(bits):
-        denominator = _product(_sines(n_mod, bits), height_counts)
+        denominator = _product(_sines(n_mod, bits), height_counts, {})
     return np.array([r.coeffs for r in roots], dtype=np.int64).T, height_counts, denominator
 
 
@@ -92,7 +97,8 @@ def qdim_affine(reps: np.ndarray, level: int, dynkin: DynkinData) -> list[QDimVa
     one per row (the zeroth coordinate only fixes the level).
 
     The zero and exact-sign tests run on the whole block in integers; only
-    the rows that are neither take a sine product.
+    the rows that are neither take a sine product, from powers memoised by
+    (q, count) for the length of the call.
     """
     if level < 1:
         raise ValueError(f"level must be >= 1, got {level}")
@@ -109,7 +115,7 @@ def qdim_affine(reps: np.ndarray, level: int, dynkin: DynkinData) -> list[QDimVa
     canon = np.minimum(magnitudes, n_mod - magnitudes) + n_mod * np.arange(len(residues))[:, None]
     counts = np.bincount(canon.ravel(), minlength=len(residues) * n_mod).reshape(-1, n_mod)
     exact = (counts == height_counts).all(1)
-    out = []
+    out, powers = [], {}
     with mpmath.workprec(bits):
         for sign, is_zero, is_exact, row in zip(signs.tolist(), zero.tolist(),
                                                 exact.tolist(), counts):
@@ -119,5 +125,5 @@ def qdim_affine(reps: np.ndarray, level: int, dynkin: DynkinData) -> list[QDimVa
                 out.append(QDimValue(exact=sign, numeric=mpmath.mpf(sign)))
             else:
                 out.append(QDimValue(exact=None,
-                                     numeric=sign * _product(sines, row) / denominator))
+                                     numeric=sign * _product(sines, row, powers) / denominator))
     return out

@@ -138,7 +138,7 @@ def cell_summands(a: int, m: int, level: int, dynkin: DynkinData) -> Iterator[np
     whole = kr_term_count(a, m, dynkin) <= _BLOCK_ROWS
     for heads in [None] if whole else head_groups(m, a // 2 + 1, _BLOCK_ROWS):
         block = affinize(kr_decompose(a, m, dynkin, heads).terms, level, dynkin)
-        yield from np.split(block, range(_BLOCK_ROWS, len(block), _BLOCK_ROWS))
+        yield from (block[i:i + _BLOCK_ROWS] for i in range(0, len(block), _BLOCK_ROWS))
 
 
 def _rank_rows(rows: np.ndarray, radices: list[int]) -> tuple[np.ndarray, np.ndarray]:

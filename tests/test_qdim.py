@@ -228,3 +228,29 @@ def test_block_edges(family, rank):
     for level in (0, -2):
         with pytest.raises(ValueError):
             qsystem.qdim.qdim_affine(np.zeros((1, rank + 1), dtype=np.int64), level, d)
+
+
+@pytest.mark.parametrize("bits", [64, 128, 512])
+@pytest.mark.parametrize("family,rank,k", [("A", 4, 3), ("D", 5, 4), ("D", 7, 3)])
+def test_block_memo_repeats_and_opposite_signs(monkeypatch, bits, family, rank, k):
+    # repeated rows share their memoised powers, and images of one weight under
+    # odd-length shifted-action words have its count row with the opposite sign
+    monkeypatch.setenv("QSYS_PRECISION_BITS", str(bits))
+    d = build_dynkin(family, rank)
+    rnd = np.random.default_rng(bits + rank)
+    generic = [w for w in dominant_weights(d, k) if qdim(w, k, d).exact is None][:6]
+    rows = []
+    for w in generic:
+        row = affinize(w, k, d)
+        rows += [row.coords, row.coords]
+        for length in (1, 2, 3, 5):
+            word = [int(i) for i in rnd.integers(0, rank + 1, length)]
+            rows.append(shifted_action(word, row, d).coords)
+    block = np.array(rows, dtype=np.int64)[rnd.permutation(len(rows))]
+    got = qsystem.qdim.qdim_affine(block, k, d)
+    want = [qdim_scalar(Weight(tuple(row[1:])), k, d) for row in block.tolist()]
+    assert [v.exact for v in got] == [v.exact for v in want]
+    assert [v.numeric._mpf_ for v in got] == [v.numeric._mpf_ for v in want]
+    numerics = [v.numeric for v in want]
+    with mpmath.workprec(bits):
+        assert generic and all(-x in numerics for x in numerics)

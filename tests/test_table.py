@@ -10,14 +10,15 @@ from hypothesis import given, settings, strategies as st
 import qsystem.io
 import qsystem.table
 
+from qsystem.affine import affinize
 from qsystem.dynkin import build_dynkin
 from qsystem.io import (qtable_from_json, qtable_to_csv, qtable_to_json,
                         qtable_to_text)
 from qsystem.qdim import QDimValue, precision_bits
 from qsystem.recurrence import terms
-from qsystem.table import (QTable, _rank_rows, _survivors, build_qtable, forced_tail_report,
-                           head_groups, kr_decompose, kr_term_count, midpoint_checks,
-                           stars_and_bars, verify_kns, verify_qsystem)
+from qsystem.table import (QTable, _rank_rows, _survivors, build_qtable, cell_summands,
+                           forced_tail_report, head_groups, kr_decompose, kr_term_count,
+                           midpoint_checks, stars_and_bars, verify_kns, verify_qsystem)
 
 from oracles import kr_terms_recursive, qdim_affine, qtable_to_dict, survivors_chunked
 
@@ -431,6 +432,35 @@ def test_build_evaluates_one_block(monkeypatch, family, rank, k):
     assert calls == [([list(rep) for rep in reps], k, d)]
 
 
+def test_build_takes_each_sine_power_once(monkeypatch):
+    # D9k8 has 1,824 sine powers over its generic rows but only 76 distinct (q, count)
+    mpf = type(mpmath.mpf(1))
+    calls = []
+
+    def counted(base, exponent):
+        calls.append(exponent)
+        return power(base, exponent)
+
+    power = mpf.__pow__
+    monkeypatch.setattr(mpf, "__pow__", counted)
+    build_qtable(build_dynkin("D", 9), 8)
+    assert len(calls) <= 100
+
+
+@pytest.mark.parametrize("rows", [None, 7])
+@pytest.mark.parametrize("family,rank,k", [("D", 9, 8), ("A", 5, 3)])
+def test_cell_summands_cut_each_cell_in_order(monkeypatch, rows, family, rank, k):
+    if rows is not None:
+        monkeypatch.setattr(qsystem.table, "_BLOCK_ROWS", rows)
+    bound = qsystem.table._BLOCK_ROWS
+    d = build_dynkin(family, rank)
+    for a, m in _cells(d, k + d.coxeter):
+        blocks = list(cell_summands(a, m, k, d))
+        assert all(0 < len(b) <= bound for b in blocks), (a, m)
+        want = affinize(kr_decompose(a, m, d).terms, k, d)
+        assert np.array_equal(np.concatenate(blocks), want), (a, m)
+
+
 @pytest.mark.parametrize("rank,k", [(16, 40), (20, 20)])
 def test_packed_key_past_int64(rank, k):
     d = build_dynkin("D", rank)
@@ -474,6 +504,18 @@ def test_json_matches_dict_dump(monkeypatch):
         table = build_qtable(build_dynkin(family, rank), k)
         want = json.dumps(qtable_to_dict(table), indent=1)
         assert qtable_to_json(table) == want, (family, rank, k)
+
+
+@pytest.mark.parametrize("family,rank,k,bits", [("D", 9, 8, 128), ("A", 12, 12, 64),
+                                                ("A", 12, 12, 512)])
+def test_json_matches_dict_dump_past_grid(monkeypatch, family, rank, k, bits):
+    # provenance blocks whose zeroth column is 0 throughout (m = k on A) write it literally
+    monkeypatch.setenv("QSYS_PRECISION_BITS", str(bits))
+    d = build_dynkin(family, rank)
+    table = build_qtable(d, k)
+    assert qtable_to_json(table) == json.dumps(qtable_to_dict(table), indent=1)
+    if family == "A":
+        assert not next(cell_summands(1, k, k, d))[:, 0].any()
 
 
 @pytest.mark.parametrize("family,rank,k", [("D", 5, 4), ("D", 6, 3), ("A", 3, 3)])
