@@ -57,18 +57,20 @@ def _text_or_json(fmt: str, name: str) -> None:
 
 def _emit(out: str | None, pieces: Iterable[str]) -> None:
     """Write the pieces to the file ``out``, or to stdout ending in a newline."""
-    if out:
-        try:
+    try:
+        if out:
             with open(out, "w") as fh:
                 fh.writelines(pieces)
-        except OSError as exc:
-            raise UsageFailure(f"cannot write {out}: {exc.strerror}") from exc
-    else:
-        last = ""
-        for last in pieces:
-            click.echo(last, nl=False)
-        if not last.endswith("\n"):
-            click.echo()
+        else:
+            last = ""
+            for last in pieces:
+                click.echo(last, nl=False)
+            if not last.endswith("\n"):
+                click.echo()
+    except BrokenPipeError:
+        raise  # click ends a closed pipe with exit 1
+    except OSError as exc:
+        raise UsageFailure(f"cannot write {out or 'stdout'}: {exc.strerror}") from exc
 
 
 @click.group()

@@ -19,7 +19,7 @@ import numpy as np
 from . import precision_bits
 from .dynkin import build_dynkin
 from .qdim import QDimValue
-from .table import QTable, cell_summands
+from .table import QTable, node_summands
 
 if TYPE_CHECKING:
     from .solver import DilogReport, RestrictedSolution
@@ -35,30 +35,48 @@ def _mpf_parse(s: str) -> mpmath.mpf:
         return mpmath.mpf(s)
 
 
+def _row_pieces(rows: np.ndarray) -> np.ndarray:
+    """Each row of an int64 block as JSON text ``",\n    [\n     x0,\n ...\n    ]"``,
+    in an (n, w) object array of the pieces that join to it: the fixed pieces
+    of one row template, where a column 0 throughout the block is a literal
+    0, between the other columns' tokens, all gathered from one object array."""
+    live = rows.any(0)
+    fixed = (",\n    [\n" + ",\n".join(np.where(live, "     %d", "     0")) + "\n    ]").split("%d")
+    vals = rows[:, live]
+    lo, hi = int(vals.min(initial=0)), int(vals.max(initial=0))
+    tokens, index = ((range(lo, hi + 1), vals - lo) if hi - lo < vals.size  # a token per integer
+                     else np.unique(vals, return_inverse=True))  # a token per distinct value
+    vocab = np.array(fixed + [str(v) for v in tokens], dtype=object)
+    pieces = np.empty((len(rows), 2 * len(fixed) - 1), dtype=np.intp)
+    pieces[:, ::2] = np.arange(len(fixed))
+    pieces[:, 1::2] = index.reshape(vals.shape) + len(fixed)
+    return vocab[pieces]
+
+
 def qtable_json_chunks(table: QTable) -> Iterator[str]:
-    """The JSON table in pieces, cell by cell: its header, then per cell the
-    exact tag, the numeric value and the provenance (the unreduced
-    affinized summands), formatted one ``cell_summands`` block per piece
-    with one template per row, where a column 0 throughout the block is a
-    literal 0 and the rest are ``%d``.  The pieces join to the bytes that
-    ``json.dumps`` with ``indent=1`` writes for the same data."""
+    """The JSON table in pieces: its header, then per cell the exact tag,
+    the numeric value and the provenance (the unreduced affinized
+    summands), a node's in the packed blocks of ``node_summands``, each
+    formatted at once and joined per cell.  The pieces join to the bytes
+    that ``json.dumps`` with ``indent=1`` writes for the same data."""
     dynkin = build_dynkin(table.family, table.rank)
     yield (f'{{\n "family": {json.dumps(table.family)},\n "rank": {table.rank},\n'
            f' "level": {table.level},\n "h": {table.coxeter},\n "cells": [')
+    close, open_cell = "\n   ]\n  }", None
     for a in range(1, table.rank + 1):
-        for m in range(table.m_max + 1):
-            cell = table.cells[(a, m)]
-            yield (f'{"," if (a, m) != (1, 0) else ""}\n  {{\n   "a": {a},\n   "m": {m},\n'
-                   f'   "exact": {json.dumps(cell.exact)},\n'
-                   f'   "numeric": {json.dumps(_mpf_str(cell.numeric))},\n   "provenance": [\n')
-            sep = ""
-            for rows in cell_summands(a, m, table.level, dynkin):
-                live = rows.any(0)
-                row = "    [\n" + ",\n".join(np.where(live, "     %d", "     0")) + "\n    ]"
-                yield sep + ",\n".join([row] * len(rows)) % tuple(rows[:, live].ravel().tolist())
-                sep = ",\n"
-            yield "\n   ]\n  }"
-    yield "\n ]\n}"
+        for block, runs in node_summands(a, range(table.m_max + 1), table.level, dynkin):
+            pieces, start = _row_pieces(block), 0
+            for m, n in runs:
+                if (a, m) != open_cell:
+                    cell = table.cells[(a, m)]
+                    yield (f'{close + "," if open_cell else ""}\n  {{\n   "a": {a},\n   "m": {m},\n'
+                           f'   "exact": {json.dumps(cell.exact)},\n   "numeric": '
+                           f'{json.dumps(_mpf_str(cell.numeric))},\n   "provenance": [\n')
+                    pieces[start, 0] = pieces[start, 0][2:]  # a cell's first row: no ",\n"
+                    open_cell = (a, m)
+                yield "".join(pieces[start:start + n].ravel().tolist())
+                start += n
+    yield close + "\n ]\n}"
 
 
 def qtable_to_json(table: QTable) -> str:

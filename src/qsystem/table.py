@@ -34,8 +34,8 @@ from .recurrence import terms
 Cell = tuple[int, int]
 
 
-# Rows per block of chain weights reduced in one reduce_to_alcove call, and
-# of provenance rows formatted in one piece of JSON; it bounds their memory.
+# Rows per block of chain weights reduced in one reduce_to_alcove call, and of
+# provenance rows affinized and formatted at once; it bounds their memory.
 _BLOCK_ROWS = 2**11
 
 
@@ -131,14 +131,29 @@ def kr_term_count(a: int, m: int, dynkin: DynkinData) -> int:
 
 
 def cell_summands(a: int, m: int, level: int, dynkin: DynkinData) -> Iterator[np.ndarray]:
-    """The unreduced affinized summands of cell (a, m) in order, as
-    (n, rank + 1) blocks of at most _BLOCK_ROWS rows: runs of whole leading
-    coefficients k_a, and a coefficient that alone has more cut in
-    pieces."""
-    whole = kr_term_count(a, m, dynkin) <= _BLOCK_ROWS
-    for heads in [None] if whole else head_groups(m, a // 2 + 1, _BLOCK_ROWS):
-        block = affinize(kr_decompose(a, m, dynkin, heads).terms, level, dynkin)
-        yield from (block[i:i + _BLOCK_ROWS] for i in range(0, len(block), _BLOCK_ROWS))
+    """The unreduced affinized summands of cell (a, m) in order: the blocks
+    of ``node_summands`` on that cell alone."""
+    return (block for block, _ in node_summands(a, [m], level, dynkin))
+
+
+def node_summands(a: int, ms: Iterable[int], level: int,
+                  dynkin: DynkinData) -> Iterator[tuple[np.ndarray, list[tuple[int, int]]]]:
+    """The unreduced affinized summands of the cells (a, m), m in ``ms``, in
+    order, packed into (n, rank + 1) blocks of at most _BLOCK_ROWS rows, each
+    affinized at once, with their runs (m, rows): a cell's runs of whole
+    leading coefficients k_a, each built when reached, or cuts of a larger one."""
+    pack, runs = [], []
+    for m in ms:
+        whole = kr_term_count(a, m, dynkin) <= _BLOCK_ROWS
+        for heads in [None] if whole else head_groups(m, a // 2 + 1, _BLOCK_ROWS):
+            terms = kr_decompose(a, m, dynkin, heads).terms
+            for rows in (terms[i:i + _BLOCK_ROWS] for i in range(0, len(terms), _BLOCK_ROWS)):
+                if sum(n for _, n in runs) + len(rows) > _BLOCK_ROWS:
+                    yield affinize(np.concatenate(pack), level, dynkin), runs
+                    pack, runs = [], []
+                pack.append(rows)
+                runs.append((m, len(rows)))
+    yield affinize(np.concatenate(pack), level, dynkin), runs
 
 
 def _rank_rows(rows: np.ndarray, radices: list[int]) -> tuple[np.ndarray, np.ndarray]:

@@ -299,6 +299,16 @@ def survivors_chunked(cells: list[tuple[int, int]], level: int, dynkin: DynkinDa
     return out
 
 
+def provenance_rows_template(rows: np.ndarray) -> str:
+    """The JSON text of an int64 block of provenance rows joined by ",\n",
+    from one ``%`` row template in which a column 0 throughout the block is
+    a literal 0 and every other column is ``%d``: the writer's formatting
+    before it gathered tokens per packed block."""
+    live = rows.any(0)
+    row = "    [\n" + ",\n".join(np.where(live, "     %d", "     0")) + "\n    ]"
+    return ",\n".join([row] * len(rows)) % tuple(rows[:, live].ravel().tolist())
+
+
 def qtable_to_dict(table: QTable) -> dict:
     """The JSON table as one dict; ``json.dumps(qtable_to_dict(t),
     indent=1)`` is the byte layout that ``qtable_to_json`` writes."""

@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -272,6 +275,20 @@ def test_bad_input_is_a_usage_error(runner, tmp_path, monkeypatch, args, env):
     assert isinstance(result.exception, SystemExit)  # no traceback
     errors = [line for line in result.output.splitlines() if line.startswith("error:")]
     assert len(errors) == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_failed_stdout_write_is_a_usage_error(fmt):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "qsystem.cli", "table", "-f", "D", "-r", "5",
+                               "-k", "4", "--format", fmt], stdout=full, stderr=subprocess.PIPE,
+                              env=env, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: cannot write stdout: ")
+    assert len(proc.stderr.splitlines()) == 1
 
 
 def test_max_rank_override(runner):

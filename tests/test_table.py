@@ -6,21 +6,24 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import qsystem.io
 import qsystem.table
 
 from qsystem.affine import affinize
 from qsystem.dynkin import build_dynkin
-from qsystem.io import (qtable_from_json, qtable_to_csv, qtable_to_json,
+from qsystem.io import (_row_pieces, qtable_from_json, qtable_to_csv, qtable_to_json,
                         qtable_to_text)
 from qsystem.qdim import QDimValue, precision_bits
 from qsystem.recurrence import terms
 from qsystem.table import (QTable, _rank_rows, _survivors, build_qtable, cell_summands,
                            forced_tail_report, head_groups, kr_decompose, kr_term_count,
-                           midpoint_checks, stars_and_bars, verify_kns, verify_qsystem)
+                           midpoint_checks, node_summands, stars_and_bars, verify_kns,
+                           verify_qsystem)
 
-from oracles import kr_terms_recursive, qdim_affine, qtable_to_dict, survivors_chunked
+from oracles import (kr_terms_recursive, provenance_rows_template, qdim_affine, qtable_to_dict,
+                     survivors_chunked)
 
 
 @pytest.fixture(scope="module")
@@ -459,6 +462,13 @@ def test_cell_summands_cut_each_cell_in_order(monkeypatch, rows, family, rank, k
         assert all(0 < len(b) <= bound for b in blocks), (a, m)
         want = affinize(kr_decompose(a, m, d).terms, k, d)
         assert np.array_equal(np.concatenate(blocks), want), (a, m)
+    for a in range(1, d.rank + 1):  # a node's packed blocks hold its cells' pieces in order
+        packed = list(node_summands(a, range(k + d.coxeter + 1), k, d))
+        assert all(0 < len(b) <= bound and sum(n for _, n in runs) == len(b) for b, runs in packed)
+        pieces = [(m, b) for m in range(k + d.coxeter + 1) for b in cell_summands(a, m, k, d)]
+        assert [run for _, runs in packed for run in runs] == [(m, len(b)) for m, b in pieces]
+        assert np.array_equal(np.concatenate([b for b, _ in packed]),
+                              np.concatenate([b for _, b in pieces])), a
 
 
 @pytest.mark.parametrize("rank,k", [(16, 40), (20, 20)])
@@ -499,11 +509,13 @@ JSON_GRID = ([("D", r, k) for r in range(4, 9) for k in range(1, 7)]
 
 
 def test_json_matches_dict_dump(monkeypatch):
-    monkeypatch.setattr(qsystem.table, "_BLOCK_ROWS", 7)  # split provenance across pieces
     for family, rank, k in JSON_GRID:
         table = build_qtable(build_dynkin(family, rank), k)
         want = json.dumps(qtable_to_dict(table), indent=1)
-        assert qtable_to_json(table) == want, (family, rank, k)
+        # every row its own piece; cells cut and packed across blocks; a whole node in one block
+        for rows in (1, 7, 2**20):
+            monkeypatch.setattr(qsystem.table, "_BLOCK_ROWS", rows)
+            assert qtable_to_json(table) == want, (family, rank, k, rows)
 
 
 @pytest.mark.parametrize("family,rank,k,bits", [("D", 9, 8, 128), ("A", 12, 12, 64),
@@ -516,6 +528,16 @@ def test_json_matches_dict_dump_past_grid(monkeypatch, family, rank, k, bits):
     assert qtable_to_json(table) == json.dumps(qtable_to_dict(table), indent=1)
     if family == "A":
         assert not next(cell_summands(1, k, k, d))[:, 0].any()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(1, 50), width=st.integers(2, 14),
+       values=st.sampled_from([(-1, 1), (-40, 40), (-2**63, 2**63 - 1)]))
+def test_row_pieces_match_template_oracle(data, n, width, values):
+    rows = data.draw(hnp.arrays(np.int64, (n, width), elements=st.integers(*values)))
+    rows[:, data.draw(hnp.arrays(bool, width))] = 0  # columns 0 throughout
+    for block in (rows, np.zeros_like(rows)):  # and a block with no live column
+        assert "".join(_row_pieces(block).ravel().tolist())[2:] == provenance_rows_template(block)
 
 
 @pytest.mark.parametrize("family,rank,k", [("D", 5, 4), ("D", 6, 3), ("A", 3, 3)])
