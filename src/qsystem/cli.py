@@ -57,23 +57,33 @@ def _text_or_json(fmt: str, name: str) -> None:
 
 def _emit(out: str | None, pieces: Iterable[str]) -> None:
     """Write the pieces to the file ``out``, or to stdout ending in a newline."""
+    if not out:
+        last = ""
+        for last in pieces:
+            click.echo(last, nl=False)
+        if not last.endswith("\n"):
+            click.echo()
+        return
     try:
-        if out:
-            with open(out, "w") as fh:
-                fh.writelines(pieces)
-        else:
-            last = ""
-            for last in pieces:
-                click.echo(last, nl=False)
-            if not last.endswith("\n"):
-                click.echo()
-    except BrokenPipeError:
-        raise  # click ends a closed pipe with exit 1
+        with open(out, "w") as fh:
+            fh.writelines(pieces)
     except OSError as exc:
-        raise UsageFailure(f"cannot write {out or 'stdout'}: {exc.strerror}") from exc
+        raise UsageFailure(f"cannot write {out}: {exc.strerror}") from exc
 
 
-@click.group()
+class _Group(click.Group):
+    """Exits 2 with one ``error:`` line on the ``OSError`` click re-raises:
+    a failed stdout write (``_emit`` maps ``--out``; click ends EPIPE)."""
+
+    def main(self, *args, **kwargs):
+        try:
+            return super().main(*args, **kwargs)
+        except OSError as exc:
+            click.echo(f"error: cannot write stdout: {exc.strerror}", err=True)
+            sys.exit(2)
+
+
+@click.group(cls=_Group)
 @click.version_option(__version__)
 def main() -> None:
     """Quantum-dimension tables of simply laced Q-systems, property

@@ -24,7 +24,8 @@ to the ``qsystem.solver`` logger.
 The Rogers dilogarithm takes y = min(x, 1 - x) <= 1/2 and sums Li2(y)
 and -log(1 - y) over the same powers of y in one Python-integer
 fixed-point loop with 20 guard bits, so it stays relatively accurate
-however small y is, and reflects through L(x) + L(1 - x) = pi^2/6.
+however small y is, and reflects through L(x) + L(1 - x) = pi^2/6.  It runs
+on libmp tuples; the identity evaluates each distinct argument once.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ from typing import Mapping
 
 import mpmath
 import numpy as np
-from mpmath.libmp import from_man_exp, to_fixed
+from mpmath.libmp import (fone, from_int, from_man_exp, mpf_cmp, mpf_div, mpf_log, mpf_mul,
+                          mpf_pi, mpf_pow_int, mpf_sub, round_nearest, to_fixed)
 
 from . import precision_bits
 from .dynkin import DynkinData
@@ -364,6 +366,31 @@ def uniqueness_probe(dynkin: DynkinData, k: int, n_starts: int = 20,
 # Rogers dilogarithm and the central-charge identity
 
 
+def _rogers_L(x: tuple, prec: int) -> tuple:
+    """Rogers L of the libmp tuple ``x``, 0 < x < 1, at ``prec`` bits, each
+    step rounded to nearest as the same mpf arithmetic would round it."""
+    rest = mpf_sub(fone, x, prec, round_nearest)  # exact for x >= 1/2
+    reflect = mpf_cmp(rest, x) < 0
+    y = rest if reflect else x
+    wp = prec + 20
+    yf = to_fixed(y, wp)
+    li2 = log = power = 1 << wp
+    n = 1
+    while power >= n:
+        n += 1
+        power = power * yf >> wp
+        li2 += power // (n * n)
+        log += power // n
+    li2, log = (mpf_mul(y, from_man_exp(s, -wp), prec, round_nearest) for s in (li2, log))
+    half = mpf_div(mpf_mul(mpf_log(y, prec, round_nearest), log, prec, round_nearest),
+                   from_int(2), prec, round_nearest)
+    L = mpf_sub(li2, half, prec, round_nearest)
+    if not reflect:
+        return L
+    pi2 = mpf_pow_int(mpf_pi(prec, round_nearest), 2, prec, round_nearest)
+    return mpf_sub(mpf_div(pi2, from_int(6), prec, round_nearest), L, prec, round_nearest)
+
+
 def rogers_L(x) -> mpmath.mpf:
     """Rogers dilogarithm on [0, 1], with L(0) = 0 and L(1) = pi^2/6.
 
@@ -382,25 +409,13 @@ def rogers_L(x) -> mpmath.mpf:
     """
     with mpmath.workprec(precision_bits()):
         x = mpmath.mpf(x)
-        if x < 0 or x > 1:
+        if not 0 <= x <= 1:
             raise DomainError(f"Rogers dilogarithm needs 0 <= x <= 1, got {x}")
         if x == 0:
             return mpmath.mpf(0)
         if x == 1:
             return mpmath.pi**2 / 6
-        y = min(x, 1 - x)  # 1 - x is exact for x >= 1/2
-        wp = mpmath.mp.prec + 20
-        yf = to_fixed(y._mpf_, wp)
-        li2 = log = power = 1 << wp
-        n = 1
-        while power >= n:
-            n += 1
-            power = power * yf >> wp
-            li2 += power // (n * n)
-            log += power // n
-        li2, log = (y * mpmath.mp.make_mpf(from_man_exp(s, -wp)) for s in (li2, log))
-        L = li2 - mpmath.log(y) * log / 2
-        return mpmath.pi**2 / 6 - L if 2 * x > 1 else L
+        return mpmath.mp.make_mpf(_rogers_L(x._mpf_, mpmath.mp.prec))
 
 
 @dataclass(frozen=True)
@@ -418,11 +433,13 @@ def dilog_identity(sol: RestrictedSolution, dynkin: DynkinData) -> DilogReport:
 
     The arguments x^(a)_m = (neighbor product) / Q^2 must lie in (0, 1)
     for a genuine positive solution; anything else raises
-    :class:`XOutOfRange`.
+    :class:`XOutOfRange`.  L is evaluated once per distinct argument; the
+    sum, in ``ndenumerate`` order, has the bits of one L per argument.
     """
     k, r, h = sol.level, sol.rank, dynkin.coxeter
     rhs = Fraction((k - 1) * h * r, h + k)
     x_values: dict[tuple[int, int], mpmath.mpf] = {}
+    rogers: dict[tuple, mpmath.mpf] = {}  # L by the libmp tuple of its argument
     with mpmath.workprec(precision_bits()):
         q = np.array([[sol.value(a, m) for m in range(k + 1)]
                       for a in range(1, r + 1)], dtype=object)
@@ -432,7 +449,10 @@ def dilog_identity(sol: RestrictedSolution, dynkin: DynkinData) -> DilogReport:
             if not 0 < x < 1:
                 raise XOutOfRange(f"x({a + 1},{j + 1}) = {mpmath.nstr(x)} outside (0,1)")
             x_values[(a + 1, j + 1)] = x
-            total += rogers_L(x)
+            if x._mpf_ not in rogers:
+                rogers[x._mpf_] = mpmath.mp.make_mpf(_rogers_L(x._mpf_, mpmath.mp.prec))
+            total += rogers[x._mpf_]
         lhs = 6 / mpmath.pi**2 * total
         delta = float(abs(lhs - mpmath.mpf(rhs.numerator) / rhs.denominator))
+    _log.debug("dilog: %d arguments, %d evaluated, delta %.3e", len(x_values), len(rogers), delta)
     return DilogReport(lhs=lhs, rhs=rhs, x_values=x_values, delta=delta)

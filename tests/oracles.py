@@ -4,8 +4,9 @@ automorphisms, greedy and full-row alcove reduction, the recursive
 summand enumeration, the chunked per-cell survivor grouping, the dict
 form of the JSON table, dominant weights, the Weyl-orbit and the
 one-weight sine-product quantum dimensions, one-weight wrappers of the
-library's block functions, and the one-start-at-a-time float Newton with
-its einsum Jacobians and uniqueness probe."""
+library's block functions, the one-start-at-a-time float Newton with
+its einsum Jacobians and uniqueness probe, and the Rogers dilogarithm in
+mpf arithmetic with the dilogarithm sum that evaluates it per argument."""
 
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ from typing import Iterator
 
 import mpmath
 import numpy as np
+from mpmath.libmp import from_man_exp, to_fixed
 
 import qsystem.affine
 import qsystem.qdim
@@ -549,3 +551,54 @@ def uniqueness_probe_sequential(dynkin: DynkinData, k: int, n_starts: int = 20,
         worst = max(worst, float(np.max(np.abs(q - ref) / np.maximum(1.0, np.abs(ref)))))
     return solver.ProbeReport(n_starts, converged, worst,
                               converged == n_starts and worst <= tol)
+
+
+# ---------------------------------------------------------------------------
+# The Rogers dilogarithm in mpf arithmetic, as the solver computed it before
+# its loop ran on libmp tuples, and the dilogarithm sum with one L per
+# argument.
+
+
+def rogers_L_mpf(x) -> mpmath.mpf:
+    """Rogers L on [0, 1] at the working precision, through mpf operators."""
+    with mpmath.workprec(precision_bits()):
+        x = mpmath.mpf(x)
+        if not 0 <= x <= 1:
+            raise solver.DomainError(f"Rogers dilogarithm needs 0 <= x <= 1, got {x}")
+        if x == 0:
+            return mpmath.mpf(0)
+        if x == 1:
+            return mpmath.pi**2 / 6
+        y = min(x, 1 - x)  # 1 - x is exact for x >= 1/2
+        wp = mpmath.mp.prec + 20
+        yf = to_fixed(y._mpf_, wp)
+        li2 = log = power = 1 << wp
+        n = 1
+        while power >= n:
+            n += 1
+            power = power * yf >> wp
+            li2 += power // (n * n)
+            log += power // n
+        li2, log = (y * mpmath.mp.make_mpf(from_man_exp(s, -wp)) for s in (li2, log))
+        L = li2 - mpmath.log(y) * log / 2
+        return mpmath.pi**2 / 6 - L if 2 * x > 1 else L
+
+
+def dilog_sum_oracle(sol: solver.RestrictedSolution,
+                     dynkin: DynkinData) -> tuple[mpmath.mpf, float, Fraction, dict]:
+    """lhs, delta, rhs and the arguments of the dilogarithm identity, with
+    one :func:`rogers_L_mpf` per argument in ``ndenumerate`` order."""
+    k, r, h = sol.level, sol.rank, dynkin.coxeter
+    rhs = Fraction((k - 1) * h * r, h + k)
+    x_values = {}
+    with mpmath.workprec(precision_bits()):
+        q = np.array([[sol.value(a, m) for m in range(k + 1)]
+                      for a in range(1, r + 1)], dtype=object)
+        square, prod, _ = solver.terms(q, np.array(dynkin.adjacency))
+        total = mpmath.mpf(0)
+        for (a, j), x in np.ndenumerate(prod / square):
+            x_values[(a + 1, j + 1)] = x
+            total += rogers_L_mpf(x)
+        lhs = 6 / mpmath.pi**2 * total
+        delta = float(abs(lhs - mpmath.mpf(rhs.numerator) / rhs.denominator))
+    return lhs, delta, rhs, x_values

@@ -278,13 +278,19 @@ def test_bad_input_is_a_usage_error(runner, tmp_path, monkeypatch, args, env):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-@pytest.mark.parametrize("fmt", ["text", "json"])
-def test_failed_stdout_write_is_a_usage_error(fmt):
+@pytest.mark.parametrize("args", [
+    pytest.param(["table", "-f", "D", "-r", "5", "-k", "4", "--format", "text"], id="text"),
+    pytest.param(["table", "-f", "D", "-r", "5", "-k", "4", "--format", "json"], id="json"),
+    # help and version text that click echoes itself
+    pytest.param(["--help"], id="help"),
+    pytest.param(["--version"], id="version"),
+    pytest.param(["table", "--help"], id="table-help"),
+])
+def test_failed_stdout_write_is_a_usage_error(args):
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     with open("/dev/full", "w") as full:
-        proc = subprocess.run([sys.executable, "-m", "qsystem.cli", "table", "-f", "D", "-r", "5",
-                               "-k", "4", "--format", fmt], stdout=full, stderr=subprocess.PIPE,
-                              env=env, text=True, timeout=120)
+        proc = subprocess.run([sys.executable, "-m", "qsystem.cli", *args], stdout=full,
+                              stderr=subprocess.PIPE, env=env, text=True, timeout=120)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: cannot write stdout: ")

@@ -1,13 +1,15 @@
 import json
 import logging
+import os
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (jacobian_log_form_einsum, newton_float_sequential,
-                     uniqueness_probe_sequential)
+from oracles import (dilog_sum_oracle, jacobian_log_form_einsum, newton_float_sequential,
+                     rogers_L_mpf, uniqueness_probe_sequential)
 from qsystem import solver
 from qsystem.dynkin import build_dynkin
 from qsystem.qdim import precision_bits
@@ -379,10 +381,37 @@ def test_rogers_relative_error_next_to_half(monkeypatch, bits, side):
     _assert_rogers_within_bound(mpmath.fadd(0.5, side * ulp, exact=True), bits)
 
 
-@pytest.mark.parametrize("x", [-0.1, 1.1, 2.0])
+@pytest.mark.parametrize("x", [-0.1, 1.1, 2.0, pytest.param(float("nan"), id="float-nan"),
+                               pytest.param(mpmath.nan, id="mpf-nan")])
 def test_rogers_domain(x):
     with pytest.raises(DomainError):
         rogers_L(x)
+
+
+def _special_x(bits):
+    """2^-e and 1 - 2^-e for e up to 1000, exact, and 1/2 with its two
+    neighbours at ``bits``."""
+    powers = [mpmath.ldexp(1, -e) for e in range(1, 1001, 9)]
+    with mpmath.workprec(1100):
+        below_one = [1 - p for p in powers]
+    halves = [mpmath.fadd(0.5, side * mpmath.ldexp(1, -bits - (side < 0)), exact=True)
+              for side in (-1, 1)]
+    return [*powers, *below_one, 0.5, *halves]
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256, 512])
+def test_rogers_kernel_matches_mpf_oracle_at_special_points(monkeypatch, bits):
+    monkeypatch.setenv("QSYS_PRECISION_BITS", str(bits))
+    for x in _special_x(bits):
+        assert rogers_L(x)._mpf_ == rogers_L_mpf(x)._mpf_, (bits, x)
+
+
+@given(st.floats(0, 1, exclude_min=True, exclude_max=True))
+@settings(max_examples=40, deadline=None)
+def test_rogers_kernel_matches_mpf_oracle(x):
+    for bits in (64, 128, 256, 512):
+        with mock.patch.dict(os.environ, {"QSYS_PRECISION_BITS": str(bits)}):
+            assert rogers_L(x)._mpf_ == rogers_L_mpf(x)._mpf_, bits
 
 
 # --- dilogarithm identity ---------------------------------------------------------
@@ -436,3 +465,58 @@ def test_dilog_rejects_bad_solution():
     bad[(1, 1)] = mpmath.mpf("0.5")  # x = 1/Q^2 = 4 > 1
     with pytest.raises(XOutOfRange):
         dilog_identity(replace(sol, values=bad), a1)
+
+
+@pytest.fixture(scope="module")
+def solutions_a1_8_d4_8():
+    """The positive solutions of A1-8 and D4-8 at levels 1-8, solved once at
+    128 bits."""
+    with mock.patch.dict(os.environ, {"QSYS_PRECISION_BITS": "128"}):
+        return [(d, solve_restricted(d, k))
+                for d in [build_dynkin("A", r) for r in range(1, 9)]
+                + [build_dynkin("D", r) for r in range(4, 9)]
+                for k in range(1, 9)]
+
+
+@pytest.mark.parametrize("bits", [64, 128, 512])
+def test_dilog_identity_matches_oracle_sum(monkeypatch, solutions_a1_8_d4_8, bits):
+    # one mpf-oracle L per argument in ndenumerate order gives the same bits
+    # as the kernel evaluated once per distinct argument; at 512 bits the
+    # quotients of the 128-bit values are full-width arguments
+    monkeypatch.setenv("QSYS_PRECISION_BITS", str(bits))
+    for d, sol in solutions_a1_8_d4_8:
+        report = dilog_identity(sol, d)
+        lhs, delta, rhs, x_values = dilog_sum_oracle(sol, d)
+        assert report.lhs._mpf_ == lhs._mpf_, (d.family, d.rank, sol.level)
+        assert (report.delta, report.rhs) == (delta, rhs)
+        assert {key: x._mpf_ for key, x in report.x_values.items()} == {
+            key: x._mpf_ for key, x in x_values.items()}
+
+
+def test_dilog_evaluates_each_distinct_argument_once(monkeypatch):
+    monkeypatch.setenv("QSYS_PRECISION_BITS", "128")
+    calls = []
+    kernel = solver._rogers_L
+
+    def counted(x, prec):
+        calls.append(x)
+        return kernel(x, prec)
+
+    monkeypatch.setattr(solver, "_rogers_L", counted)
+    a8 = build_dynkin("A", 8)
+    report = dilog_identity(solve_restricted(a8, 8), a8)
+    distinct = len({x._mpf_ for x in report.x_values.values()})
+    assert len(calls) == distinct < len(report.x_values) == 56
+
+
+def test_dilog_logs_its_arguments(caplog):
+    d8 = build_dynkin("D", 8)
+    sol = solve_restricted(d8, 6)
+    with caplog.at_level(logging.DEBUG, logger="qsystem.solver"):
+        report = dilog_identity(sol, d8)
+    records = [r for r in caplog.records if r.getMessage().startswith("dilog: ")]
+    assert len(records) == 1
+    arguments, distinct, delta = records[0].args
+    assert arguments == len(report.x_values) == 40
+    assert distinct == len({x._mpf_ for x in report.x_values.values()})
+    assert delta == report.delta
