@@ -144,8 +144,9 @@ def table(family, rank, level, tol, fmt, out, max_rank, max_level, m_max) -> int
     if tol != DEFAULT_TOL:
         raise UsageFailure("table runs no verification, so it takes no --tol")
     dynkin = _dynkin(family, rank, level, max_rank, max_level)
-    if m_max is not None and m_max < 0:
-        raise UsageFailure(f"--m-max must be >= 0, got {m_max}")
+    if m_max is not None and not 0 <= m_max <= max_level + dynkin.coxeter:
+        raise UsageFailure(f"--m-max {m_max} outside 0..{max_level + dynkin.coxeter} "
+                           "(--max-level + coxeter; raise --max-level to override)")
     from . import io as qio
     from .table import build_qtable
     table = build_qtable(dynkin, level, m_max=m_max)

@@ -30,27 +30,29 @@ def _mpf_str(x: mpmath.mpf) -> str:
     return mpmath.nstr(x, digits, strip_zeros=True)
 
 
-def _mpf_parse(s: str) -> mpmath.mpf:
-    with mpmath.workprec(precision_bits()):
-        return mpmath.mpf(s)
+def _numeric_texts(table: QTable) -> dict[tuple, str]:
+    """``_mpf_str`` of each distinct cell value, keyed by its ``_mpf_``."""
+    distinct = {cell.numeric._mpf_: cell.numeric for cell in table.cells.values()}
+    return {key: _mpf_str(x) for key, x in distinct.items()}
 
 
-def _row_pieces(rows: np.ndarray) -> np.ndarray:
+def _row_tokens(rows: np.ndarray) -> np.ndarray:
     """Each row of an int64 block as JSON text ``",\n    [\n     x0,\n ...\n    ]"``,
-    in an (n, w) object array of the pieces that join to it: the fixed pieces
-    of one row template, where a column 0 throughout the block is a literal
-    0, between the other columns' tokens, all gathered from one object array."""
+    in an (n, w) object array of one token per live column, column 0 among
+    them: the fixed text before the column (a column 0 throughout the block
+    is literal text) and the value, the last token also the row's end, each
+    distinct token made once and all gathered from one object array."""
     live = rows.any(0)
+    live[0] = True
     fixed = (",\n    [\n" + ",\n".join(np.where(live, "     %d", "     0")) + "\n    ]").split("%d")
     vals = rows[:, live]
     lo, hi = int(vals.min(initial=0)), int(vals.max(initial=0))
     tokens, index = ((range(lo, hi + 1), vals - lo) if hi - lo < vals.size  # a token per integer
                      else np.unique(vals, return_inverse=True))  # a token per distinct value
-    vocab = np.array(fixed + [str(v) for v in tokens], dtype=object)
-    pieces = np.empty((len(rows), 2 * len(fixed) - 1), dtype=np.intp)
-    pieces[:, ::2] = np.arange(len(fixed))
-    pieces[:, 1::2] = index.reshape(vals.shape) + len(fixed)
-    return vocab[pieces]
+    text = [str(v) for v in tokens]
+    vocab = [pre + t for pre in fixed[:-2] for t in text] + [fixed[-2] + t + fixed[-1] for t in text]
+    return np.array(vocab, dtype=object)[index.reshape(vals.shape)
+                                         + np.arange(len(fixed) - 1) * len(text)]
 
 
 def qtable_json_chunks(table: QTable) -> Iterator[str]:
@@ -60,18 +62,19 @@ def qtable_json_chunks(table: QTable) -> Iterator[str]:
     formatted at once and joined per cell.  The pieces join to the bytes
     that ``json.dumps`` with ``indent=1`` writes for the same data."""
     dynkin = build_dynkin(table.family, table.rank)
+    texts = {key: json.dumps(text) for key, text in _numeric_texts(table).items()}
     yield (f'{{\n "family": {json.dumps(table.family)},\n "rank": {table.rank},\n'
            f' "level": {table.level},\n "h": {table.coxeter},\n "cells": [')
     close, open_cell = "\n   ]\n  }", None
     for a in range(1, table.rank + 1):
         for block, runs in node_summands(a, range(table.m_max + 1), table.level, dynkin):
-            pieces, start = _row_pieces(block), 0
+            pieces, start = _row_tokens(block), 0
             for m, n in runs:
                 if (a, m) != open_cell:
                     cell = table.cells[(a, m)]
                     yield (f'{close + "," if open_cell else ""}\n  {{\n   "a": {a},\n   "m": {m},\n'
                            f'   "exact": {json.dumps(cell.exact)},\n   "numeric": '
-                           f'{json.dumps(_mpf_str(cell.numeric))},\n   "provenance": [\n')
+                           f'{texts[cell.numeric._mpf_]},\n   "provenance": [\n')
                     pieces[start, 0] = pieces[start, 0][2:]  # a cell's first row: no ",\n"
                     open_cell = (a, m)
                 yield "".join(pieces[start:start + n].ravel().tolist())
@@ -84,16 +87,13 @@ def qtable_to_json(table: QTable) -> str:
 
 
 def qtable_from_dict(data: dict) -> QTable:
-    cells = {}
-    m_max = 0
-    for entry in data["cells"]:
-        key = (int(entry["a"]), int(entry["m"]))
-        m_max = max(m_max, key[1])
-        exact = entry["exact"]
-        cells[key] = QDimValue(
-            exact=None if exact is None else int(exact),
-            numeric=_mpf_parse(entry["numeric"]),
-        )
+    """The table of JSON data; each distinct numeric string is parsed once."""
+    with mpmath.workprec(precision_bits()):
+        parsed = {text: mpmath.mpf(text) for text in {e["numeric"] for e in data["cells"]}}
+    cells = {(int(e["a"]), int(e["m"])): QDimValue(
+        exact=None if e["exact"] is None else int(e["exact"]), numeric=parsed[e["numeric"]])
+        for e in data["cells"]}
+    m_max = max((m for _, m in cells), default=0)
     return QTable(family=data["family"], rank=int(data["rank"]), level=int(data["level"]),
                   coxeter=int(data["h"]), m_max=m_max, cells=cells)
 
@@ -109,14 +109,14 @@ def _cell_text(cell: QDimValue) -> str:
 
 
 def qtable_to_csv(table: QTable) -> str:
-    buf = _io.StringIO()
+    buf, texts = _io.StringIO(), _numeric_texts(table)
     writer = csv.writer(buf)
     writer.writerow(["a", "m", "value", "exact_tag"])
     for a in range(1, table.rank + 1):
         for m in range(table.m_max + 1):
             cell = table.cells[(a, m)]
             tag = "generic" if cell.exact is None else str(cell.exact)
-            writer.writerow([a, m, _mpf_str(cell.numeric), tag])
+            writer.writerow([a, m, texts[cell.numeric._mpf_], tag])
     return buf.getvalue()
 
 

@@ -35,7 +35,7 @@ Cell = tuple[int, int]
 
 
 # Rows per block of chain weights reduced in one reduce_to_alcove call, and of
-# provenance rows affinized and formatted at once; it bounds their memory.
+# provenance rows built and formatted at once; it bounds their memory.
 _BLOCK_ROWS = 2**11
 
 
@@ -139,21 +139,35 @@ def cell_summands(a: int, m: int, level: int, dynkin: DynkinData) -> Iterator[np
 def node_summands(a: int, ms: Iterable[int], level: int,
                   dynkin: DynkinData) -> Iterator[tuple[np.ndarray, list[tuple[int, int]]]]:
     """The unreduced affinized summands of the cells (a, m), m in ``ms``, in
-    order, packed into (n, rank + 1) blocks of at most _BLOCK_ROWS rows, each
-    affinized at once, with their runs (m, rows): a cell's runs of whole
-    leading coefficients k_a, each built when reached, or cuts of a larger one."""
-    pack, runs = [], []
-    for m in ms:
-        whole = kr_term_count(a, m, dynkin) <= _BLOCK_ROWS
-        for heads in [None] if whole else head_groups(m, a // 2 + 1, _BLOCK_ROWS):
-            terms = kr_decompose(a, m, dynkin, heads).terms
-            for rows in (terms[i:i + _BLOCK_ROWS] for i in range(0, len(terms), _BLOCK_ROWS)):
-                if sum(n for _, n in runs) + len(rows) > _BLOCK_ROWS:
-                    yield affinize(np.concatenate(pack), level, dynkin), runs
-                    pack, runs = [], []
-                pack.append(rows)
-                runs.append((m, len(rows)))
-    yield affinize(np.concatenate(pack), level, dynkin), runs
+    order, packed into (n, rank + 1) blocks of at most _BLOCK_ROWS rows with
+    their runs (m, rows), each piece copied into columns 1.. of one buffer
+    whose column 0 is set once per block.  Single summands take m in column a."""
+    if dynkin.family == "A" or a >= dynkin.rank - 1 or a == 1:  # no call per cell
+        cols, ms = slice(a, a + 1), np.fromiter(ms, dtype=np.int64)[:, None]
+        pieces = ((ms[i:i + _BLOCK_ROWS], [(m, 1) for m in ms[i:i + _BLOCK_ROWS, 0].tolist()])
+                  for i in range(0, len(ms), _BLOCK_ROWS))
+    else:
+        def tail_pieces():  # a cell's runs of whole leading coefficients k_a, or cuts of one
+            for m in ms:
+                whole = kr_term_count(a, m, dynkin) <= _BLOCK_ROWS
+                for heads in [None] if whole else head_groups(m, a // 2 + 1, _BLOCK_ROWS):
+                    terms = kr_decompose(a, m, dynkin, heads).terms
+                    for i in range(0, len(terms), _BLOCK_ROWS):
+                        yield terms[i:i + _BLOCK_ROWS], [(m, len(terms[i:i + _BLOCK_ROWS]))]
+                    del terms
+        cols, pieces = slice(1, None), tail_pieces()
+    buf, runs, n = np.zeros((_BLOCK_ROWS, dynkin.rank + 1), dtype=np.int64), [], 0
+    for rows, piece_runs in pieces:
+        if n + len(rows) > _BLOCK_ROWS:
+            buf[:n, 0] = level - buf[:n, 1:] @ dynkin.marks[1:]
+            yield buf[:n].copy(), runs
+            runs, n = [], 0
+        buf[n:n + len(rows), cols] = rows
+        runs += piece_runs
+        n += len(rows)
+        del rows  # a run is freed before the next one is built
+    buf[:n, 0] = level - buf[:n, 1:] @ dynkin.marks[1:]
+    yield buf[:n].copy(), runs
 
 
 def _rank_rows(rows: np.ndarray, radices: list[int]) -> tuple[np.ndarray, np.ndarray]:

@@ -249,6 +249,7 @@ def test_usage_errors(runner):
     (["table", "-f", "D", "-r", "4", "-k", "2"], {"QSYS_PRECISION_BITS": "abc"}),
     (["solve", "-f", "D", "-r", "4", "-k", "2"], {"QSYS_PRECISION_BITS": "32"}),
     (["table", "-f", "D", "-r", "4", "-k", "2", "--m-max", "-3"], {}),
+    (["table", "-f", "D", "-r", "4", "-k", "1", "--m-max", "100000000000000000000"], {}),
     (["table", "-f", "D", "-r", "4", "-k", "2", "--out", "missing/x.json"], {}),
     (["verify", "-f", "D", "-r", "4", "-k", "1", "--grid", "r=5..4", "k=1..2"], {}),
     (["verify", "-f", "D", "-r", "4", "-k", "1", "--grid", "r=4..5", "k=2..1"], {}),
@@ -265,7 +266,7 @@ def test_usage_errors(runner):
     (["dilog", "-f", "D", "-r", "4", "-k", "3", "--format", "csv"], {}),
     (["table", "-f", "D", "-r", "4", "-k", "2", "--tol", "1e-6"], {}),
 ], ids=["precision-not-integer", "precision-below-64", "negative-m-max",
-        "unwritable-out", "empty-rank-range", "empty-level-range", "tol-nan",
+        "m-max-above-cap", "unwritable-out", "empty-rank-range", "empty-level-range", "tol-nan",
         "tol-inf", "solver-tol-nan", "solver-tol-inf", "reduce-beyond-int64",
         "verify-csv", "reduce-csv", "solve-csv", "dilog-csv", "table-tol"])
 def test_bad_input_is_a_usage_error(runner, tmp_path, monkeypatch, args, env):
@@ -301,6 +302,14 @@ def test_max_rank_override(runner):
     result = runner.invoke(main, ["table", "-f", "A", "-r", "13", "-k", "1",
                                   "--max-rank", "14", "--format", "csv"])
     assert result.exit_code == 0
+
+
+def test_m_max_cap_follows_max_level(runner):
+    # D4 has coxeter number 6: the rows up to --max-level + 6 are allowed
+    args = ["table", "-f", "D", "-r", "4", "-k", "1", "--format", "csv"]
+    assert runner.invoke(main, [*args, "--m-max", "18"]).exit_code == 0
+    assert runner.invoke(main, [*args, "--m-max", "19"]).exit_code == 2
+    assert runner.invoke(main, [*args, "--m-max", "19", "--max-level", "13"]).exit_code == 0
 
 
 def test_version_is_the_project_version(runner):

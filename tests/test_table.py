@@ -13,7 +13,7 @@ import qsystem.table
 
 from qsystem.affine import affinize
 from qsystem.dynkin import build_dynkin
-from qsystem.io import (_row_pieces, qtable_from_json, qtable_to_csv, qtable_to_json,
+from qsystem.io import (_row_tokens, qtable_from_json, qtable_to_csv, qtable_to_json,
                         qtable_to_text)
 from qsystem.qdim import QDimValue, precision_bits
 from qsystem.recurrence import terms
@@ -471,6 +471,36 @@ def test_cell_summands_cut_each_cell_in_order(monkeypatch, rows, family, rank, k
                               np.concatenate([b for _, b in pieces])), a
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), family=st.sampled_from("AD"))
+def test_node_summands_match_decompositions(data, family):
+    d = build_dynkin(family, data.draw(st.integers(1, 6) if family == "A" else st.integers(4, 8)))
+    k = data.draw(st.integers(1, 5))
+    a = data.draw(st.integers(1, d.rank))
+    lo = data.draw(st.integers(0, k + d.coxeter))
+    ms = range(lo, data.draw(st.integers(lo, min(lo + 6, k + d.coxeter))) + 1)  # may be one cell
+    for bound in (1, 7, 2**11):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(qsystem.table, "_BLOCK_ROWS", bound)
+            packed = list(node_summands(a, ms, k, d))
+        assert all(0 < len(b) <= bound and sum(n for _, n in runs) == len(b) for b, runs in packed)
+        # greedy packing: a block's first piece did not fit in the block before it
+        assert all(len(b) + runs[0][1] > bound for (b, _), (_, runs) in zip(packed, packed[1:]))
+        runs = [run for _, block_runs in packed for run in block_runs]
+        assert [m for m, _ in runs] == sorted(m for m, _ in runs)
+        # a cell is cut only where its next piece would not fit with the one before
+        assert all(n + n2 > bound for (m, n), (m2, n2) in zip(runs, runs[1:]) if m == m2)
+        rows = np.concatenate([b for b, _ in packed])
+        ends = np.cumsum([n for _, n in runs])
+        cells = {}
+        for (m, _), piece in zip(runs, np.split(rows, ends[:-1])):
+            cells.setdefault(m, []).append(piece)
+        assert list(cells) == list(ms)
+        for m, pieces in cells.items():
+            want = affinize(kr_decompose(a, m, d).terms, k, d)
+            assert np.array_equal(np.concatenate(pieces), want), (bound, m)
+
+
 @pytest.mark.parametrize("rank,k", [(16, 40), (20, 20)])
 def test_packed_key_past_int64(rank, k):
     d = build_dynkin("D", rank)
@@ -536,8 +566,12 @@ def test_json_matches_dict_dump_past_grid(monkeypatch, family, rank, k, bits):
 def test_row_pieces_match_template_oracle(data, n, width, values):
     rows = data.draw(hnp.arrays(np.int64, (n, width), elements=st.integers(*values)))
     rows[:, data.draw(hnp.arrays(bool, width))] = 0  # columns 0 throughout
-    for block in (rows, np.zeros_like(rows)):  # and a block with no live column
-        assert "".join(_row_pieces(block).ravel().tolist())[2:] == provenance_rows_template(block)
+    first_zero = rows.copy()
+    first_zero[:, 0] = 0  # column 0, a token of every row, 0 throughout
+    for block in (rows, first_zero, np.zeros_like(rows)):  # and a block with no live column
+        tokens = _row_tokens(block)
+        assert tokens.shape == (n, block[:, 1:].any(0).sum() + 1)  # one per live column
+        assert "".join(tokens.ravel().tolist())[2:] == provenance_rows_template(block)
 
 
 @pytest.mark.parametrize("family,rank,k", [("D", 5, 4), ("D", 6, 3), ("A", 3, 3)])
