@@ -225,8 +225,8 @@ def verify(family, rank, level, tol, fmt, out, max_rank, max_level, grid) -> int
     else:
         ranks, levels = _parse_grid(grid)
         pairs = [(r, k) for r in ranks for k in levels]
-    results = [_verify_one(_dynkin(family, r, k, max_rank, max_level), k, tol)
-               for r, k in pairs]
+    dynkins = [(_dynkin(family, r, k, max_rank, max_level), k) for r, k in pairs]
+    results = [_verify_one(dynkin, k, tol) for dynkin, k in dynkins]
     ok = all(result["passed"] for result in results)
     if fmt == "json":
         _emit(out, [json.dumps({"passed": ok, "results": results}, indent=1)])

@@ -9,10 +9,10 @@ representatives cancel in integer arithmetic, so a cell whose summands
 cancel completely is certified zero exactly, and a cell collapsing to
 representatives with certified values gets an exact integer tag.  The
 tail cells of D are slices of two chains of weights, so each distinct
-summand is reduced once, in int64 blocks of coordinate rows, and every
-cell is read off prefix sums of the signed representatives.  A table
-stores only its cell values: the summands of a cell and the survivors of
-their cancellation are derived again on demand.
+summand is reduced once, in the int64 blocks of ``composition_blocks``,
+and every cell is read off prefix sums of the signed representatives.
+A table stores only its cell values: the summands of a cell and the
+survivors of their cancellation are derived again on demand.
 """
 
 from __future__ import annotations
@@ -50,46 +50,48 @@ class KRDecomposition:
     terms: np.ndarray
 
 
-def stars_and_bars(total: int, parts: int, heads: range | None = None) -> np.ndarray:
-    """The block of nonnegative integer rows of length ``parts`` with the
-    given sum, lexicographically descending: each head total..0 followed by
-    the block of the rest with one part fewer.  ``heads``, a descending
-    range, keeps only the rows with those heads, a contiguous slice.  The
-    smaller blocks of a whole block are memoised by (total, parts), and
-    those of a slice are built afresh, so the memo holds only blocks below
-    the largest number of parts of a whole block in use."""
-    if parts == 1:
-        return np.array([[total]], dtype=np.int64)
-    rest = _stars_and_bars_memo if heads is None else stars_and_bars
-    heads = range(total, -1, -1) if heads is None else heads
-    tails = [rest(total - head, parts - 1) for head in heads]
-    return np.column_stack([np.repeat(np.array(heads, dtype=np.int64), [len(t) for t in tails]),
-                            np.concatenate(tails)])
+def stars_and_bars(total: int, parts: int) -> np.ndarray:
+    """The nonnegative integer rows of length ``parts`` with the given sum,
+    lexicographically descending: the blocks of ``composition_blocks`` joined."""
+    return np.concatenate(list(composition_blocks(total, parts)))
+
+
+def composition_blocks(total: int, parts: int) -> Iterator[np.ndarray]:
+    """``stars_and_bars(total, parts)`` in order, in blocks of exactly
+    _BLOCK_ROWS rows but the last: heads are fixed until the rest fits one
+    block, and its memoised rows follow them, cut where a block fills."""
+    buf, n = np.empty((_BLOCK_ROWS, parts), dtype=np.int64), 0
+    for heads, rest in _pieces(total, parts, ()):
+        while len(rest):
+            if n == _BLOCK_ROWS:
+                yield buf
+                buf, n = np.empty_like(buf), 0
+            take = min(len(rest), _BLOCK_ROWS - n)
+            buf[n:n + take, :len(heads)] = heads
+            buf[n:n + take, len(heads):] = rest[:take]
+            rest, n = rest[take:], n + take
+    yield buf[:n]
+
+
+def _pieces(total: int, parts: int, heads: tuple) -> Iterator[tuple[tuple, np.ndarray]]:
+    if comb(total + parts - 1, parts - 1) <= _BLOCK_ROWS:
+        yield heads, _whole(total, parts)
+    else:
+        for head in range(total, -1, -1):
+            yield from _pieces(total - head, parts - 1, heads + (head,))
 
 
 @lru_cache(maxsize=None)
-def _stars_and_bars_memo(total: int, parts: int) -> np.ndarray:
-    block = stars_and_bars(total, parts)
-    block.flags.writeable = False
-    return block
+def _whole(total: int, parts: int) -> np.ndarray:
+    """``stars_and_bars(total, parts)`` built whole, only for a block that fits one."""
+    if parts == 1:
+        return np.array([[total]], dtype=np.int64)
+    tails = [_whole(total - head, parts - 1) for head in range(total, -1, -1)]
+    return np.column_stack([np.repeat(np.arange(total, -1, -1), [len(t) for t in tails]),
+                            np.concatenate(tails)])
 
 
-def head_groups(total: int, parts: int, rows: int) -> Iterator[range]:
-    """Descending ranges of heads that cut ``stars_and_bars(total, parts)``,
-    parts >= 2, into consecutive blocks of at most ``rows`` rows, or of a
-    single head that alone has more."""
-    start, size = total, 0
-    for head in range(total, -1, -1):
-        n = comb(total - head + parts - 2, parts - 2)
-        if size and size + n > rows:
-            yield range(start, head, -1)
-            start, size = head, 0
-        size += n
-    yield range(start, -1, -1)
-
-
-def kr_decompose(a: int, m: int, dynkin: DynkinData,
-                 heads: range | None = None) -> KRDecomposition:
+def kr_decompose(a: int, m: int, dynkin: DynkinData) -> KRDecomposition:
     """Irreducible decomposition of the (a, m) character.
 
     For family A and for the two fork tips of family D the character is
@@ -98,8 +100,7 @@ def kr_decompose(a: int, m: int, dynkin: DynkinData,
     + ... down the alternating chain (ending at omega_1 for odd a, with a
     slack variable in place of the vanishing omega_0 for even a), the
     coefficients summing to m, lexicographically descending in
-    (k_a, k_{a-2}, ...).  ``heads``, a descending range, keeps only the
-    tail summands whose leading coefficient k_a lies in it.
+    (k_a, k_{a-2}, ...).
     """
     r = dynkin.rank
     if not 1 <= a <= r:
@@ -110,7 +111,7 @@ def kr_decompose(a: int, m: int, dynkin: DynkinData,
         terms = np.zeros((1, r), dtype=np.int64)
         terms[0, a - 1] = m
         return KRDecomposition(a, m, terms)
-    return KRDecomposition(a, m, _chain_weights(a, stars_and_bars(m, a // 2 + 1, heads), r))
+    return KRDecomposition(a, m, _chain_weights(a, stars_and_bars(m, a // 2 + 1), r))
 
 
 def _chain_weights(a: int, comps: np.ndarray, rank: int) -> np.ndarray:
@@ -147,14 +148,15 @@ def node_summands(a: int, ms: Iterable[int], level: int,
         pieces = ((ms[i:i + _BLOCK_ROWS], [(m, 1) for m in ms[i:i + _BLOCK_ROWS, 0].tolist()])
                   for i in range(0, len(ms), _BLOCK_ROWS))
     else:
-        def tail_pieces():  # a cell's runs of whole leading coefficients k_a, or cuts of one
+        def tail_pieces():
             for m in ms:
-                whole = kr_term_count(a, m, dynkin) <= _BLOCK_ROWS
-                for heads in [None] if whole else head_groups(m, a // 2 + 1, _BLOCK_ROWS):
-                    terms = kr_decompose(a, m, dynkin, heads).terms
-                    for i in range(0, len(terms), _BLOCK_ROWS):
-                        yield terms[i:i + _BLOCK_ROWS], [(m, len(terms[i:i + _BLOCK_ROWS]))]
-                    del terms
+                # kr_decompose for a cell that fits one block: perfbench's table.summands counts it
+                blocks = ([kr_decompose(a, m, dynkin).terms]
+                          if kr_term_count(a, m, dynkin) <= _BLOCK_ROWS else
+                          (_chain_weights(a, comps, dynkin.rank)
+                           for comps in composition_blocks(m, a // 2 + 1)))
+                for terms in blocks:
+                    yield terms, [(m, len(terms))]
         cols, pieces = slice(1, None), tail_pieces()
     buf, runs, n = np.zeros((_BLOCK_ROWS, dynkin.rank + 1), dtype=np.int64), [], 0
     for rows, piece_runs in pieces:
@@ -165,7 +167,6 @@ def node_summands(a: int, ms: Iterable[int], level: int,
         buf[n:n + len(rows), cols] = rows
         runs += piece_runs
         n += len(rows)
-        del rows  # a run is freed before the next one is built
     buf[:n, 0] = level - buf[:n, 1:] @ dynkin.marks[1:]
     yield buf[:n].copy(), runs
 
@@ -195,11 +196,11 @@ def _survivors(level: int, dynkin: DynkinData, m_max: int,
     The tail cells of D below t are slices of one chain: the weights
     k_t omega_t + k_(t-2) omega_(t-2) + ... with coefficient sum
     s <= m_max.  Cell (a, m) holds those that vanish above a, with s <= m
-    for even a and s = m for odd a.  The chain is enumerated by runs of
-    leading coefficients k_t and reduced in blocks of at most _BLOCK_ROWS
-    rows, each weight once; its sign goes into a dense (representative,
-    highest nonzero position, s) array, whose prefix sums over the
-    position (and over s for even t) hold every cell as one column.  The
+    for even a and s = m for odd a.  The chain is enumerated and reduced
+    in the blocks of ``composition_blocks``, each weight once; its sign
+    goes into a dense (representative, highest nonzero position, s)
+    array, whose prefix sums over the position (and over s for even t)
+    hold every cell as one column.  The
     tops r - 2 and r - 3 cover the whole tail.  Fork tips and family A
     have one summand per cell, reduced together in one block.
     """
@@ -215,17 +216,14 @@ def _survivors(level: int, dynkin: DynkinData, m_max: int,
     for top in tops:
         p = (top + 1) // 2  # chain nodes top, top - 2, ..., 2 or 1
         reps, index, signs = [], [], []
-        for heads in head_groups(m_max, p + 1, _BLOCK_ROWS):
-            block = stars_and_bars(m_max, p + 1, heads)  # the last part is the slack
-            for comps in np.split(block, range(_BLOCK_ROWS, len(block), _BLOCK_ROWS)):
-                res = reduce_to_alcove(affinize(_chain_weights(top, comps, r), level, dynkin),
-                                       dynkin)
-                live = res.sign != 0
-                nonzero = comps[live, :p] != 0
-                position = np.where(nonzero.any(1), nonzero.argmax(1), p - 1)
-                reps.append(res.rep[live])
-                index.append(position * sums + m_max - comps[live, p])
-                signs.append(res.sign[live])
+        for comps in composition_blocks(m_max, p + 1):  # the last part is the slack
+            res = reduce_to_alcove(affinize(_chain_weights(top, comps, r), level, dynkin), dynkin)
+            live = res.sign != 0
+            nonzero = comps[live, :p] != 0
+            position = np.where(nonzero.any(1), nonzero.argmax(1), p - 1)
+            reps.append(res.rep[live])
+            index.append(position * sums + m_max - comps[live, p])
+            signs.append(res.sign[live])
         uniq, rank = _rank_rows(np.concatenate(reps), radices)
         dense = np.bincount(rank * (p * sums) + np.concatenate(index),
                             weights=np.concatenate(signs), minlength=len(uniq) * p * sums)
@@ -308,6 +306,8 @@ def build_qtable(dynkin: DynkinData, level: int, m_max: int | None = None) -> QT
         raise ValueError(f"level must be >= 1, got {level}")
     if m_max is None:
         m_max = level + dynkin.coxeter
+    if m_max < 0:
+        raise ValueError(f"m_max must be >= 0, got {m_max}")
 
     keys = [(a, m) for a in range(1, dynkin.rank + 1) for m in range(m_max + 1)]
     tops = (dynkin.rank - 2, dynkin.rank - 3) if dynkin.family == "D" else ()

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+import qsystem.table
 from qsystem import __version__
 from qsystem.affine import AffineWeight
 from qsystem.cli import main
@@ -128,6 +129,23 @@ def test_verify_bad_grid_spec(runner):
     result = runner.invoke(main, ["verify", "-f", "D", "-r", "4", "-k", "1",
                                   "--grid", "r=4..5", "q=1..2"])
     assert result.exit_code == 2
+
+
+def test_verify_grid_checks_caps_before_building(runner, monkeypatch):
+    # D11k12 and D12k12 are within the caps, D13k12 is not: nothing is built
+    builds = []
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return build(*args, **kwargs)
+
+    build = qsystem.table.build_qtable
+    monkeypatch.setattr(qsystem.table, "build_qtable", counted)
+    result = runner.invoke(main, ["verify", "-f", "D", "-r", "4", "-k", "1",
+                                  "--grid", "r=11..13", "k=12..12"])
+    assert result.exit_code == 2
+    assert len([line for line in result.output.splitlines() if line.startswith("error:")]) == 1
+    assert builds == []
 
 
 def test_reduce_dominant(runner):

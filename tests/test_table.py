@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import replace
 from math import comb
 
@@ -18,12 +19,12 @@ from qsystem.io import (_row_tokens, qtable_from_json, qtable_to_csv, qtable_to_
 from qsystem.qdim import QDimValue, precision_bits
 from qsystem.recurrence import terms
 from qsystem.table import (QTable, _rank_rows, _survivors, build_qtable, cell_summands,
-                           forced_tail_report, head_groups, kr_decompose, kr_term_count,
+                           composition_blocks, forced_tail_report, kr_decompose, kr_term_count,
                            midpoint_checks, node_summands, stars_and_bars, verify_kns,
                            verify_qsystem)
 
-from oracles import (kr_terms_recursive, provenance_rows_template, qdim_affine, qtable_to_dict,
-                     survivors_chunked)
+from oracles import (compositions, kr_terms_recursive, provenance_rows_template, qdim_affine,
+                     qtable_to_dict, survivors_chunked)
 
 
 @pytest.fixture(scope="module")
@@ -206,6 +207,12 @@ def test_qsystem_without_equations(m_max):
     report = verify_qsystem(build_qtable(d4, 2, m_max=m_max), d4)
     assert report.max_residual == 0 and report.worst is None
     assert report.passed and report.residuals == {}
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("D", 5)])
+def test_negative_m_max_is_rejected(family, rank):
+    with pytest.raises(ValueError, match="m_max"):
+        build_qtable(build_dynkin(family, rank), 4, m_max=-1)
 
 
 def test_kns_passes_d5(d5_table):
@@ -520,11 +527,30 @@ def test_rank_rows_matches_unique(radices, seed, n):
     assert np.array_equal(uniq, want) and np.array_equal(inverse, want_inverse.ravel())
 
 
-@pytest.mark.parametrize("total,parts,rows", [(9, 2, 3), (9, 4, 7), (12, 5, 40), (0, 3, 1)])
-def test_head_groups_cut_stars_and_bars(total, parts, rows):
-    blocks = [stars_and_bars(total, parts, heads) for heads in head_groups(total, parts, rows)]
-    assert np.array_equal(np.concatenate(blocks), stars_and_bars(total, parts))
-    assert all(len(b) <= rows or len(set(b[:, 0].tolist())) == 1 for b in blocks)
+@settings(max_examples=60, deadline=None)
+@given(total=st.integers(0, 12), parts=st.integers(1, 6))
+def test_composition_blocks_match_oracle(total, parts):
+    want = [list(c) for c in compositions(total, parts)]
+    assert stars_and_bars(total, parts).tolist() == want
+    for rows in (1, 7, 2**11):  # one row per block; pieces cut across blocks; the real bound
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(qsystem.table, "_BLOCK_ROWS", rows)
+            blocks = list(composition_blocks(total, parts))
+        assert all(len(b) == rows for b in blocks[:-1]) and 0 < len(blocks[-1]) <= rows
+        assert np.concatenate(blocks).tolist() == want, rows
+
+
+def test_composition_blocks_stream():
+    # 324,632 rows of 6 int64 parts are 15.6 MB whole; only blocks that fit are memoised
+    qsystem.table._whole.cache_clear()
+    tracemalloc.start()
+    try:
+        rows = sum(len(b) for b in composition_blocks(30, 6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows == comb(35, 5)
+    assert peak < 4 * 2**20
 
 
 # --- serialization ---------------------------------------------------------------
