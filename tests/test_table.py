@@ -527,6 +527,16 @@ def test_rank_rows_matches_unique(radices, seed, n):
     assert np.array_equal(uniq, want) and np.array_equal(inverse, want_inverse.ravel())
 
 
+@pytest.mark.parametrize("total,parts,rows", [(9, 2, 3), (9, 4, 7), (12, 5, 40), (0, 3, 1)])
+def test_head_groups_cut_stars_and_bars(total, parts, rows):
+    # the blocks of at most `rows` rows that the chain is cut into join to the whole chain
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qsystem.table, "_BLOCK_ROWS", rows)
+        blocks = list(composition_blocks(total, parts))
+    assert np.concatenate(blocks).tolist() == [list(c) for c in compositions(total, parts)]
+    assert all(len(b) == rows for b in blocks[:-1]) and 0 < len(blocks[-1]) <= rows
+
+
 @settings(max_examples=60, deadline=None)
 @given(total=st.integers(0, 12), parts=st.integers(1, 6))
 def test_composition_blocks_match_oracle(total, parts):
