@@ -8,15 +8,16 @@ first carried to their dominant alcove representatives with signs; equal
 representatives cancel in integer arithmetic, so a cell whose summands
 cancel completely is certified zero exactly, and a cell collapsing to
 representatives with certified values gets an exact integer tag.  The
-tail cells of D are slices of two chains of weights, so each distinct
-summand is reduced once, in the int64 blocks of ``composition_blocks``,
-and every cell is read off prefix sums of the signed representatives.
+tail cells of D are slices of two chains of weights; ``live_blocks`` drops
+those on a wall before reduction, the rest are reduced once each, and every
+cell is read off prefix sums of the signed representatives.
 A table stores only its cell values: the summands of a cell and the
 survivors of their cancellation are derived again on demand.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -57,11 +58,16 @@ def stars_and_bars(total: int, parts: int) -> np.ndarray:
 
 
 def composition_blocks(total: int, parts: int) -> Iterator[np.ndarray]:
-    """``stars_and_bars(total, parts)`` in order, in blocks of exactly
-    _BLOCK_ROWS rows but the last: heads are fixed until the rest fits one
-    block, and its memoised rows follow them, cut where a block fills."""
+    """``stars_and_bars(total, parts)`` in order, walls included, in blocks of
+    exactly _BLOCK_ROWS rows but the last: heads are fixed until the rest
+    fits one block, and its memoised rows follow them, cut where a block fills."""
+    return _blocks(_pieces(total, parts, ()), parts)
+
+
+def _blocks(pieces: Iterable[tuple[tuple, np.ndarray]], parts: int) -> Iterator[np.ndarray]:
+    """Each piece's rest rows after its heads, in blocks of exactly _BLOCK_ROWS but the last."""
     buf, n = np.empty((_BLOCK_ROWS, parts), dtype=np.int64), 0
-    for heads, rest in _pieces(total, parts, ()):
+    for heads, rest in pieces:
         while len(rest):
             if n == _BLOCK_ROWS:
                 yield buf
@@ -171,6 +177,47 @@ def node_summands(a: int, ms: Iterable[int], level: int,
     yield buf[:n].copy(), runs
 
 
+def live_blocks(top: int, m_max: int, level: int, dynkin: DynkinData) -> Iterator[np.ndarray]:
+    """The rows of ``composition_blocks(m_max, p + 1)``, p = (top + 1) // 2, whose
+    chain weight (see ``_survivors``) is off every wall, in the same order and
+    blocks.  At shifted level N, lambda + rho has epsilon coordinates mu_i =
+    sum_(j >= i) k_j + r - i, off every wall iff min(mu_i mod N, N - mu_i mod N)
+    are distinct.  Those above the top are fixed and each head fixes two more
+    (one for omega_1): a clash drops a prefix's subtree.  Heads are added by
+    ``np.repeat``, depth-first in runs starting within one block, each prefix
+    with a boolean table of used residues, exact for every N."""
+    r, shifted, p = dynkin.rank, level + dynkin.coxeter, (top + 1) // 2
+    visits = live = 0
+
+    def walk(comps, used, rem):  # one run of prefixes: every next head, clashes dropped
+        nonlocal visits, live
+        depth, parent = comps.shape[1], np.repeat(np.arange(len(rem)), rem + 1)
+        rest = np.arange(len(parent)) - (np.cumsum(rem + 1) - rem - 1)[parent]  # left by a head
+        new = fold[(m_max + r - top + 2 * depth - rest)[:, None]  # the mu_i this head fixes
+                   + np.arange(min(2, top - 2 * depth))]
+        keep = (~used.reshape(-1)[parent[:, None] * used.shape[1] + new].any(1)
+                & (new[:, :1] != new[:, 1:]).all(1))
+        visits += len(keep)
+        parent, rest, new = parent[keep], rest[keep], new[keep]
+        comps, rem = np.column_stack([comps[parent], rem[parent] - rest]), rest
+        if depth + 1 == p:
+            live += len(rem)
+            yield (), np.column_stack([comps, rem])
+            return
+        used = used[parent] | (new[:, :, None] == np.arange(used.shape[1])).any(1)
+        cuts = np.flatnonzero(np.diff((np.cumsum(rem + 1) - rem - 1) // _BLOCK_ROWS)) + 1
+        for a, b in zip([0, *cuts], [*cuts, len(rem)]):
+            yield from walk(comps[a:b], used[a:b], rem[a:b])
+
+    fold = np.minimum(np.arange(m_max + r) % shifted, -np.arange(m_max + r) % shifted)
+    used = np.arange(fold.max() + 1)[None] < r - top  # r - i above the top, below N / 2
+    yield from _blocks(walk(np.empty((1, 0), dtype=np.int64), used, np.array([m_max])), p + 1)
+    log = sys.modules.get("logging")  # not loaded, it has no handler to take the record
+    if log and log.getLogger(__name__).isEnabledFor(log.DEBUG):
+        log.getLogger(__name__).debug("chain %d: %d weights, %d prefixes visited, %d live",
+                                      top, comb(m_max + p, p), visits, live)
+
+
 def _rank_rows(rows: np.ndarray, radices: list[int]) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows in lexicographic order and the index of each row
     among them.  Column i holds values in 0..radices[i] - 1; the columns
@@ -196,13 +243,12 @@ def _survivors(level: int, dynkin: DynkinData, m_max: int,
     The tail cells of D below t are slices of one chain: the weights
     k_t omega_t + k_(t-2) omega_(t-2) + ... with coefficient sum
     s <= m_max.  Cell (a, m) holds those that vanish above a, with s <= m
-    for even a and s = m for odd a.  The chain is enumerated and reduced
-    in the blocks of ``composition_blocks``, each weight once; its sign
-    goes into a dense (representative, highest nonzero position, s)
-    array, whose prefix sums over the position (and over s for even t)
-    hold every cell as one column.  The
-    tops r - 2 and r - 3 cover the whole tail.  Fork tips and family A
-    have one summand per cell, reduced together in one block.
+    for even a and s = m for odd a.  The weights off every wall come in the
+    blocks of ``live_blocks`` and are reduced, each once; a sign goes into a
+    dense (representative, highest nonzero position, s) array, whose prefix
+    sums over the position (and over s for even t) hold every cell as one
+    column.  The tops r - 2 and r - 3 cover the whole tail.  Fork tips and
+    family A have one summand per cell, reduced together in one block.
     """
     r, sums = dynkin.rank, m_max + 1
     singles = [(a, m) for a in range(1, r + 1) for m in range(sums)
@@ -216,14 +262,13 @@ def _survivors(level: int, dynkin: DynkinData, m_max: int,
     for top in tops:
         p = (top + 1) // 2  # chain nodes top, top - 2, ..., 2 or 1
         reps, index, signs = [], [], []
-        for comps in composition_blocks(m_max, p + 1):  # the last part is the slack
+        for comps in live_blocks(top, m_max, level, dynkin):  # the last part is the slack
             res = reduce_to_alcove(affinize(_chain_weights(top, comps, r), level, dynkin), dynkin)
-            live = res.sign != 0
-            nonzero = comps[live, :p] != 0
+            nonzero = comps[:, :p] != 0
             position = np.where(nonzero.any(1), nonzero.argmax(1), p - 1)
-            reps.append(res.rep[live])
-            index.append(position * sums + m_max - comps[live, p])
-            signs.append(res.sign[live])
+            reps.append(res.rep)
+            index.append(position * sums + m_max - comps[:, p])
+            signs.append(res.sign)
         uniq, rank = _rank_rows(np.concatenate(reps), radices)
         dense = np.bincount(rank * (p * sums) + np.concatenate(index),
                             weights=np.concatenate(signs), minlength=len(uniq) * p * sums)

@@ -1,4 +1,5 @@
 import json
+import logging
 import tracemalloc
 from dataclasses import replace
 from math import comb
@@ -12,16 +13,16 @@ from hypothesis.extra import numpy as hnp
 import qsystem.io
 import qsystem.table
 
-from qsystem.affine import affinize
+from qsystem.affine import affinize, reduce_to_alcove
 from qsystem.dynkin import build_dynkin
 from qsystem.io import (_row_tokens, qtable_from_json, qtable_to_csv, qtable_to_json,
                         qtable_to_text)
 from qsystem.qdim import QDimValue, precision_bits
 from qsystem.recurrence import terms
-from qsystem.table import (QTable, _rank_rows, _survivors, build_qtable, cell_summands,
-                           composition_blocks, forced_tail_report, kr_decompose, kr_term_count,
-                           midpoint_checks, node_summands, stars_and_bars, verify_kns,
-                           verify_qsystem)
+from qsystem.table import (QTable, _chain_weights, _rank_rows, _survivors, build_qtable,
+                           cell_summands, composition_blocks, forced_tail_report, kr_decompose,
+                           kr_term_count, live_blocks, midpoint_checks, node_summands,
+                           stars_and_bars, verify_kns, verify_qsystem)
 
 from oracles import (compositions, kr_terms_recursive, provenance_rows_template, qdim_affine,
                      qtable_to_dict, survivors_chunked)
@@ -561,6 +562,62 @@ def test_composition_blocks_stream():
         tracemalloc.stop()
     assert rows == comb(35, 5)
     assert peak < 4 * 2**20
+
+
+def _chain_signs(top, m_max, k, d):
+    """Every weight of the chain at ``top`` and its sign from the reducer."""
+    rows = stars_and_bars(m_max, (top + 1) // 2 + 1)
+    return rows, reduce_to_alcove(affinize(_chain_weights(top, rows, d.rank), k, d), d).sign
+
+
+@settings(max_examples=60, deadline=None)
+@given(rank=st.integers(4, 10), k=st.integers(1, 10), data=st.data())
+def test_live_blocks_match_reducer(rank, k, data):
+    # the sieve drops exactly the weights the reducer puts on a wall, and keeps the rest in order
+    d = build_dynkin("D", rank)
+    m_max = data.draw(st.integers(0, k + d.coxeter + 3), label="m_max")
+    for top in (rank - 2, rank - 3):
+        rows, sign = _chain_signs(top, m_max, k, d)
+        for bound in (1, 7, 2**11):  # a block per live row; runs cut across blocks; the real bound
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(qsystem.table, "_BLOCK_ROWS", bound)
+                blocks = list(live_blocks(top, m_max, k, d))
+            assert all(len(b) == bound for b in blocks[:-1]) and len(blocks[-1]) <= bound
+            kept = np.concatenate(blocks)
+            assert np.array_equal(kept, rows[sign != 0]), (top, m_max, bound)
+
+
+@pytest.mark.parametrize("rank,k", [(5, 125), (6, 130)])
+def test_live_blocks_past_64_residues(rank, k):
+    # N = k + h = 133 and 140: the folded residues run past 63, beyond one int64 bitmask
+    d = build_dynkin("D", rank)
+    for top in (rank - 2, rank - 3):
+        rows, sign = _chain_signs(top, k + d.coxeter, k, d)
+        kept = np.concatenate(list(live_blocks(top, k + d.coxeter, k, d)))
+        assert np.array_equal(kept, rows[sign != 0]), top
+        if (rank, top) == (5, 3):
+            assert len(kept) == 8_439  # residues up to 66: bits an int64 mask would lose
+
+
+def test_live_blocks_stream():
+    # the D13k13 top chain: 6,096,454 weights, 290,547 live rows of 7 int64 parts (15.5 MiB whole)
+    tracemalloc.start()
+    try:
+        rows = sum(len(b) for b in live_blocks(11, 37, 13, build_dynkin("D", 13)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows == 290_547
+    assert peak < 4 * 2**20
+
+
+def test_live_blocks_log_each_chain(caplog):
+    with caplog.at_level(logging.DEBUG, logger="qsystem.table"):
+        build_qtable(build_dynkin("D", 9), 8)
+    records = [r.args for r in caplog.records if r.name == "qsystem.table"]
+    assert [(top, weights) for top, weights, _, _ in records] == [(7, 20_475), (6, 2_925)]
+    assert sum(live for *_, live in records) == 3_703
+    assert all(visits >= live for *_, visits, live in records)
 
 
 # --- serialization ---------------------------------------------------------------
