@@ -34,15 +34,15 @@ def precision_bits() -> int:
 
 _HOMES = {
     "affine": ("AffineWeight", "ReductionResult", "affinize", "level_of", "reduce_to_alcove"),
+    "checks": ("PropertyCheck", "PropertyReport"),
     "dynkin": ("DynkinData", "RankMismatch", "Root", "UnsupportedType", "build_dynkin",
                "positive_roots"),
     "qdim": ("QDimValue", "qdim_affine"),
     "solver": ("DilogReport", "DomainError", "InvalidLevel", "NoConvergence",
                "RestrictedSolution", "XOutOfRange", "check_positive_solution_properties",
                "dilog_identity", "rogers_L", "solve_restricted", "uniqueness_probe"),
-    "table": ("KRDecomposition", "PropertyCheck", "PropertyReport", "QTable", "build_qtable",
-              "forced_tail_report", "kr_decompose", "kr_term_count", "midpoint_checks",
-              "verify_kns", "verify_qsystem"),
+    "table": ("KRDecomposition", "QTable", "build_qtable", "forced_tail_report", "kr_decompose",
+              "kr_term_count", "midpoint_checks", "verify_kns", "verify_qsystem"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 

@@ -288,7 +288,8 @@ def solve(family, rank, level, tol, fmt, out, max_rank, max_level,
     failed = False
     deviation = None
     if against_table:
-        from .table import build_qtable, scale
+        from .checks import scale
+        from .table import build_qtable
         table = build_qtable(dynkin, level, m_max=level)
         pairs = [(x, table.value(a, m)) for (a, m), x in sol.values.items()]
         deviation = max(float(abs(x - y) / scale(x, y)) for x, y in pairs)

@@ -3,6 +3,9 @@
 JSON numerics are written as decimal strings with enough digits to
 reconstruct the working-precision value exactly, so serialize/parse is
 lossless and exact tags survive the round trip.
+
+``table`` and ``qdim`` are imported only in the bodies of the functions
+that use them at run time, so serializing a solution loads neither.
 """
 
 from __future__ import annotations
@@ -18,11 +21,11 @@ import numpy as np
 
 from . import precision_bits
 from .dynkin import build_dynkin
-from .qdim import QDimValue
-from .table import QTable, node_summands
 
 if TYPE_CHECKING:
+    from .qdim import QDimValue
     from .solver import DilogReport, RestrictedSolution
+    from .table import QTable
 
 
 def _mpf_str(x: mpmath.mpf) -> str:
@@ -61,6 +64,7 @@ def qtable_json_chunks(table: QTable) -> Iterator[str]:
     summands), a node's in the packed blocks of ``node_summands``, each
     formatted at once and joined per cell.  The pieces join to the bytes
     that ``json.dumps`` with ``indent=1`` writes for the same data."""
+    from .table import node_summands
     dynkin = build_dynkin(table.family, table.rank)
     texts = {key: json.dumps(text) for key, text in _numeric_texts(table).items()}
     yield (f'{{\n "family": {json.dumps(table.family)},\n "rank": {table.rank},\n'
@@ -88,6 +92,8 @@ def qtable_to_json(table: QTable) -> str:
 
 def qtable_from_dict(data: dict) -> QTable:
     """The table of JSON data; each distinct numeric string is parsed once."""
+    from .qdim import QDimValue
+    from .table import QTable
     with mpmath.workprec(precision_bits()):
         parsed = {text: mpmath.mpf(text) for text in {e["numeric"] for e in data["cells"]}}
     cells = {(int(e["a"]), int(e["m"])): QDimValue(

@@ -42,9 +42,9 @@ from mpmath.libmp import (fone, from_int, from_man_exp, mpf_cmp, mpf_div, mpf_lo
                           mpf_pi, mpf_pow_int, mpf_sub, round_nearest, to_fixed)
 
 from . import precision_bits
+from .checks import PropertyReport, positive_checks
 from .dynkin import DynkinData
 from .recurrence import terms
-from .table import PropertyReport, positive_checks
 
 _log = logging.getLogger(__name__)
 

@@ -1,7 +1,7 @@
 """Character decompositions of Kirillov-Reshetikhin type, assembly of the
 quantum-dimension table z^(a)_m, and the verification suites for the
-recurrence and for the KNS property list, whose positivity, symmetry and
-growth checks the restricted solution shares.
+recurrence and for the KNS property list, whose shared clauses come from
+``checks``.
 
 Each table cell is a finite sum of quantum dimensions.  Summands are
 first carried to their dominant alcove representatives with signs; equal
@@ -11,8 +11,8 @@ representatives with certified values gets an exact integer tag.  The
 tail cells of D are slices of two chains of weights; ``live_blocks`` drops
 those on a wall before reduction, the rest are reduced once each, and every
 cell is read off prefix sums of the signed representatives.
-A table stores only its cell values: the summands of a cell and the
-survivors of their cancellation are derived again on demand.
+A table stores only its cell values; ``node_summands`` streams the
+unreduced summands of a node's cells for the JSON provenance.
 """
 
 from __future__ import annotations
@@ -21,14 +21,16 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import mpmath
 import numpy as np
 
 from . import precision_bits
-from .affine import AffineWeight, affinize, reduce_to_alcove
-from .dynkin import DynkinData, build_dynkin
+from .affine import affinize, reduce_to_alcove
+from .checks import (PropertyCheck, PropertyReport, mirror_failures, positive_checks,
+                     scale)
+from .dynkin import DynkinData
 from .qdim import QDimValue, qdim_affine
 from .recurrence import terms
 
@@ -135,12 +137,6 @@ def kr_term_count(a: int, m: int, dynkin: DynkinData) -> int:
     if dynkin.family == "A" or a >= dynkin.rank - 1:
         return 1
     return comb(m + a // 2, a // 2)
-
-
-def cell_summands(a: int, m: int, level: int, dynkin: DynkinData) -> Iterator[np.ndarray]:
-    """The unreduced affinized summands of cell (a, m) in order: the blocks
-    of ``node_summands`` on that cell alone."""
-    return (block for block, _ in node_summands(a, [m], level, dynkin))
 
 
 def node_summands(a: int, ms: Iterable[int], level: int,
@@ -287,9 +283,8 @@ def _survivors(level: int, dynkin: DynkinData, m_max: int,
 
 @dataclass(frozen=True)
 class QTable:
-    """The array z^(a)_m for a in 1..rank and 0 <= m <= m_max.  Only the
-    values are stored: ``summands`` and ``survivors`` derive a cell's
-    unreduced affinized summands and its signed survivors on demand."""
+    """The array z^(a)_m for a in 1..rank and 0 <= m <= m_max: only the
+    cell values."""
 
     family: str
     rank: int
@@ -303,25 +298,6 @@ class QTable:
 
     def value(self, a: int, m: int) -> mpmath.mpf:
         return self.cells[(a, m)].numeric
-
-    def summands(self, a: int, m: int) -> tuple[AffineWeight, ...]:
-        blocks = cell_summands(a, m, self.level, build_dynkin(self.family, self.rank))
-        return tuple(AffineWeight(self.level, tuple(row))
-                     for block in blocks for row in block.tolist())
-
-    def survivors(self, a: int, m: int) -> tuple[tuple[AffineWeight, int], ...]:
-        dynkin = build_dynkin(self.family, self.rank)
-        reps, signs = [], []
-        for block in cell_summands(a, m, self.level, dynkin):
-            res = reduce_to_alcove(block, dynkin)
-            live = res.sign != 0
-            reps.append(res.rep[live])
-            signs.append(res.sign[live])
-        radices = [self.level // mark + 1 for mark in dynkin.marks]
-        uniq, rank = _rank_rows(np.concatenate(reps), radices)
-        mult = np.bincount(rank, weights=np.concatenate(signs), minlength=len(uniq))
-        return tuple((AffineWeight(self.level, tuple(rep)), c)
-                     for rep, c in zip(uniq.tolist(), mult.astype(np.int64).tolist()) if c)
 
 
 def _combine(parts: list[tuple[int, QDimValue]]) -> QDimValue:
@@ -370,79 +346,6 @@ def build_qtable(dynkin: DynkinData, level: int, m_max: int | None = None) -> QT
 
 # ---------------------------------------------------------------------------
 # verification suites
-
-
-@dataclass(frozen=True)
-class PropertyCheck:
-    """One named clause: its failures, or inapplicable on this input."""
-
-    name: str
-    failures: tuple[str, ...] = ()
-    applicable: bool = True
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-
-@dataclass(frozen=True)
-class PropertyReport:
-    """The checks of one suite; it passes when each of them does."""
-
-    checks: tuple[PropertyCheck, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    @property
-    def failures(self) -> tuple[str, ...]:
-        return tuple(f for c in self.checks for f in c.failures)
-
-    def check(self, name: str) -> PropertyCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-
-def scale(x, y):
-    """The size max(1, |x|, |y|) that the difference x - y is measured
-    against, so a tolerance is relative for large values and absolute
-    near zero."""
-    return max(1, abs(x), abs(y))
-
-
-def mirror_failures(value: Callable, cells: Iterable[tuple[int, int]], k: int,
-                    tol: float, letter: str = "z") -> tuple[str, ...]:
-    """Cells (a, m) whose value differs from the mirror value(a, k - m) by
-    more than ``tol`` times their scale."""
-    tol = mpmath.mpf(tol)
-    fails = []
-    for a, m in cells:
-        x, y = value(a, m), value(a, k - m)
-        delta = abs(x - y)
-        if delta > tol and delta > tol * scale(x, y):  # scale >= 1: tol alone settles most
-            fails.append(f"|{letter}({a},{m}) - {letter}({a},{k - m})| = {mpmath.nstr(delta)}")
-    return tuple(fails)
-
-
-def positive_checks(value: Callable, rank: int, k: int, tol: float,
-                    letter: str = "z") -> tuple[PropertyCheck, PropertyCheck, PropertyCheck]:
-    """Positivity on 0 <= m <= k, symmetry about k/2 (each mirror pair once,
-    m <= k/2) and strict growth up to the midpoint of ``value(a, m)``."""
-    nodes = range(1, rank + 1)
-    half = range(k // 2 + 1)
-    return (
-        PropertyCheck("positivity", tuple(
-            f"{letter}({a},{m}) = {value(a, m)}"
-            for a in nodes for m in range(k + 1) if not value(a, m) > 0)),
-        PropertyCheck("symmetry", mirror_failures(
-            value, ((a, m) for a in nodes for m in half), k, tol, letter)),
-        PropertyCheck("unimodality", tuple(
-            f"{letter}({a},{m - 1}) >= {letter}({a},{m})"
-            for a in nodes for m in half[1:] if not value(a, m - 1) < value(a, m))),
-    )
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ import numpy as np
 from mpmath.libmp import from_man_exp, to_fixed
 
 import qsystem.affine
+import qsystem.dynkin
 import qsystem.qdim
 from qsystem import solver
 from qsystem.affine import AffineWeight, ReductionResult, reduce_to_alcove
@@ -313,8 +314,11 @@ def provenance_rows_template(rows: np.ndarray) -> str:
 
 def qtable_to_dict(table: QTable) -> dict:
     """The JSON table as one dict; ``json.dumps(qtable_to_dict(t),
-    indent=1)`` is the byte layout that ``qtable_to_json`` writes."""
-    cells = []
+    indent=1)`` is the byte layout that ``qtable_to_json`` writes.  The
+    provenance of a cell is its recursive summands, each with lambda_0 =
+    level - sum of marks times lambda."""
+    dynkin = qsystem.dynkin.build_dynkin(table.family, table.rank)
+    marks, cells = dynkin.marks[1:], []
     for a in range(1, table.rank + 1):
         for m in range(table.m_max + 1):
             cell = table.cells[(a, m)]
@@ -323,7 +327,8 @@ def qtable_to_dict(table: QTable) -> dict:
                 "m": m,
                 "exact": cell.exact,
                 "numeric": _mpf_str(cell.numeric),
-                "provenance": [list(w.coords) for w in table.summands(a, m)],
+                "provenance": [[table.level - sum(x * y for x, y in zip(marks, t)), *t]
+                               for t in kr_terms_recursive(a, m, dynkin)],
             })
     return {
         "family": table.family,

@@ -16,8 +16,8 @@ from qsystem.qdim import precision_bits
 from qsystem.solver import (check_positive_solution_properties,
                             dilog_identity, solve_restricted,
                             uniqueness_probe)
-from qsystem.table import (build_qtable, forced_tail_report, kr_term_count,
-                           midpoint_checks, verify_kns, verify_qsystem)
+from qsystem.table import (_survivors, build_qtable, forced_tail_report, kr_term_count,
+                           midpoint_checks, node_summands, verify_kns, verify_qsystem)
 
 from oracles import (Weight, affinize, apply_automorphism,
                      diagram_automorphisms, dominant_weights, qdim, qdim_affine,
@@ -74,9 +74,10 @@ def test_criterion_1_d5_reference_table():
     for a in range(1, 6):
         for m in (1, 2, 3):
             ok &= float(abs(table.value(a, m) - table.value(a, 4 - m))) <= 1e-9
+    survivors = _survivors(4, d5, 4, (3, 2))
     for key, expected in D5_LEVEL4_NODES_2_3.items():
-        got = {w.coords for w, mult in table.survivors(*key) if mult == 1}
-        full = {w.coords for w, _ in table.survivors(*key)}
+        got = {rep for rep, mult in survivors[key] if mult == 1}
+        full = {rep for rep, _ in survivors[key]}
         ok &= got == expected == full
     if elapsed >= 1.0:
         ok = False
@@ -230,5 +231,9 @@ def test_decomposition_counts_on_grid(grid_tables):
     tables, _ = grid_tables
     for (r, k), table in tables.items():
         d = build_dynkin("D", r)
-        for a, m in table.cells:
-            assert len(table.summands(a, m)) == kr_term_count(a, m, d)
+        for a in range(1, r + 1):
+            rows = dict.fromkeys(range(table.m_max + 1), 0)
+            for _, runs in node_summands(a, range(table.m_max + 1), k, d):  # JSON provenance
+                for m, n in runs:
+                    rows[m] += n
+            assert rows == {m: kr_term_count(a, m, d) for m in rows}, (r, k, a)

@@ -58,9 +58,12 @@ def _imported(*args: str) -> tuple[int, set[str]]:
 
 CLI = ("-m", "qsystem.cli")
 HEAVY = {"numpy", "mpmath"}
+SOLVER = {"qsystem.solver", "qsystem.checks"}
+TABLE_LAYER = {"qsystem.table", "qsystem.affine", "qsystem.qdim"}  # solving builds no table
 STARTUP = {
     "import-package": (("-c", "import qsystem"), 0, set(), HEAVY),
     "import-cli": (("-c", "import qsystem.cli"), 0, set(), HEAVY),
+    "import-solver": (("-c", "import qsystem.solver"), 0, SOLVER, TABLE_LAYER),
     "help": ((*CLI, "--help"), 0, set(), HEAVY),
     "version": ((*CLI, "--version"), 0, set(), HEAVY),
     "usage-error": ((*CLI, "table", "-f", "D", "-r", "13", "-k", "4"), 2, set(), HEAVY),
@@ -70,6 +73,10 @@ STARTUP = {
               {"qsystem.solver"}),
     "verify": ((*CLI, "verify", "-f", "D", "-r", "5", "-k", "4"), 0, {"qsystem.table"},
                {"qsystem.solver"}),
+    "solve": ((*CLI, "solve", "-f", "A", "-r", "3", "-k", "4"), 0, SOLVER, TABLE_LAYER),
+    "dilog": ((*CLI, "dilog", "-f", "A", "-r", "3", "-k", "4"), 0, SOLVER, TABLE_LAYER),
+    "solve-against-table": ((*CLI, "solve", "-f", "A", "-r", "3", "-k", "4", "--against-table"),
+                            0, SOLVER | {"qsystem.table"}, set()),
 }
 
 

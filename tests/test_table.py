@@ -13,16 +13,16 @@ from hypothesis.extra import numpy as hnp
 import qsystem.io
 import qsystem.table
 
-from qsystem.affine import affinize, reduce_to_alcove
+from qsystem.affine import AffineWeight, affinize, reduce_to_alcove
 from qsystem.dynkin import build_dynkin
 from qsystem.io import (_row_tokens, qtable_from_json, qtable_to_csv, qtable_to_json,
                         qtable_to_text)
 from qsystem.qdim import QDimValue, precision_bits
 from qsystem.recurrence import terms
-from qsystem.table import (QTable, _chain_weights, _rank_rows, _survivors, build_qtable,
-                           cell_summands, composition_blocks, forced_tail_report, kr_decompose,
-                           kr_term_count, live_blocks, midpoint_checks, node_summands,
-                           stars_and_bars, verify_kns, verify_qsystem)
+from qsystem.table import (_chain_weights, _rank_rows, _survivors, build_qtable,
+                           composition_blocks, forced_tail_report, kr_decompose, kr_term_count,
+                           live_blocks, midpoint_checks, node_summands, stars_and_bars,
+                           verify_kns, verify_qsystem)
 
 from oracles import (compositions, kr_terms_recursive, provenance_rows_template, qdim_affine,
                      qtable_to_dict, survivors_chunked)
@@ -36,6 +36,27 @@ def d5():
 @pytest.fixture(scope="module")
 def d5_table(d5):
     return build_qtable(d5, 4)
+
+
+@pytest.fixture(scope="module")
+def d5_survivors(d5):
+    return _survivors(4, d5, 12, _tops(d5))
+
+
+def _cell_blocks(a, m, level, d):
+    """The unreduced affinized summand blocks of cell (a, m), as the JSON writer streams them."""
+    return [block for block, _ in node_summands(a, [m], level, d)]
+
+
+def _reduce_cell(blocks, d):
+    """Signed survivors of one cell's summand blocks, sorted by coordinates: every
+    block reduced, then equal representatives merged."""
+    res = [reduce_to_alcove(block, d) for block in blocks]
+    reps = np.concatenate([r.rep for r in res])
+    uniq, inverse = np.unique(reps, axis=0, return_inverse=True)
+    mult = np.bincount(inverse.ravel(), weights=np.concatenate([r.sign for r in res]),
+                       minlength=len(uniq)).astype(np.int64)
+    return [(tuple(rep), c) for rep, c in zip(uniq.tolist(), mult.tolist()) if c]
 
 
 # --- decomposition -----------------------------------------------------------
@@ -105,31 +126,30 @@ def test_decompose_bad_node(d5):
 # --- the D5 level-4 reference table ------------------------------------------
 
 def test_provenance_levels(d5, d5_table):
-    for a, m in d5_table.cells:
-        summands = d5_table.summands(a, m)
+    rows = {cell: np.concatenate(_cell_blocks(*cell, 4, d5)) for cell in d5_table.cells}
+    for (a, m), summands in rows.items():
         assert len(summands) == kr_term_count(a, m, d5)
-        for aw in summands:
-            assert sum(x * y for x, y in zip(d5.marks, aw.coords)) == 4
+        assert (summands @ d5.marks == 4).all()
     # negative zeroth coordinates occur and are kept
-    assert any(aw.coords[0] < 0
-               for a, m in d5_table.cells for aw in d5_table.summands(a, m))
+    assert any((summands[:, 0] < 0).any() for summands in rows.values())
 
 
 def test_cells_equal_provenance_sums(d5, d5_table):
     with mpmath.workprec(precision_bits()):
         tol = mpmath.mpf(10) ** -25
         for a, m in d5_table.cells:
-            direct = sum((qdim_affine(w, d5).numeric for w in d5_table.summands(a, m)),
+            direct = sum((qdim_affine(AffineWeight(4, tuple(row)), d5).numeric
+                          for block in _cell_blocks(a, m, 4, d5) for row in block.tolist()),
                          mpmath.mpf(0))
             assert abs(direct - d5_table.value(a, m)) < tol * (1 + abs(direct))
 
 
-def test_zero_window_certified(d5_table):
+def test_zero_window_certified(d5_table, d5_survivors):
     for a in range(1, 6):
         for m in range(5, 12):
             cell = d5_table.cell(a, m)
             assert cell.exact == 0 and cell.numeric == 0
-            assert d5_table.survivors(a, m) == ()
+            assert d5_survivors[(a, m)] == []
 
 
 def test_boundary_rows_are_unit(d5_table):
@@ -139,12 +159,11 @@ def test_boundary_rows_are_unit(d5_table):
         assert d5_table.cell(a, 12).exact == 1
 
 
-def test_row_twelve_equals_row_four(d5_table):
+def test_row_twelve_equals_row_four(d5_table, d5_survivors):
     for a in range(1, 6):
         assert d5_table.value(a, 12) == d5_table.value(a, 4)
     # node 1 revisits the single dominant representative 4*omega_1-hat
-    assert [(w.coords, s) for w, s in d5_table.survivors(1, 12)] == \
-        [((0, 4, 0, 0, 0, 0), 1)]
+    assert d5_survivors[(1, 12)] == [((0, 4, 0, 0, 0, 0), 1)]
 
 
 EXPECTED_REDUCED = {
@@ -161,10 +180,10 @@ EXPECTED_REDUCED = {
 }
 
 
-def test_reduced_terms_match_reference(d5_table):
+def test_reduced_terms_match_reference(d5_survivors):
     for key, expected in EXPECTED_REDUCED.items():
-        got = d5_table.survivors(*key)
-        assert {w.coords for w, _ in got} == expected, key
+        got = d5_survivors[key]
+        assert {rep for rep, _ in got} == expected, key
         assert all(mult == 1 for _, mult in got)
 
 
@@ -397,13 +416,12 @@ def test_chain_survivors_in_small_blocks(monkeypatch, family, rank, k):
 
 @pytest.mark.parametrize("rank,k", [(4, 3), (5, 4), (6, 2), (7, 5), (8, 6), (9, 8)])
 def test_cell_survivors_match_whole_table(rank, k):
-    # a cell reduces only its own summands, and agrees with its column of the chain
+    # a cell's provenance, as the JSON writer streams it, cancels to its column of the chain
     d = build_dynkin("D", rank)
     m_max = k + d.coxeter
     whole = _survivors(k, d, m_max, _tops(d))
-    table = QTable("D", rank, k, d.coxeter, m_max, cells={})
     for a, m in _cells(d, m_max):
-        assert [(w.coords, s) for w, s in table.survivors(a, m)] == whole[(a, m)], (a, m)
+        assert _reduce_cell(_cell_blocks(a, m, k, d), d) == whole[(a, m)], (a, m)
 
 
 @pytest.mark.parametrize("family,rank,a", [("D", 12, 11), ("D", 12, 12), ("A", 5, 3)])
@@ -411,7 +429,7 @@ def test_single_summand_survivors_reduce_once(monkeypatch, family, rank, a):
     # a fork tip or a node of A has one summand per cell and builds no chain
     d = build_dynkin(family, rank)
     k, m = 12, 12 + d.coxeter
-    want = _survivors(k, d, m, ())[(a, m)]
+    want = _reduce_cell(_cell_blocks(a, m, k, d), d)
     calls = []
 
     def counted(weights, dynkin):
@@ -420,9 +438,8 @@ def test_single_summand_survivors_reduce_once(monkeypatch, family, rank, a):
 
     reduce = qsystem.table.reduce_to_alcove
     monkeypatch.setattr(qsystem.table, "reduce_to_alcove", counted)
-    got = QTable(family, rank, k, d.coxeter, m, cells={}).survivors(a, m)
-    assert [(w.coords, s) for w, s in got] == want
-    assert len(calls) == 1
+    assert _survivors(k, d, m, ())[(a, m)] == want
+    assert len(calls) == 1  # every cell of one summand, all nodes, in one block
 
 
 @pytest.mark.parametrize("family,rank,k", [("D", 5, 4), ("D", 7, 3), ("A", 4, 3)])
@@ -466,14 +483,14 @@ def test_cell_summands_cut_each_cell_in_order(monkeypatch, rows, family, rank, k
     bound = qsystem.table._BLOCK_ROWS
     d = build_dynkin(family, rank)
     for a, m in _cells(d, k + d.coxeter):
-        blocks = list(cell_summands(a, m, k, d))
+        blocks = _cell_blocks(a, m, k, d)
         assert all(0 < len(b) <= bound for b in blocks), (a, m)
         want = affinize(kr_decompose(a, m, d).terms, k, d)
         assert np.array_equal(np.concatenate(blocks), want), (a, m)
     for a in range(1, d.rank + 1):  # a node's packed blocks hold its cells' pieces in order
         packed = list(node_summands(a, range(k + d.coxeter + 1), k, d))
         assert all(0 < len(b) <= bound and sum(n for _, n in runs) == len(b) for b, runs in packed)
-        pieces = [(m, b) for m in range(k + d.coxeter + 1) for b in cell_summands(a, m, k, d)]
+        pieces = [(m, b) for m in range(k + d.coxeter + 1) for b in _cell_blocks(a, m, k, d)]
         assert [run for _, runs in packed for run in runs] == [(m, len(b)) for m, b in pieces]
         assert np.array_equal(np.concatenate([b for b, _ in packed]),
                               np.concatenate([b for _, b in pieces])), a
@@ -650,7 +667,7 @@ def test_json_matches_dict_dump_past_grid(monkeypatch, family, rank, k, bits):
     table = build_qtable(d, k)
     assert qtable_to_json(table) == json.dumps(qtable_to_dict(table), indent=1)
     if family == "A":
-        assert not next(cell_summands(1, k, k, d))[:, 0].any()
+        assert not _cell_blocks(1, k, k, d)[0][:, 0].any()
 
 
 @settings(max_examples=300, deadline=None)
@@ -669,11 +686,17 @@ def test_row_pieces_match_template_oracle(data, n, width, values):
 
 @pytest.mark.parametrize("family,rank,k", [("D", 5, 4), ("D", 6, 3), ("A", 3, 3)])
 def test_parsed_table_derives_summands_and_survivors(family, rank, k):
+    # the parsed header derives each cell's summands and survivors again, and the
+    # provenance in the JSON cancels to those survivors
     built = build_qtable(build_dynkin(family, rank), k)
-    back = qtable_from_json(qtable_to_json(built))
-    for a, m in built.cells:
-        assert back.summands(a, m) == built.summands(a, m)
-        assert back.survivors(a, m) == built.survivors(a, m)
+    text = qtable_to_json(built)
+    back = qtable_from_json(text)
+    d = build_dynkin(back.family, back.rank)
+    survivors = _survivors(back.level, d, back.m_max, _tops(d))
+    for cell in json.loads(text)["cells"]:
+        a, m, provenance = cell["a"], cell["m"], np.array(cell["provenance"], dtype=np.int64)
+        assert np.array_equal(np.concatenate(_cell_blocks(a, m, back.level, d)), provenance)
+        assert _reduce_cell([provenance], d) == survivors[(a, m)], (a, m)
 
 
 def test_csv_shape(d5_table):
