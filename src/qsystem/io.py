@@ -62,7 +62,8 @@ def qtable_json_chunks(table: QTable) -> Iterator[str]:
     """The JSON table in pieces: its header, then per cell the exact tag,
     the numeric value and the provenance (the unreduced affinized
     summands), a node's in the packed blocks of ``node_summands``, each
-    formatted at once and joined per cell.  The pieces join to the bytes
+    formatted at once and joined once, the head of each cell that starts in
+    it put before its first row.  The pieces join to the bytes
     that ``json.dumps`` with ``indent=1`` writes for the same data."""
     from .table import node_summands
     dynkin = build_dynkin(table.family, table.rank)
@@ -72,17 +73,19 @@ def qtable_json_chunks(table: QTable) -> Iterator[str]:
     close, open_cell = "\n   ]\n  }", None
     for a in range(1, table.rank + 1):
         for block, runs in node_summands(a, range(table.m_max + 1), table.level, dynkin):
-            pieces, start = _row_tokens(block), 0
+            tokens = _row_tokens(block)
+            pieces, width, start = tokens.ravel().tolist(), tokens.shape[1], 0
             for m, n in runs:
-                if (a, m) != open_cell:
+                if (a, m) != open_cell:  # the cell's head, before its first row, without ",\n"
                     cell = table.cells[(a, m)]
-                    yield (f'{close + "," if open_cell else ""}\n  {{\n   "a": {a},\n   "m": {m},\n'
-                           f'   "exact": {json.dumps(cell.exact)},\n   "numeric": '
-                           f'{texts[cell.numeric._mpf_]},\n   "provenance": [\n')
-                    pieces[start, 0] = pieces[start, 0][2:]  # a cell's first row: no ",\n"
+                    exact = "null" if cell.exact is None else str(cell.exact)
+                    pieces[start] = (f'{close + "," if open_cell else ""}\n  {{\n   "a": {a},\n'
+                                     f'   "m": {m},\n   "exact": {exact},\n   "numeric": '
+                                     f'{texts[cell.numeric._mpf_]},\n   "provenance": [\n'
+                                     + pieces[start][2:])
                     open_cell = (a, m)
-                yield "".join(pieces[start:start + n].ravel().tolist())
-                start += n
+                start += n * width
+            yield "".join(pieces)
     yield close + "\n ]\n}"
 
 

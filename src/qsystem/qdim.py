@@ -20,18 +20,24 @@ precomputed sine table at the working precision selected by the
 
 ``qdim_affine`` is the one evaluator, and it takes a block of weights:
 the pairings, the zero and sign tests, the canonical counts and the
-exact test run on the whole block in int64, and only the rows left
-without an exact value take an mpf product, from powers sin(pi q / N) ** c
-each taken once per call.
+exact test run on the whole block in int64.  Only the rows left without
+an exact value take a sine product, one per distinct count row, from
+powers sin(pi q / N) ** c each taken once per call, and one division by
+the denominator; a row of sign -1 takes the exact negation.  The products
+run on mpmath's libmp tuples with the operations and roundings of the mpf
+arithmetic they replace, so every bit is that of sign * product / denominator
+taken row by row in mpf.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 import mpmath
 import numpy as np
+from mpmath.libmp import fone, mpf_div, mpf_mul, mpf_neg, mpf_pow_int, round_nearest
 
 from . import precision_bits
 from .dynkin import DynkinData, positive_roots
@@ -59,36 +65,42 @@ class QDimValue:
 
 
 @lru_cache(maxsize=None)
-def _sines(n_mod: int, bits: int) -> tuple[mpmath.mpf, ...]:
-    """sin(pi q / N) for q in 0..N-1 at ``bits`` of precision; they depend
-    on N = h + k alone, which tables of different rank share."""
+def _sines(n_mod: int, bits: int) -> tuple[tuple, ...]:
+    """sin(pi q / N) for q in 0..N-1 at ``bits`` of precision, as libmp
+    tuples; they depend on N = h + k alone, which tables of different rank
+    share."""
     with mpmath.workprec(bits):
-        return tuple(mpmath.sinpi(mpmath.mpf(q) / n_mod) for q in range(n_mod))
+        return tuple(mpmath.sinpi(mpmath.mpf(q) / n_mod)._mpf_ for q in range(n_mod))
 
 
-def _product(sines: tuple[mpmath.mpf, ...], counts: np.ndarray,
-             powers: dict[tuple[int, int], mpmath.mpf]) -> mpmath.mpf:
-    """The product of sines[q] ** counts[q] in ascending q; ``powers`` memoises each power."""
-    out = mpmath.mpf(1)
-    for key in zip(np.flatnonzero(counts).tolist(), counts[counts != 0].tolist()):
-        if key not in powers:
-            powers[key] = sines[key[0]] ** key[1]
-        out *= powers[key]
+def _products(sines: tuple[tuple, ...], counts: np.ndarray, bits: int) -> list[tuple]:
+    """Per row of ``counts``, the libmp product of sines[q] ** counts[q] in
+    ascending q from ``fone``, rounded to nearest at ``bits`` after each
+    step; each power (q, count) is taken once per call."""
+    rows, qs = np.nonzero(counts)
+    keys = list(zip(qs.tolist(), counts[rows, qs].tolist()))
+    powers = {key: mpf_pow_int(sines[key[0]], key[1], bits, round_nearest) for key in set(keys)}
+    factors, out, start = [powers[key] for key in keys], [], 0
+    for n in np.bincount(rows, minlength=len(counts)).tolist():
+        acc = fone
+        for factor in factors[start:start + n]:
+            acc = mpf_mul(acc, factor, bits, round_nearest)
+        out.append(acc)
+        start += n
     return out
 
 
 @lru_cache(maxsize=None)
 def _root_data(dynkin: DynkinData, level: int,
-               bits: int) -> tuple[np.ndarray, np.ndarray, mpmath.mpf]:
+               bits: int) -> tuple[np.ndarray, np.ndarray, tuple]:
     """The positive roots as columns, the canonical magnitude counts of
     their heights, and the sine product of those counts (the value at
-    lambda = 0)."""
+    lambda = 0) as a libmp tuple."""
     roots = positive_roots(dynkin)
     n_mod = dynkin.coxeter + level
     heights = np.array([r.height for r in roots], dtype=np.int64)
     height_counts = np.bincount(np.minimum(heights, n_mod - heights), minlength=n_mod)
-    with mpmath.workprec(bits):
-        denominator = _product(_sines(n_mod, bits), height_counts, {})
+    denominator, = _products(_sines(n_mod, bits), height_counts[None], bits)
     return np.array([r.coeffs for r in roots], dtype=np.int64).T, height_counts, denominator
 
 
@@ -96,16 +108,16 @@ def qdim_affine(reps: np.ndarray, level: int, dynkin: DynkinData) -> list[QDimVa
     """Quantum dimensions of an (n, r+1) block of affine weights at level k,
     one per row (the zeroth coordinate only fixes the level).
 
-    The zero and exact-sign tests run on the whole block in integers; only
-    the rows that are neither take a sine product, from powers memoised by
-    (q, count) for the length of the call.
+    The zero and exact-sign tests run on the whole block in integers; the
+    rows that are neither take the sine product of their count row, each
+    distinct count row once and divided by the denominator once, on libmp
+    tuples, a row of sign -1 the negation of that quotient.
     """
     if level < 1:
         raise ValueError(f"level must be >= 1, got {level}")
     bits = precision_bits()
     root_matrix, height_counts, denominator = _root_data(dynkin, level, bits)
     n_mod = dynkin.coxeter + level
-    sines = _sines(n_mod, bits)
 
     residues = ((np.asarray(reps, dtype=np.int64)[:, 1:] + 1) @ root_matrix) % (2 * n_mod)
     zero = (residues % n_mod == 0).any(1)
@@ -115,15 +127,20 @@ def qdim_affine(reps: np.ndarray, level: int, dynkin: DynkinData) -> list[QDimVa
     canon = np.minimum(magnitudes, n_mod - magnitudes) + n_mod * np.arange(len(residues))[:, None]
     counts = np.bincount(canon.ravel(), minlength=len(residues) * n_mod).reshape(-1, n_mod)
     exact = (counts == height_counts).all(1)
-    out, powers = [], {}
-    with mpmath.workprec(bits):
-        for sign, is_zero, is_exact, row in zip(signs.tolist(), zero.tolist(),
-                                                exact.tolist(), counts):
-            if is_zero:
-                out.append(QDimValue(exact=0, numeric=mpmath.mpf(0)))
-            elif is_exact:
-                out.append(QDimValue(exact=sign, numeric=mpmath.mpf(sign)))
-            else:
-                out.append(QDimValue(exact=None,
-                                     numeric=sign * _product(sines, row, powers) / denominator))
+    generic = ~zero & ~exact
+    distinct, inverse = np.unique(counts[generic], axis=0, return_inverse=True)
+    quotients = [mpf_div(p, denominator, bits, round_nearest)
+                 for p in _products(_sines(n_mod, bits), distinct, bits)]
+    numerics = iter([quotients[i] if sign > 0 else mpf_neg(quotients[i]) for i, sign
+                     in zip(inverse.reshape(-1).tolist(), signs[generic].tolist())])
+    out = [QDimValue(exact=None, numeric=mpmath.mp.make_mpf(next(numerics))) if is_generic
+           else QDimValue(exact=tag, numeric=mpmath.mpf(tag))
+           for tag, is_generic in zip(np.where(zero, 0, signs).tolist(), generic.tolist())]
+    log = sys.modules.get("logging")  # not loaded, it has no handler to take the record
+    if log and log.getLogger(__name__).isEnabledFor(log.DEBUG):
+        rows, qs = np.nonzero(distinct)
+        log.getLogger(__name__).debug(
+            "%d rows: %d zero, %d exact, %d generic, %d distinct count rows, %d powers",
+            len(counts), zero.sum(), exact.sum(), generic.sum(), len(distinct),
+            len(set(zip(qs.tolist(), distinct[rows, qs].tolist()))))
     return out

@@ -25,6 +25,7 @@ from typing import Iterable, Iterator, Mapping
 
 import mpmath
 import numpy as np
+from mpmath.libmp import fzero, mpf_add, mpf_mul_int, round_nearest
 
 from . import precision_bits
 from .affine import affinize, reduce_to_alcove
@@ -302,7 +303,8 @@ class QTable:
 
 def _combine(parts: list[tuple[int, QDimValue]]) -> QDimValue:
     """Signed integer combination of quantum dimensions with exactness
-    propagation."""
+    propagation; an inexact sum is folded in order on libmp tuples at the
+    working precision."""
     if not parts:
         return QDimValue(exact=0, numeric=mpmath.mpf(0))
     if all(p.is_exact for _, p in parts):
@@ -310,10 +312,11 @@ def _combine(parts: list[tuple[int, QDimValue]]) -> QDimValue:
         if abs(total) <= 1:
             return QDimValue(exact=total, numeric=mpmath.mpf(total))
         return QDimValue(exact=None, numeric=mpmath.mpf(total))
-    total = mpmath.mpf(0)
+    total, bits = fzero, mpmath.mp.prec
     for mult, p in parts:
-        total += mult * p.numeric
-    return QDimValue(exact=None, numeric=total)
+        total = mpf_add(total, mpf_mul_int(p.numeric._mpf_, mult, bits, round_nearest),
+                        bits, round_nearest)
+    return QDimValue(exact=None, numeric=mpmath.mp.make_mpf(total))
 
 
 def build_qtable(dynkin: DynkinData, level: int, m_max: int | None = None) -> QTable:

@@ -3,10 +3,12 @@ and the extended Cartan matrix, reflection actions, extended-diagram
 automorphisms, greedy and full-row alcove reduction, the recursive
 summand enumeration, the chunked per-cell survivor grouping, the dict
 form of the JSON table, dominant weights, the Weyl-orbit and the
-one-weight sine-product quantum dimensions, one-weight wrappers of the
-library's block functions, the one-start-at-a-time float Newton with
-its einsum Jacobians and uniqueness probe, and the Rogers dilogarithm in
-mpf arithmetic with the dilogarithm sum that evaluates it per argument."""
+one-weight sine-product quantum dimensions, the cell combination in mpf
+arithmetic, one-weight wrappers of the library's block functions, the
+one-start-at-a-time float Newton with its einsum Jacobians and
+uniqueness probe, the Rogers dilogarithm in mpf arithmetic with the
+dilogarithm sum that evaluates it per argument, and a text comparison
+that reports only the first difference."""
 
 from __future__ import annotations
 
@@ -476,6 +478,23 @@ def qdim_scalar(weight: Weight, level: int, dynkin: DynkinData) -> QDimValue:
     return QDimValue(exact=None, numeric=value)
 
 
+def combine_mpf(parts: list[tuple[int, QDimValue]]) -> QDimValue:
+    """The signed integer combination of a cell through mpf operators at the
+    working precision: the differential oracle of ``qsystem.table._combine``,
+    which must give the same tag and the same mpf."""
+    if not parts:
+        return QDimValue(exact=0, numeric=mpmath.mpf(0))
+    if all(p.is_exact for _, p in parts):
+        total = sum(mult * p.exact for mult, p in parts)
+        if abs(total) <= 1:
+            return QDimValue(exact=total, numeric=mpmath.mpf(total))
+        return QDimValue(exact=None, numeric=mpmath.mpf(total))
+    total = mpmath.mpf(0)
+    for mult, p in parts:
+        total += mult * p.numeric
+    return QDimValue(exact=None, numeric=total)
+
+
 # ---------------------------------------------------------------------------
 # The float Newton one start at a time, as the solver ran it before it took
 # a stack of starts.  The grid, the log residual and the recurrence terms
@@ -607,3 +626,19 @@ def dilog_sum_oracle(sol: solver.RestrictedSolution,
         lhs = 6 / mpmath.pi**2 * total
         delta = float(abs(lhs - mpmath.mpf(rhs.numerator) / rhs.denominator))
     return lhs, delta, rhs, x_values
+
+
+# ---------------------------------------------------------------------------
+# Exact comparison of large texts.  pytest's rewritten ``==`` diffs the
+# whole texts on failure, which takes minutes for a table's JSON.
+
+
+def assert_same_text(got: str, want: str, label: object = "") -> None:
+    """Fail unless the texts are equal, with the offset of the first
+    differing character and about 200 characters of each text around it."""
+    if got == want:
+        return
+    at = next((i for i, (x, y) in enumerate(zip(got, want)) if x != y), min(len(got), len(want)))
+    window = slice(max(at - 100, 0), at + 100)
+    raise AssertionError(f"{label} texts differ at offset {at} of {len(got)} and {len(want)}:"
+                         f"\n got: {got[window]!r}\nwant: {want[window]!r}")

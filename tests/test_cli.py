@@ -17,7 +17,7 @@ from qsystem.io import qtable_from_json, qtable_to_json
 from qsystem.table import build_qtable
 from qsystem.dynkin import build_dynkin
 
-from oracles import reduce_to_alcove_greedy
+from oracles import assert_same_text, reduce_to_alcove_greedy
 
 
 @pytest.fixture
@@ -42,7 +42,7 @@ def test_table_json_round_trips(runner, tmp_path):
                                   "--format", "json", "--out", str(out)])
     assert result.exit_code == 0
     table = build_qtable(build_dynkin("D", 4), 2)
-    assert out.read_text() == qtable_to_json(table)  # streamed piece by piece
+    assert_same_text(out.read_text(), qtable_to_json(table))  # streamed piece by piece
     assert qtable_from_json(out.read_text()) == table
 
 

@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
+from mpmath.libmp import from_man_exp
 
 import qsystem.io
+import qsystem.qdim
 import qsystem.table
 
 from qsystem.affine import AffineWeight, affinize, reduce_to_alcove
@@ -24,8 +26,8 @@ from qsystem.table import (_chain_weights, _rank_rows, _survivors, build_qtable,
                            live_blocks, midpoint_checks, node_summands, stars_and_bars,
                            verify_kns, verify_qsystem)
 
-from oracles import (compositions, kr_terms_recursive, provenance_rows_template, qdim_affine,
-                     qtable_to_dict, survivors_chunked)
+from oracles import (assert_same_text, combine_mpf, compositions, kr_terms_recursive,
+                     provenance_rows_template, qdim_affine, qtable_to_dict, survivors_chunked)
 
 
 @pytest.fixture(scope="module")
@@ -461,18 +463,37 @@ def test_build_evaluates_one_block(monkeypatch, family, rank, k):
 
 
 def test_build_takes_each_sine_power_once(monkeypatch):
-    # D9k8 has 1,824 sine powers over its generic rows but only 76 distinct (q, count)
-    mpf = type(mpmath.mpf(1))
+    # D9k8 has 1,824 sine powers over its generic rows and the denominator but only
+    # 76 distinct (q, count): 64 over the rows, 12 in the denominator
     calls = []
 
-    def counted(base, exponent):
+    def counted(base, exponent, prec, rnd):
         calls.append(exponent)
-        return power(base, exponent)
+        return power(base, exponent, prec, rnd)
 
-    power = mpf.__pow__
-    monkeypatch.setattr(mpf, "__pow__", counted)
+    power = qsystem.qdim.mpf_pow_int
+    monkeypatch.setattr(qsystem.qdim, "mpf_pow_int", counted)
+    qsystem.qdim._root_data.cache_clear()  # the denominator's powers too
     build_qtable(build_dynkin("D", 9), 8)
-    assert len(calls) <= 100
+    assert len(calls) == 76
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), bits=st.sampled_from([64, 128, 512]))
+def test_combine_matches_mpf_oracle(data, bits):
+    # exact, inexact and mixed parts with multiplicities +-1..+-5, among them the
+    # empty cell and sums that cancel: the same tag and the same bits as mpf arithmetic
+    exact = st.sampled_from([-1, 0, 1]).map(lambda e: QDimValue(exact=e, numeric=mpmath.mpf(e)))
+    inexact = st.builds(lambda man, exp: QDimValue(exact=None, numeric=mpmath.mp.make_mpf(
+        from_man_exp(man, exp))), st.integers(-2**bits, 2**bits), st.integers(-bits - 8, 8))
+    kind = data.draw(st.sampled_from([exact, inexact, exact | inexact]))
+    parts = data.draw(st.lists(st.tuples(st.integers(-5, 5).filter(bool), kind), max_size=12))
+    if data.draw(st.booleans()):
+        parts += [(-mult, p) for mult, p in parts]
+    with mpmath.workprec(bits):
+        got, want = qsystem.table._combine(parts), combine_mpf(parts)
+    assert got.exact == want.exact
+    assert got.numeric._mpf_ == want.numeric._mpf_
 
 
 @pytest.mark.parametrize("rows", [None, 7])
@@ -655,7 +676,7 @@ def test_json_matches_dict_dump(monkeypatch):
         # every row its own piece; cells cut and packed across blocks; a whole node in one block
         for rows in (1, 7, 2**20):
             monkeypatch.setattr(qsystem.table, "_BLOCK_ROWS", rows)
-            assert qtable_to_json(table) == want, (family, rank, k, rows)
+            assert_same_text(qtable_to_json(table), want, (family, rank, k, rows))
 
 
 @pytest.mark.parametrize("family,rank,k,bits", [("D", 9, 8, 128), ("A", 12, 12, 64),
@@ -665,7 +686,7 @@ def test_json_matches_dict_dump_past_grid(monkeypatch, family, rank, k, bits):
     monkeypatch.setenv("QSYS_PRECISION_BITS", str(bits))
     d = build_dynkin(family, rank)
     table = build_qtable(d, k)
-    assert qtable_to_json(table) == json.dumps(qtable_to_dict(table), indent=1)
+    assert_same_text(qtable_to_json(table), json.dumps(qtable_to_dict(table), indent=1))
     if family == "A":
         assert not _cell_blocks(1, k, k, d)[0][:, 0].any()
 
