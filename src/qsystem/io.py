@@ -2,7 +2,8 @@
 
 JSON numerics are written as decimal strings with enough digits to
 reconstruct the working-precision value exactly, so serialize/parse is
-lossless and exact tags survive the round trip.
+lossless and exact tags survive the round trip.  Provenance rows are joined
+from texts made once per table or node and streamed (``_json_pieces``).
 
 ``table`` and ``qdim`` are imported only in the bodies of the functions
 that use them at run time, so serializing a solution loads neither.
@@ -14,6 +15,8 @@ import csv
 import io as _io
 import json
 from fractions import Fraction
+from itertools import chain, islice
+from math import comb
 from typing import TYPE_CHECKING, Iterator
 
 import mpmath
@@ -39,58 +42,95 @@ def _numeric_texts(table: QTable) -> dict[tuple, str]:
     return {key: _mpf_str(x) for key, x in distinct.items()}
 
 
-def _row_tokens(rows: np.ndarray) -> np.ndarray:
-    """Each row of an int64 block as JSON text ``",\n    [\n     x0,\n ...\n    ]"``,
-    in an (n, w) object array of one token per live column, column 0 among
-    them: the fixed text before the column (a column 0 throughout the block
-    is literal text) and the value, the last token also the row's end, each
-    distinct token made once and all gathered from one object array."""
-    live = rows.any(0)
-    live[0] = True
-    fixed = (",\n    [\n" + ",\n".join(np.where(live, "     %d", "     0")) + "\n    ]").split("%d")
-    vals = rows[:, live]
-    lo, hi = int(vals.min(initial=0)), int(vals.max(initial=0))
-    tokens, index = ((range(lo, hi + 1), vals - lo) if hi - lo < vals.size  # a token per integer
-                     else np.unique(vals, return_inverse=True))  # a token per distinct value
-    text = [str(v) for v in tokens]
-    vocab = [pre + t for pre in fixed[:-2] for t in text] + [fixed[-2] + t + fixed[-1] for t in text]
-    return np.array(vocab, dtype=object)[index.reshape(vals.shape)
-                                         + np.arange(len(fixed) - 1) * len(text)]
+def _joined_rows(index: np.ndarray, vocab: np.ndarray) -> np.ndarray:
+    """The text of each row of ``index``: its ``vocab`` entries, the last ending in "|"."""
+    return np.array("".join(vocab[index].ravel().tolist()).split("|")[:-1], dtype=object)
+
+
+def _json_pieces(table: QTable) -> Iterator[list[str]]:
+    """The JSON table as lists of strings: its header, then per cell the exact
+    tag, the numeric value and the provenance, the unreduced affinized
+    summands in the order of ``kr_decompose``, a list yielded once _BLOCK_ROWS
+    rows are pending.  A row is ",\n", a head and a tail (the first of a cell
+    has no ",\n"); a node of one summand per cell has the head column 0.  A
+    tail node a of D has the head column 0 and nodes 1..w (w = 3 for odd a,
+    2 for even a) and the tail nodes w + 1..r of its upper chain parts U =
+    (u_a, u_(a-2), .., u_(w+2)).  The heads of ΣU = s in cell (a, m), the rows
+    of ``kr_decompose(w, m - s)`` with column 0 lowered by 2s (the tail nodes'
+    marks are 2), are made once per table; a tail is the text of nodes
+    w + 1..a - 1, made once per node for each U less u_a, and that of nodes
+    a..r, made once per u_a; the rows of each U are one ``str.join`` of its
+    heads by its tail.  All join to the bytes of ``json.dumps`` with ``indent=1``."""
+    from . import table as tb  # _BLOCK_ROWS and kr_decompose are looked up at call time
+    dynkin, r, k, top, bound = (build_dynkin(table.family, table.rank), table.rank, table.level,
+                                table.m_max, tb._BLOCK_ROWS)
+    texts = {key: json.dumps(text) for key, text in _numeric_texts(table).items()}
+    # a node's 0..top, the ends of a part and of a row, then column 0 from k - 2 top (its least)
+    vocab = np.array([f",\n     {v}" for v in range(top + 1)] + ["|", "\n    ]|"]
+                     + [f",\n    [\n     {v}" for v in range(k - 2 * top, k + 1)], dtype=object)
+    heads: dict[int, list] = {}  # heads[w][m][s]: the rows of kr_decompose(w, m - s), and ""
+    pieces, n, sep = [f'{{\n "family": {json.dumps(table.family)},\n "rank": {r},\n'
+                      f' "level": {k},\n "h": {table.coxeter},\n "cells": ['], 0, ""
+    for a in range(1, r + 1):
+        single = dynkin.family == "A" or a >= r - 1 or a == 1  # the row of m omega_a
+        if not single:
+            w = 2 + a % 2
+            if w not in heads:  # for each s, the rows of every c <= top - s
+                rows = np.concatenate([tb.kr_decompose(w, c, dynkin).terms[:, :w]
+                                       for c in range(top + 1)])
+                n_s = [(c + 1) * (c + 2) // 2 for c in range(top, -1, -1)]  # rows of c <= top - s
+                i = np.concatenate([np.arange(count) for count in n_s])
+                col0 = (k - rows @ dynkin.marks[1:w + 1])[i] - 2 * np.repeat(range(top + 1), n_s)
+                nodes = _joined_rows(np.column_stack([rows, np.full(len(rows), top + 1)]), vocab)
+                it = iter((vocab[col0 + 3 * top + 3 - k] + nodes[i]).tolist())  # by s, c, row
+                h = [[[*islice(it, c + 1), ""] for c in range(top + 1 - s)]
+                     for s in range(top + 1)]
+                heads[w] = [np.fromiter((h[s][m - s] for s in range(m + 1)), dtype=object)
+                            for m in range(top + 1)]
+            comps = tb.stars_and_bars(top, a // 2)  # U, then the slack
+            inner, inner_of = tb._rank_rows(comps[:, 1:-1], [top + 1] * (a // 2 - 2))  # U less u_a
+            index = np.zeros((max(len(inner), top + 1), r + 2), dtype=np.int64)
+            index[:len(inner), a - 2:w:-2], index[:, a], index[:, -1] = inner, top + 1, top + 2
+            lows = _joined_rows(index[:len(inner), min(a, w + 1):a + 1], vocab)[inner_of]
+            index[:top + 1, a] = range(top + 1)
+            highs = _joined_rows(index[:top + 1, max(a, w + 1):], vocab)[comps[:, 0]]
+            sums = top - comps[:, -1]
+        for m in range(top + 1):
+            if single:
+                ts = [",\n     0" * (a - 1) + f",\n     {m}" + ",\n     0" * (r - a) + "\n    ]"]
+                hs, size = [[f",\n    [\n     {k - dynkin.marks[a] * m}", ""]], 1
+            else:  # the tails of each U, referenced, are joined a piece at a time
+                keep = sums <= m
+                lo, hi, ss = lows[keep], highs[keep], sums[keep]
+                hs, size = heads[w][m][ss], comb(m + a // 2, a // 2)
+            cell = table.cells[(a, m)]
+            pieces.append(f'{sep}\n  {{\n   "a": {a},\n   "m": {m},\n   "exact": '
+                          f'{"null" if cell.exact is None else cell.exact},\n   "numeric": '
+                          f'{texts[cell.numeric._mpf_]},\n   "provenance": [\n')
+            sep, first, i = ",", len(pieces), 0
+            # the rows before each run where the cell reaches the bound (one of a row does not)
+            ends = None if n + size <= bound else np.cumsum(np.append(0, m + 1 - ss))
+            while i < len(hs):  # runs up to the first that brings the pending rows to the bound
+                j = len(hs) if ends is None else min(int(ends.searchsorted(bound - n + ends[i])),
+                                                     len(hs))
+                pieces += map(str.join, ts if single else lo[i:j] + hi[i:j], hs[i:j])
+                if i == 0:  # the cell's first row, after its head, has no ",\n"
+                    pieces[first] = pieces[first][2:]
+                n, i = n + (size if ends is None else int(ends[j] - ends[i])), j
+                if n >= bound:
+                    yield pieces
+                    pieces, n = [], 0
+            pieces.append("\n   ]\n  }")
+    yield pieces + ["\n ]\n}"]
 
 
 def qtable_json_chunks(table: QTable) -> Iterator[str]:
-    """The JSON table in pieces: its header, then per cell the exact tag,
-    the numeric value and the provenance (the unreduced affinized
-    summands), a node's in the packed blocks of ``node_summands``, each
-    formatted at once and joined once, the head of each cell that starts in
-    it put before its first row.  The pieces join to the bytes
-    that ``json.dumps`` with ``indent=1`` writes for the same data."""
-    from .table import node_summands
-    dynkin = build_dynkin(table.family, table.rank)
-    texts = {key: json.dumps(text) for key, text in _numeric_texts(table).items()}
-    yield (f'{{\n "family": {json.dumps(table.family)},\n "rank": {table.rank},\n'
-           f' "level": {table.level},\n "h": {table.coxeter},\n "cells": [')
-    close, open_cell = "\n   ]\n  }", None
-    for a in range(1, table.rank + 1):
-        for block, runs in node_summands(a, range(table.m_max + 1), table.level, dynkin):
-            tokens = _row_tokens(block)
-            pieces, width, start = tokens.ravel().tolist(), tokens.shape[1], 0
-            for m, n in runs:
-                if (a, m) != open_cell:  # the cell's head, before its first row, without ",\n"
-                    cell = table.cells[(a, m)]
-                    exact = "null" if cell.exact is None else str(cell.exact)
-                    pieces[start] = (f'{close + "," if open_cell else ""}\n  {{\n   "a": {a},\n'
-                                     f'   "m": {m},\n   "exact": {exact},\n   "numeric": '
-                                     f'{texts[cell.numeric._mpf_]},\n   "provenance": [\n'
-                                     + pieces[start][2:])
-                    open_cell = (a, m)
-                start += n * width
-            yield "".join(pieces)
-    yield close + "\n ]\n}"
+    """The JSON table in pieces of about _BLOCK_ROWS provenance rows."""
+    return map("".join, _json_pieces(table))
 
 
 def qtable_to_json(table: QTable) -> str:
-    return "".join(qtable_json_chunks(table))
+    return "".join(chain.from_iterable(_json_pieces(table)))
 
 
 def qtable_from_dict(data: dict) -> QTable:

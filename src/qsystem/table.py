@@ -11,8 +11,9 @@ representatives with certified values gets an exact integer tag.  The
 tail cells of D are slices of two chains of weights; ``live_blocks`` drops
 those on a wall before reduction, the rest are reduced once each, and every
 cell is read off prefix sums of the signed representatives.
-A table stores only its cell values; ``node_summands`` streams the
-unreduced summands of a node's cells for the JSON provenance.
+A table stores only its cell values; the JSON writer of ``io`` formats
+the unreduced summands of its cells from ``kr_decompose`` rows of nodes
+2 and 3 and the upper chain parts of ``stars_and_bars``.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ Cell = tuple[int, int]
 
 
 # Rows per block of chain weights reduced in one reduce_to_alcove call, and of
-# provenance rows built and formatted at once; it bounds their memory.
+# provenance rows per piece of JSON text; it bounds their memory.
 _BLOCK_ROWS = 2**11
 
 
@@ -57,6 +58,8 @@ class KRDecomposition:
 def stars_and_bars(total: int, parts: int) -> np.ndarray:
     """The nonnegative integer rows of length ``parts`` with the given sum,
     lexicographically descending: the blocks of ``composition_blocks`` joined."""
+    if comb(total + parts - 1, parts - 1) <= _BLOCK_ROWS:  # its one block
+        return _whole(total, parts).copy()
     return np.concatenate(list(composition_blocks(total, parts)))
 
 
@@ -138,40 +141,6 @@ def kr_term_count(a: int, m: int, dynkin: DynkinData) -> int:
     if dynkin.family == "A" or a >= dynkin.rank - 1:
         return 1
     return comb(m + a // 2, a // 2)
-
-
-def node_summands(a: int, ms: Iterable[int], level: int,
-                  dynkin: DynkinData) -> Iterator[tuple[np.ndarray, list[tuple[int, int]]]]:
-    """The unreduced affinized summands of the cells (a, m), m in ``ms``, in
-    order, packed into (n, rank + 1) blocks of at most _BLOCK_ROWS rows with
-    their runs (m, rows), each piece copied into columns 1.. of one buffer
-    whose column 0 is set once per block.  Single summands take m in column a."""
-    if dynkin.family == "A" or a >= dynkin.rank - 1 or a == 1:  # no call per cell
-        cols, ms = slice(a, a + 1), np.fromiter(ms, dtype=np.int64)[:, None]
-        pieces = ((ms[i:i + _BLOCK_ROWS], [(m, 1) for m in ms[i:i + _BLOCK_ROWS, 0].tolist()])
-                  for i in range(0, len(ms), _BLOCK_ROWS))
-    else:
-        def tail_pieces():
-            for m in ms:
-                # kr_decompose for a cell that fits one block: perfbench's table.summands counts it
-                blocks = ([kr_decompose(a, m, dynkin).terms]
-                          if kr_term_count(a, m, dynkin) <= _BLOCK_ROWS else
-                          (_chain_weights(a, comps, dynkin.rank)
-                           for comps in composition_blocks(m, a // 2 + 1)))
-                for terms in blocks:
-                    yield terms, [(m, len(terms))]
-        cols, pieces = slice(1, None), tail_pieces()
-    buf, runs, n = np.zeros((_BLOCK_ROWS, dynkin.rank + 1), dtype=np.int64), [], 0
-    for rows, piece_runs in pieces:
-        if n + len(rows) > _BLOCK_ROWS:
-            buf[:n, 0] = level - buf[:n, 1:] @ dynkin.marks[1:]
-            yield buf[:n].copy(), runs
-            runs, n = [], 0
-        buf[n:n + len(rows), cols] = rows
-        runs += piece_runs
-        n += len(rows)
-    buf[:n, 0] = level - buf[:n, 1:] @ dynkin.marks[1:]
-    yield buf[:n].copy(), runs
 
 
 def live_blocks(top: int, m_max: int, level: int, dynkin: DynkinData) -> Iterator[np.ndarray]:

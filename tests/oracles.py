@@ -1,8 +1,9 @@
 """Reference implementations that only the tests call: classical weights
 and the extended Cartan matrix, reflection actions, extended-diagram
 automorphisms, greedy and full-row alcove reduction, the recursive
-summand enumeration, the chunked per-cell survivor grouping, the dict
-form of the JSON table, dominant weights, the Weyl-orbit and the
+summand enumeration, the chunked per-cell survivor grouping, a node's
+summands in packed blocks, the dict form of the JSON table, dominant
+weights, the Weyl-orbit and the
 one-weight sine-product quantum dimensions, the cell combination in mpf
 arithmetic, one-weight wrappers of the library's block functions, the
 one-start-at-a-time float Newton with its einsum Jacobians and
@@ -16,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import mpmath
 import numpy as np
@@ -25,6 +26,7 @@ from mpmath.libmp import from_man_exp, to_fixed
 import qsystem.affine
 import qsystem.dynkin
 import qsystem.qdim
+import qsystem.table
 from qsystem import solver
 from qsystem.affine import AffineWeight, ReductionResult, reduce_to_alcove
 from qsystem.dynkin import DynkinData, positive_roots
@@ -304,14 +306,41 @@ def survivors_chunked(cells: list[tuple[int, int]], level: int, dynkin: DynkinDa
     return out
 
 
-def provenance_rows_template(rows: np.ndarray) -> str:
-    """The JSON text of an int64 block of provenance rows joined by ",\n",
-    from one ``%`` row template in which a column 0 throughout the block is
-    a literal 0 and every other column is ``%d``: the writer's formatting
-    before it gathered tokens per packed block."""
-    live = rows.any(0)
-    row = "    [\n" + ",\n".join(np.where(live, "     %d", "     0")) + "\n    ]"
-    return ",\n".join([row] * len(rows)) % tuple(rows[:, live].ravel().tolist())
+def node_summands(a: int, ms: Iterable[int], level: int,
+                  dynkin: DynkinData) -> Iterator[tuple[np.ndarray, list[tuple[int, int]]]]:
+    """The unreduced affinized summands of the cells (a, m), m in ``ms``, in
+    order, packed into (n, rank + 1) blocks of at most ``qsystem.table._BLOCK_ROWS``
+    rows with their runs (m, rows), each piece copied into columns 1.. of one
+    buffer whose column 0 is set once per block: the JSON writer's provenance
+    before it joined rows from shared heads and tails.  Single summands take m
+    in column a; a tail cell comes from ``kr_decompose`` when it fits one block
+    and from the blocks of ``composition_blocks`` otherwise."""
+    bound = qsystem.table._BLOCK_ROWS
+    if dynkin.family == "A" or a >= dynkin.rank - 1 or a == 1:  # no call per cell
+        cols, ms = slice(a, a + 1), np.fromiter(ms, dtype=np.int64)[:, None]
+        pieces = ((ms[i:i + bound], [(m, 1) for m in ms[i:i + bound, 0].tolist()])
+                  for i in range(0, len(ms), bound))
+    else:
+        def tail_pieces():
+            for m in ms:
+                blocks = ([kr_decompose(a, m, dynkin).terms]
+                          if qsystem.table.kr_term_count(a, m, dynkin) <= bound else
+                          (qsystem.table._chain_weights(a, comps, dynkin.rank)
+                           for comps in qsystem.table.composition_blocks(m, a // 2 + 1)))
+                for terms in blocks:
+                    yield terms, [(m, len(terms))]
+        cols, pieces = slice(1, None), tail_pieces()
+    buf, runs, n = np.zeros((bound, dynkin.rank + 1), dtype=np.int64), [], 0
+    for rows, piece_runs in pieces:
+        if n + len(rows) > bound:
+            buf[:n, 0] = level - buf[:n, 1:] @ dynkin.marks[1:]
+            yield buf[:n].copy(), runs
+            runs, n = [], 0
+        buf[n:n + len(rows), cols] = rows
+        runs += piece_runs
+        n += len(rows)
+    buf[:n, 0] = level - buf[:n, 1:] @ dynkin.marks[1:]
+    yield buf[:n].copy(), runs
 
 
 def qtable_to_dict(table: QTable) -> dict:

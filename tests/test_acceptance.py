@@ -17,10 +17,10 @@ from qsystem.solver import (check_positive_solution_properties,
                             dilog_identity, solve_restricted,
                             uniqueness_probe)
 from qsystem.table import (_survivors, build_qtable, forced_tail_report, kr_term_count,
-                           midpoint_checks, node_summands, verify_kns, verify_qsystem)
+                           midpoint_checks, verify_kns, verify_qsystem)
 
 from oracles import (Weight, affinize, apply_automorphism,
-                     diagram_automorphisms, dominant_weights, qdim, qdim_affine,
+                     diagram_automorphisms, dominant_weights, node_summands, qdim, qdim_affine,
                      qdim_oracle, shifted_action)
 
 GRID = [(r, k) for r in range(4, 9) for k in range(1, 7)]

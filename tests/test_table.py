@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 import tracemalloc
@@ -8,7 +9,6 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from hypothesis.extra import numpy as hnp
 from mpmath.libmp import from_man_exp
 
 import qsystem.io
@@ -17,17 +17,17 @@ import qsystem.table
 
 from qsystem.affine import AffineWeight, affinize, reduce_to_alcove
 from qsystem.dynkin import build_dynkin
-from qsystem.io import (_row_tokens, qtable_from_json, qtable_to_csv, qtable_to_json,
+from qsystem.io import (qtable_from_json, qtable_json_chunks, qtable_to_csv, qtable_to_json,
                         qtable_to_text)
 from qsystem.qdim import QDimValue, precision_bits
 from qsystem.recurrence import terms
 from qsystem.table import (_chain_weights, _rank_rows, _survivors, build_qtable,
                            composition_blocks, forced_tail_report, kr_decompose, kr_term_count,
-                           live_blocks, midpoint_checks, node_summands, stars_and_bars,
-                           verify_kns, verify_qsystem)
+                           live_blocks, midpoint_checks, stars_and_bars, verify_kns,
+                           verify_qsystem)
 
 from oracles import (assert_same_text, combine_mpf, compositions, kr_terms_recursive,
-                     provenance_rows_template, qdim_affine, qtable_to_dict, survivors_chunked)
+                     node_summands, qdim_affine, qtable_to_dict, survivors_chunked)
 
 
 @pytest.fixture(scope="module")
@@ -673,16 +673,17 @@ def test_json_matches_dict_dump(monkeypatch):
     for family, rank, k in JSON_GRID:
         table = build_qtable(build_dynkin(family, rank), k)
         want = json.dumps(qtable_to_dict(table), indent=1)
-        # every row its own piece; cells cut and packed across blocks; a whole node in one block
+        # a piece per run; cells cut across pieces; the whole table in one piece
         for rows in (1, 7, 2**20):
             monkeypatch.setattr(qsystem.table, "_BLOCK_ROWS", rows)
             assert_same_text(qtable_to_json(table), want, (family, rank, k, rows))
 
 
 @pytest.mark.parametrize("family,rank,k,bits", [("D", 9, 8, 128), ("A", 12, 12, 64),
-                                                ("A", 12, 12, 512)])
+                                                ("A", 12, 12, 512), ("D", 7, 5, 64),
+                                                ("D", 8, 3, 512)])
 def test_json_matches_dict_dump_past_grid(monkeypatch, family, rank, k, bits):
-    # provenance blocks whose zeroth column is 0 throughout (m = k on A) write it literally
+    # on A the zeroth column of cell (a, k) is 0, the least column 0 of the table
     monkeypatch.setenv("QSYS_PRECISION_BITS", str(bits))
     d = build_dynkin(family, rank)
     table = build_qtable(d, k)
@@ -691,18 +692,50 @@ def test_json_matches_dict_dump_past_grid(monkeypatch, family, rank, k, bits):
         assert not _cell_blocks(1, k, k, d)[0][:, 0].any()
 
 
-@settings(max_examples=300, deadline=None)
-@given(data=st.data(), n=st.integers(1, 50), width=st.integers(2, 14),
-       values=st.sampled_from([(-1, 1), (-40, 40), (-2**63, 2**63 - 1)]))
-def test_row_pieces_match_template_oracle(data, n, width, values):
-    rows = data.draw(hnp.arrays(np.int64, (n, width), elements=st.integers(*values)))
-    rows[:, data.draw(hnp.arrays(bool, width))] = 0  # columns 0 throughout
-    first_zero = rows.copy()
-    first_zero[:, 0] = 0  # column 0, a token of every row, 0 throughout
-    for block in (rows, first_zero, np.zeros_like(rows)):  # and a block with no live column
-        tokens = _row_tokens(block)
-        assert tokens.shape == (n, block[:, 1:].any(0).sum() + 1)  # one per live column
-        assert "".join(tokens.ravel().tolist())[2:] == provenance_rows_template(block)
+JSON_SUMMANDS = 20_000  # provenance rows the dict oracle writes per example, at most
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), family=st.sampled_from("AD"))
+def test_json_chunks_match_dict_dump(data, family):
+    # D4-D11 and A1-A8 at levels 1-8, m_max from 0 to the default + 2 as far as the oracle's
+    # row cap allows; pieces cut after every run, within cells, or never
+    d = build_dynkin(family, data.draw(st.integers(4, 11) if family == "D" else st.integers(1, 8)))
+    k = data.draw(st.integers(1, 8))
+    total, limit = 0, 0
+    for m in range(k + d.coxeter + 3):
+        total += sum(kr_term_count(a, m, d) for a in range(1, d.rank + 1))
+        if total > JSON_SUMMANDS:
+            break
+        limit = m
+    table = build_qtable(d, k, data.draw(st.integers(0, limit), label="m_max"))
+    want = json.dumps(qtable_to_dict(table), indent=1)
+    for rows in (1, 7, 2**20):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(qsystem.table, "_BLOCK_ROWS", rows)
+            got = "".join(qtable_json_chunks(table))
+        assert_same_text(got, want, rows)
+
+
+@pytest.fixture(scope="module")
+def d10k10_table():
+    return build_qtable(build_dynkin("D", 10), 10)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 2**11])
+def test_json_chunks_hold_block_rows_and_one_run(monkeypatch, d10k10_table, rows):
+    # a piece is yielded once the pending rows reach the bound: all but the last hold at
+    # least the bound and less than the bound plus the run (one upper chain tuple's rows,
+    # at most m_max + 1) that reached it; the pieces join to the bytes the CI pins
+    monkeypatch.setattr(qsystem.table, "_BLOCK_ROWS", rows)
+    chunks = list(qtable_json_chunks(d10k10_table))
+    counts = [chunk.count("\n    [") for chunk in chunks]
+    run = d10k10_table.m_max + 1
+    assert all(rows <= c < rows + run for c in counts[:-1]) and counts[-1] < rows + run
+    d = build_dynkin("D", 10)
+    assert sum(counts) == sum(kr_term_count(a, m, d) for a, m in d10k10_table.cells)
+    assert hashlib.sha256("".join(chunks).encode()).hexdigest() == (
+        "052c38df72514a01bff2273e3af9da51050634fb4f9ffe08e85d12fb4dcd2c1b")
 
 
 @pytest.mark.parametrize("family,rank,k", [("D", 5, 4), ("D", 6, 3), ("A", 3, 3)])
