@@ -56,13 +56,15 @@ def _text_or_json(fmt: str, name: str) -> None:
 
 
 def _emit(out: str | None, pieces: Iterable[str]) -> None:
-    """Write the pieces to the file ``out``, or to stdout ending in a newline."""
+    """Write the pieces to the file ``out``, or to stdout ending in a newline;
+    stdout is flushed here, so a failed write raises inside ``main``."""
     if not out:
         last = ""
         for last in pieces:
-            click.echo(last, nl=False)
+            sys.stdout.write(last)
         if not last.endswith("\n"):
-            click.echo()
+            sys.stdout.write("\n")
+        sys.stdout.flush()
         return
     try:
         with open(out, "w") as fh:

@@ -5,6 +5,13 @@ reconstruct the working-precision value exactly, so serialize/parse is
 lossless and exact tags survive the round trip.  Provenance rows are joined
 from texts made once per table or node and streamed (``_json_pieces``).
 
+The reader checks the provenance it reads against the writer: it builds
+the table from the header and cell heads, regenerates the writer's pieces
+for it and compares them with the text in place, so the provenance of a
+text in the writer's layout is never parsed.  Any other JSON is loaded
+whole, and its provenance compared with the writer's as parsed content.
+A mismatch raises ``ValueError`` naming the first cell that differs.
+
 ``table`` and ``qdim`` are imported only in the bodies of the functions
 that use them at run time, so serializing a solution loads neither.
 """
@@ -15,9 +22,9 @@ import csv
 import io as _io
 import json
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain, islice, zip_longest
 from math import comb
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import mpmath
 import numpy as np
@@ -147,8 +154,76 @@ def qtable_from_dict(data: dict) -> QTable:
                   coxeter=int(data["h"]), m_max=m_max, cells=cells)
 
 
+# The header and a cell head as the writer lays them out; other JSON goes to json.loads.
+_HEADER = (r'\{\n "family": "([^"\\]*)",\n "rank": (\d+),\n "level": (-?\d+),\n'
+           r' "h": (-?\d+),\n "cells": \[')
+_CELL_HEAD = (r'\n  \{\n   "a": (\d+),\n   "m": (\d+),\n   "exact": (null|-?\d+),\n'
+              r'   "numeric": "([^"\\]*)",\n   "provenance": \[\n')
+
+
+def _is_join(text: str, chunks: Iterable[str]) -> bool:
+    """Whether ``text`` is the join of ``chunks`` and JSON whitespace; each
+    chunk is compared in place."""
+    pos = 0
+    for chunk in chunks:
+        if not text.startswith(chunk, pos):
+            return False
+        pos += len(chunk)
+    return not text[pos:].strip(" \t\n\r")
+
+
+def _cell_order(got: list, table: QTable) -> str | None:
+    """Why the cells ``got``, in order, are not the table's cells in the
+    writer's order, naming the first that differs; None if they are."""
+    want = ((a, m) for a in range(1, table.rank + 1) for m in range(table.m_max + 1))
+    for x, y in zip_longest(got, want):
+        if x != y:
+            return (f"cell {y} is missing" if x is None else f"cell {x} is extra" if y is None
+                    else f"cell {x} stands where the writer puts {y}")
+    return None
+
+
+def _checked_table(data: dict) -> QTable:
+    """The table of parsed JSON data whose cells are in the writer's order and
+    whose provenance is the writer's, compared as parsed content; the header,
+    tags and numerics are the data's, whatever precision wrote them."""
+    try:
+        table = qtable_from_dict(data)
+        got = [(int(e["a"]), int(e["m"])) for e in data["cells"]]
+        provenance = [e["provenance"] for e in data["cells"]]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"not a JSON table: {exc!r}") from exc
+    if (why := _cell_order(got, table)) is not None:
+        raise ValueError(why)
+    want = json.loads("".join(qtable_json_chunks(table)))["cells"]
+    for cell, rows, e in zip(got, provenance, want):
+        if rows != e["provenance"]:
+            raise ValueError(f"cell {cell}: provenance differs from the writer's")
+    return table
+
+
 def qtable_from_json(text: str) -> QTable:
-    return qtable_from_dict(json.loads(text))
+    """The table of a JSON text, whose provenance must be the writer's.
+
+    Text in the writer's layout is read from its header and cell heads alone:
+    the writer's pieces for that table are compared with it in place, and
+    equal bytes are valid JSON with the provenance the writer derives.  Other
+    JSON is loaded whole and its content compared.  Provenance that differs,
+    or a cell missing, extra or out of order, raises ``ValueError`` naming the
+    first cell that differs."""
+    import re  # loaded with json; only the reader takes it
+    header = re.match(_HEADER, text)
+    if header is not None:
+        family, rank, level, h = header.groups()
+        heads = re.compile(_CELL_HEAD).findall(text, header.end())
+        table = qtable_from_dict({"family": family, "rank": rank, "level": level, "h": h,
+                                  "cells": [{"a": a, "m": m, "numeric": numeric,
+                                             "exact": None if exact == "null" else exact}
+                                            for a, m, exact, numeric in heads]})
+        if (_cell_order(list(table.cells), table) is None
+                and _is_join(text, qtable_json_chunks(table))):
+            return table
+    return _checked_table(json.loads(text))
 
 
 def _cell_text(cell: QDimValue) -> str:

@@ -2,8 +2,8 @@
 and the extended Cartan matrix, reflection actions, extended-diagram
 automorphisms, greedy and full-row alcove reduction, the recursive
 summand enumeration, the chunked per-cell survivor grouping, a node's
-summands in packed blocks, the dict form of the JSON table, dominant
-weights, the Weyl-orbit and the
+summands in packed blocks, the dict form of the JSON table and its reader
+through ``json.loads``, dominant weights, the Weyl-orbit and the
 one-weight sine-product quantum dimensions, the cell combination in mpf
 arithmetic, one-weight wrappers of the library's block functions, the
 one-start-at-a-time float Newton with its einsum Jacobians and
@@ -13,6 +13,7 @@ that reports only the first difference."""
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,7 +31,7 @@ import qsystem.table
 from qsystem import solver
 from qsystem.affine import AffineWeight, ReductionResult, reduce_to_alcove
 from qsystem.dynkin import DynkinData, positive_roots
-from qsystem.io import _mpf_str
+from qsystem.io import _mpf_str, qtable_from_dict
 from qsystem.qdim import QDimValue, precision_bits
 from qsystem.table import QTable, kr_decompose
 
@@ -655,6 +656,13 @@ def dilog_sum_oracle(sol: solver.RestrictedSolution,
         lhs = 6 / mpmath.pi**2 * total
         delta = float(abs(lhs - mpmath.mpf(rhs.numerator) / rhs.denominator))
     return lhs, delta, rhs, x_values
+
+
+def qtable_from_json_loads(text: str) -> QTable:
+    """The table of a JSON text through ``json.loads`` of the whole document,
+    every provenance integer parsed and then dropped unchecked: the reader
+    before it compared the text with the writer's."""
+    return qtable_from_dict(json.loads(text))
 
 
 # ---------------------------------------------------------------------------

@@ -316,6 +316,20 @@ def test_failed_stdout_write_is_a_usage_error(args):
     assert len(proc.stderr.splitlines()) == 1
 
 
+def test_closed_stdout_pipe_exits_without_traceback():
+    # `qsys table ... | head -c 100`: click ends a broken pipe with exit 1 and no output
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.Popen([sys.executable, "-m", "qsystem.cli", "table", "-f", "D", "-r", "10",
+                             "-k", "10", "--format", "json"], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=env)
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert head.startswith(b'{\n "family": "D",') and stderr == b""
+
+
 def test_max_rank_override(runner):
     result = runner.invoke(main, ["table", "-f", "A", "-r", "13", "-k", "1",
                                   "--max-rank", "14", "--format", "csv"])

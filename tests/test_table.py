@@ -27,7 +27,8 @@ from qsystem.table import (_chain_weights, _rank_rows, _survivors, build_qtable,
                            verify_qsystem)
 
 from oracles import (assert_same_text, combine_mpf, compositions, kr_terms_recursive,
-                     node_summands, qdim_affine, qtable_to_dict, survivors_chunked)
+                     node_summands, qdim_affine, qtable_from_json_loads, qtable_to_dict,
+                     survivors_chunked)
 
 
 @pytest.fixture(scope="module")
@@ -663,6 +664,64 @@ def test_live_blocks_log_each_chain(caplog):
 def test_json_round_trip(d5_table):
     back = qtable_from_json(qtable_to_json(d5_table))
     assert back == d5_table  # a table is its header and cells
+
+
+def _provenance_span(text, a, m):
+    """The offsets of cell (a, m)'s provenance rows in a JSON text of the writer's."""
+    start = text.index('"provenance": [', text.index(f'\n   "a": {a},\n   "m": {m},\n'))
+    return start + len('"provenance": ['), text.index("\n   ]\n  }", start)
+
+
+def test_json_tampered_provenance_names_the_cell(d5_table):
+    text = qtable_to_json(d5_table)
+    start, end = _provenance_span(text, 3, 5)
+    at = text.index("\n    ]", start) - 1  # the last digit of the first row's last integer
+    bad = text[:at] + str((int(text[at]) + 1) % 10) + text[at + 1:]
+    assert at < end
+    with pytest.raises(ValueError, match=r"cell \(3, 5\): provenance differs"):
+        qtable_from_json(bad)
+
+
+def test_json_missing_cell_or_cut_text_raises(d5_table):
+    text = qtable_to_json(d5_table)
+    head = text.index('\n  {\n   "a": 2,\n   "m": 7,')
+    after = text.index('\n  {\n   "a": 2,\n   "m": 8,')
+    with pytest.raises(ValueError, match=r"cell \(2, 8\) stands where the writer puts \(2, 7\)"):
+        qtable_from_json(text[:head - 1] + text[after - 1:])  # the comma before each head
+    with pytest.raises(ValueError):
+        qtable_from_json(text[:after - 1])  # ends after cell (2, 7)
+
+
+def test_json_other_layouts_and_precisions_load_their_content(d5_table, monkeypatch):
+    assert qtable_from_json(json.dumps(json.loads(qtable_to_json(d5_table)), indent=2)) == d5_table
+    # numerics are content: a table written at 64 bits reads at 128 as its numeric strings
+    monkeypatch.setenv("QSYS_PRECISION_BITS", "64")
+    text = qtable_to_json(build_qtable(build_dynkin("D", 6), 4))
+    monkeypatch.delenv("QSYS_PRECISION_BITS")
+    back = qtable_from_json(text)
+    assert back == qtable_from_json_loads(text) and qtable_to_json(back) != text
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), family=st.sampled_from("AD"))
+def test_json_reader_matches_loads(data, family):
+    # D4-D9 and A1-A8 at levels 1-6, m_max from 0 to the default + 2, read in pieces cut after
+    # every run, within cells, or at the library's bound; one digit of a provenance row changed
+    d = build_dynkin(family, data.draw(st.integers(4, 9) if family == "D" else st.integers(1, 8)))
+    k = data.draw(st.integers(1, 6))
+    table = build_qtable(d, k, data.draw(st.integers(0, k + d.coxeter + 2), label="m_max"))
+    text = qtable_to_json(table)
+    want = qtable_from_json_loads(text)
+    a, m = data.draw(st.sampled_from(sorted(table.cells)), label="cell")
+    start, end = _provenance_span(text, a, m)
+    at = data.draw(st.sampled_from([i for i in range(start, end) if text[i].isdigit()]), label="at")
+    digit = data.draw(st.sampled_from("0123456789".replace(text[at], "")), label="digit")
+    for rows in (1, 7, 2**11):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(qsystem.table, "_BLOCK_ROWS", rows)
+            assert qtable_from_json(text) == want
+            with pytest.raises(ValueError):
+                qtable_from_json(text[:at] + digit + text[at + 1:])
 
 
 JSON_GRID = ([("D", r, k) for r in range(4, 9) for k in range(1, 7)]
