@@ -7,10 +7,11 @@ from texts made once per table or node and streamed (``_json_pieces``).
 
 The reader checks the provenance it reads against the writer: it builds
 the table from the header and cell heads, regenerates the writer's pieces
-for it and compares them with the text in place, so the provenance of a
-text in the writer's layout is never parsed.  Any other JSON is loaded
-whole, and its provenance compared with the writer's as parsed content.
-A mismatch raises ``ValueError`` naming the first cell that differs.
+for it with the numeric texts of the heads and compares them with the text
+in place, so the provenance of a text in the writer's layout is never
+parsed.  Any other JSON is loaded whole, and its provenance compared with
+the writer's as parsed content.  A mismatch raises ``ValueError`` naming
+the first cell that differs.
 
 ``table`` and ``qdim`` are imported only in the bodies of the functions
 that use them at run time, so serializing a solution loads neither.
@@ -54,7 +55,7 @@ def _joined_rows(index: np.ndarray, vocab: np.ndarray) -> np.ndarray:
     return np.array("".join(vocab[index].ravel().tolist()).split("|")[:-1], dtype=object)
 
 
-def _json_pieces(table: QTable) -> Iterator[list[str]]:
+def _json_pieces(table: QTable, numerics: dict[tuple, str] | None = None) -> Iterator[list[str]]:
     """The JSON table as lists of strings: its header, then per cell the exact
     tag, the numeric value and the provenance, the unreduced affinized
     summands in the order of ``kr_decompose``, a list yielded once _BLOCK_ROWS
@@ -67,11 +68,12 @@ def _json_pieces(table: QTable) -> Iterator[list[str]]:
     marks are 2), are made once per table; a tail is the text of nodes
     w + 1..a - 1, made once per node for each U less u_a, and that of nodes
     a..r, made once per u_a; the rows of each U are one ``str.join`` of its
-    heads by its tail.  All join to the bytes of ``json.dumps`` with ``indent=1``."""
+    heads by its tail.  All join to the bytes of ``json.dumps`` with ``indent=1``.
+    A numeric is the text ``numerics`` maps its ``_mpf_`` to, by default ``_mpf_str``."""
     from . import table as tb  # _BLOCK_ROWS and kr_decompose are looked up at call time
     dynkin, r, k, top, bound = (build_dynkin(table.family, table.rank), table.rank, table.level,
                                 table.m_max, tb._BLOCK_ROWS)
-    texts = {key: json.dumps(text) for key, text in _numeric_texts(table).items()}
+    texts = {key: json.dumps(text) for key, text in (numerics or _numeric_texts(table)).items()}
     # a node's 0..top, the ends of a part and of a row, then column 0 from k - 2 top (its least)
     vocab = np.array([f",\n     {v}" for v in range(top + 1)] + ["|", "\n    ]|"]
                      + [f",\n    [\n     {v}" for v in range(k - 2 * top, k + 1)], dtype=object)
@@ -131,9 +133,9 @@ def _json_pieces(table: QTable) -> Iterator[list[str]]:
     yield pieces + ["\n ]\n}"]
 
 
-def qtable_json_chunks(table: QTable) -> Iterator[str]:
+def qtable_json_chunks(table: QTable, numerics: dict[tuple, str] | None = None) -> Iterator[str]:
     """The JSON table in pieces of about _BLOCK_ROWS provenance rows."""
-    return map("".join, _json_pieces(table))
+    return map("".join, _json_pieces(table, numerics))
 
 
 def qtable_to_json(table: QTable) -> str:
@@ -206,7 +208,8 @@ def qtable_from_json(text: str) -> QTable:
     """The table of a JSON text, whose provenance must be the writer's.
 
     Text in the writer's layout is read from its header and cell heads alone:
-    the writer's pieces for that table are compared with it in place, and
+    the writer's pieces for that table and the numerics of the heads are
+    compared with it in place, and
     equal bytes are valid JSON with the provenance the writer derives.  Other
     JSON is loaded whole and its content compared.  Provenance that differs,
     or a cell missing, extra or out of order, raises ``ValueError`` naming the
@@ -220,8 +223,9 @@ def qtable_from_json(text: str) -> QTable:
                                   "cells": [{"a": a, "m": m, "numeric": numeric,
                                              "exact": None if exact == "null" else exact}
                                             for a, m, exact, numeric in heads]})
+        numerics = {table.cells[(int(a), int(m))].numeric._mpf_: x for a, m, _, x in heads}
         if (_cell_order(list(table.cells), table) is None
-                and _is_join(text, qtable_json_chunks(table))):
+                and _is_join(text, qtable_json_chunks(table, numerics))):
             return table
     return _checked_table(json.loads(text))
 

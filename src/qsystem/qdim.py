@@ -19,9 +19,9 @@ precomputed sine table at the working precision selected by the
 ``QSYS_PRECISION_BITS`` environment variable (default 128 bits).
 
 ``qdim_affine`` is the one evaluator, and it takes a block of weights:
-the pairings, the zero and sign tests, the canonical counts and the
-exact test run on the whole block in int64.  Only the rows left without
-an exact value take a sine product, one per distinct count row, from
+the pairings, the zero and sign tests and the canonical counts run in
+int64 on blocks of rows, the exact test on the whole.  Only the rows left
+without an exact value take a sine product, one per distinct count row, from
 powers sin(pi q / N) ** c each taken once per call, and one division by
 the denominator; a row of sign -1 takes the exact negation.  The products
 run on mpmath's libmp tuples with the operations and roundings of the mpf
@@ -108,10 +108,10 @@ def qdim_affine(reps: np.ndarray, level: int, dynkin: DynkinData) -> list[QDimVa
     """Quantum dimensions of an (n, r+1) block of affine weights at level k,
     one per row (the zeroth coordinate only fixes the level).
 
-    The zero and exact-sign tests run on the whole block in integers; the
-    rows that are neither take the sine product of their count row, each
-    distinct count row once and divided by the denominator once, on libmp
-    tuples, a row of sign -1 the negation of that quotient.
+    The zero and exact-sign tests run in integers, on blocks of rows whose
+    pairings take 8 MiB; the rows that are neither take the sine product of
+    their count row, each distinct count row once and divided by the
+    denominator once, on libmp tuples, a row of sign -1 the negation of it.
     """
     if level < 1:
         raise ValueError(f"level must be >= 1, got {level}")
@@ -119,13 +119,17 @@ def qdim_affine(reps: np.ndarray, level: int, dynkin: DynkinData) -> list[QDimVa
     root_matrix, height_counts, denominator = _root_data(dynkin, level, bits)
     n_mod = dynkin.coxeter + level
 
-    residues = ((np.asarray(reps, dtype=np.int64)[:, 1:] + 1) @ root_matrix) % (2 * n_mod)
-    zero = (residues % n_mod == 0).any(1)
-    over = residues > n_mod
-    signs = np.where(np.count_nonzero(over, 1) & 1, -1, 1)
-    magnitudes = np.where(over, 2 * n_mod - residues, residues)
-    canon = np.minimum(magnitudes, n_mod - magnitudes) + n_mod * np.arange(len(residues))[:, None]
-    counts = np.bincount(canon.ravel(), minlength=len(residues) * n_mod).reshape(-1, n_mod)
+    plus_rho, zero, signs, counts = np.asarray(reps, dtype=np.int64)[:, 1:] + 1, [], [], []
+    step = max(1, 2**18 // root_matrix.shape[1])
+    for i in range(0, max(len(plus_rho), 1), step):
+        residues = (plus_rho[i:i + step] @ root_matrix) % (2 * n_mod)
+        over, n = residues > n_mod, len(residues)
+        zero.append((residues % n_mod == 0).any(1))
+        signs.append(np.where(np.count_nonzero(over, 1) & 1, -1, 1))
+        magnitudes = np.where(over, 2 * n_mod - residues, residues)
+        canon = np.minimum(magnitudes, n_mod - magnitudes) + n_mod * np.arange(n)[:, None]
+        counts.append(np.bincount(canon.ravel(), minlength=n * n_mod).reshape(n, n_mod))
+    zero, signs, counts = map(np.concatenate, (zero, signs, counts))
     exact = (counts == height_counts).all(1)
     generic = ~zero & ~exact
     distinct, inverse = np.unique(counts[generic], axis=0, return_inverse=True)

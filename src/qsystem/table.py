@@ -8,9 +8,9 @@ first carried to their dominant alcove representatives with signs; equal
 representatives cancel in integer arithmetic, so a cell whose summands
 cancel completely is certified zero exactly, and a cell collapsing to
 representatives with certified values gets an exact integer tag.  The
-tail cells of D are slices of two chains of weights; ``live_blocks`` drops
-those on a wall before reduction, the rest are reduced once each, and every
-cell is read off prefix sums of the signed representatives.
+tail cells of D are slices of two chains of weights, walked as merged signed
+prefix states (``_chain_states``); one weight of each class is reduced, and
+every cell is read off prefix sums of the signed representatives.
 A table stores only its cell values; the JSON writer of ``io`` formats
 the unreduced summands of its cells from ``kr_decompose`` rows of nodes
 2 and 3 and the upper chain parts of ``stars_and_bars``.
@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from typing import Iterable, Iterator, Mapping
+from typing import Mapping
 
 import mpmath
 import numpy as np
@@ -39,8 +39,8 @@ from .recurrence import terms
 Cell = tuple[int, int]
 
 
-# Rows per block of chain weights reduced in one reduce_to_alcove call, and of
-# provenance rows per piece of JSON text; it bounds their memory.
+# Children per run of the chain walk, rows per memoised block of stars_and_bars,
+# and provenance rows per piece of JSON text; it bounds their memory.
 _BLOCK_ROWS = 2**11
 
 
@@ -57,48 +57,24 @@ class KRDecomposition:
 
 def stars_and_bars(total: int, parts: int) -> np.ndarray:
     """The nonnegative integer rows of length ``parts`` with the given sum,
-    lexicographically descending: the blocks of ``composition_blocks`` joined."""
-    if comb(total + parts - 1, parts - 1) <= _BLOCK_ROWS:  # its one block
-        return _whole(total, parts).copy()
-    return np.concatenate(list(composition_blocks(total, parts)))
-
-
-def composition_blocks(total: int, parts: int) -> Iterator[np.ndarray]:
-    """``stars_and_bars(total, parts)`` in order, walls included, in blocks of
-    exactly _BLOCK_ROWS rows but the last: heads are fixed until the rest
-    fits one block, and its memoised rows follow them, cut where a block fills."""
-    return _blocks(_pieces(total, parts, ()), parts)
-
-
-def _blocks(pieces: Iterable[tuple[tuple, np.ndarray]], parts: int) -> Iterator[np.ndarray]:
-    """Each piece's rest rows after its heads, in blocks of exactly _BLOCK_ROWS but the last."""
-    buf, n = np.empty((_BLOCK_ROWS, parts), dtype=np.int64), 0
-    for heads, rest in pieces:
-        while len(rest):
-            if n == _BLOCK_ROWS:
-                yield buf
-                buf, n = np.empty_like(buf), 0
-            take = min(len(rest), _BLOCK_ROWS - n)
-            buf[n:n + take, :len(heads)] = heads
-            buf[n:n + take, len(heads):] = rest[:take]
-            rest, n = rest[take:], n + take
-    yield buf[:n]
-
-
-def _pieces(total: int, parts: int, heads: tuple) -> Iterator[tuple[tuple, np.ndarray]]:
+    lexicographically descending, stacked from memoised sub-blocks that fit
+    one block of _BLOCK_ROWS rows."""
     if comb(total + parts - 1, parts - 1) <= _BLOCK_ROWS:
-        yield heads, _whole(total, parts)
-    else:
-        for head in range(total, -1, -1):
-            yield from _pieces(total - head, parts - 1, heads + (head,))
+        return _whole(total, parts).copy()
+    return _stacked(total, [stars_and_bars(total - head, parts - 1)
+                            for head in range(total, -1, -1)])
 
 
 @lru_cache(maxsize=None)
 def _whole(total: int, parts: int) -> np.ndarray:
-    """``stars_and_bars(total, parts)`` built whole, only for a block that fits one."""
+    """``stars_and_bars(total, parts)``, memoised only for a block that fits one."""
     if parts == 1:
         return np.array([[total]], dtype=np.int64)
-    tails = [_whole(total - head, parts - 1) for head in range(total, -1, -1)]
+    return _stacked(total, [_whole(total - head, parts - 1) for head in range(total, -1, -1)])
+
+
+def _stacked(total: int, tails: list[np.ndarray]) -> np.ndarray:
+    """The rows of each tail after its head, heads total, total - 1, .., 0."""
     return np.column_stack([np.repeat(np.arange(total, -1, -1), [len(t) for t in tails]),
                             np.concatenate(tails)])
 
@@ -143,52 +119,71 @@ def kr_term_count(a: int, m: int, dynkin: DynkinData) -> int:
     return comb(m + a // 2, a // 2)
 
 
-def live_blocks(top: int, m_max: int, level: int, dynkin: DynkinData) -> Iterator[np.ndarray]:
-    """The rows of ``composition_blocks(m_max, p + 1)``, p = (top + 1) // 2, whose
-    chain weight (see ``_survivors``) is off every wall, in the same order and
-    blocks.  At shifted level N, lambda + rho has epsilon coordinates mu_i =
-    sum_(j >= i) k_j + r - i, off every wall iff min(mu_i mod N, N - mu_i mod N)
-    are distinct.  Those above the top are fixed and each head fixes two more
-    (one for omega_1): a clash drops a prefix's subtree.  Heads are added by
-    ``np.repeat``, depth-first in runs starting within one block, each prefix
-    with a boolean table of used residues, exact for every N."""
+def _chain_states(top: int, m_max: int, level: int,
+                  dynkin: DynkinData) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The chain weights (see ``_survivors``) off every wall, in classes of one
+    representative, highest nonzero position and sum s: per class one row of
+    ``stars_and_bars(m_max, p + 1)``, p = (top + 1) // 2, that position and
+    the sum of the signs, where it is not 0.
+
+    With mu_i = sum_(j >= i) k_j + r - i, a weight is off every wall iff the
+    residues min(mu_i mod N, N - mu_i mod N) are distinct; the representative
+    is fixed by their set and the parities of the turns mu_i // N and flips
+    (mu_i mod N > N / 2), the sign by that of the pairs i < j whose residues
+    rise.  Above the top, mu_i = r - i: residues 0, 1, .. below all others,
+    with no turn or flip.  Each head fixes two more below them, mu_i and
+    mu_i + 1, adjacent residues (one for omega_1, the last), so each new
+    residue is below an even number of earlier ones and the sign is that of
+    the heads whose first residue is above their second.  A prefix state
+    (rest, first nonzero head, parities, residues) carries the sum of its
+    prefixes' signs: a clash drops a child, equal states merge and a sum of 0
+    drops.  A depth is expanded in runs of at most _BLOCK_ROWS children; its
+    kept children are merged by ``_rank_rows`` on the state columns, the
+    residues packed eight to a column, and keep their first prefix."""
     r, shifted, p = dynkin.rank, level + dynkin.coxeter, (top + 1) // 2
-    visits = live = 0
-
-    def walk(comps, used, rem):  # one run of prefixes: every next head, clashes dropped
-        nonlocal visits, live
-        depth, parent = comps.shape[1], np.repeat(np.arange(len(rem)), rem + 1)
-        rest = np.arange(len(parent)) - (np.cumsum(rem + 1) - rem - 1)[parent]  # left by a head
-        new = fold[(m_max + r - top + 2 * depth - rest)[:, None]  # the mu_i this head fixes
-                   + np.arange(min(2, top - 2 * depth))]
-        keep = (~used.reshape(-1)[parent[:, None] * used.shape[1] + new].any(1)
-                & (new[:, :1] != new[:, 1:]).all(1))
-        visits += len(keep)
-        parent, rest, new = parent[keep], rest[keep], new[keep]
-        comps, rem = np.column_stack([comps[parent], rem[parent] - rest]), rest
-        if depth + 1 == p:
-            live += len(rem)
-            yield (), np.column_stack([comps, rem])
-            return
-        used = used[parent] | (new[:, :, None] == np.arange(used.shape[1])).any(1)
-        cuts = np.flatnonzero(np.diff((np.cumsum(rem + 1) - rem - 1) // _BLOCK_ROWS)) + 1
-        for a, b in zip([0, *cuts], [*cuts, len(rem)]):
-            yield from walk(comps[a:b], used[a:b], rem[a:b])
-
-    fold = np.minimum(np.arange(m_max + r) % shifted, -np.arange(m_max + r) % shifted)
-    used = np.arange(fold.max() + 1)[None] < r - top  # r - i above the top, below N / 2
-    yield from _blocks(walk(np.empty((1, 0), dtype=np.int64), used, np.array([m_max])), p + 1)
+    mu = np.arange(m_max + r)
+    fold = np.minimum(mu % shifted, -mu % shifted)
+    parity = mu // shifted % 2 + 2 * (2 * (mu % shifted) > shifted)  # its turn and its flip
+    width = shifted // 2 + 1  # residues 0..N // 2
+    above = np.packbits(np.arange(width) < r - top, bitorder="little")  # r - i above the top
+    state, weight = np.concatenate([[m_max, p - 1, 0], above])[None], np.ones(1)
+    radices, key, sizes = [m_max + 1, p, 4] + [256] * len(above), 3 + len(above), []
+    for depth in range(p):
+        ends, runs = np.cumsum(state[:, 0] + 1), []
+        pair = m_max + r - top + 2 * depth + np.arange(min(2, top - 2 * depth))  # mu_i + its rest
+        for lo in range(0, ends[-1], _BLOCK_ROWS):
+            child = np.arange(lo, min(lo + _BLOCK_ROWS, ends[-1]))
+            parent = np.searchsorted(ends, child, side="right")
+            up, rest = state[parent], ends[parent] - 1 - child  # the parent, left after the head
+            fixed = pair - rest[:, None]  # the mu_i this head fixes
+            new, at = fold[fixed], np.arange(len(child))[:, None]
+            used = np.unpackbits(up[:, 3:key].astype("u1"), axis=1, count=width, bitorder="little")
+            keep = ~used[at, new].any(1) & (new[:, :1] != new[:, 1:]).all(1)
+            used[at, new] = 1
+            children = np.column_stack([
+                rest, np.where(rest < up[:, 0], np.minimum(up[:, 1], depth), up[:, 1]),
+                up[:, 2] ^ np.bitwise_xor.reduce(parity[fixed], axis=1),
+                np.packbits(used, axis=1, bitorder="little"), up[:, key:], up[:, 0] - rest])
+            signed = np.where(new[:, 0] > new[:, -1], -weight[parent], weight[parent])
+            runs.append((children[keep], signed[keep]))
+        children, signed = map(np.concatenate, zip(*runs))
+        uniq, inverse = _rank_rows(children, radices)
+        weight = np.bincount(inverse, weights=signed, minlength=len(uniq))
+        state, weight = uniq[weight != 0], weight[weight != 0]
+        sizes.append(len(state))
     log = sys.modules.get("logging")  # not loaded, it has no handler to take the record
     if log and log.getLogger(__name__).isEnabledFor(log.DEBUG):
-        log.getLogger(__name__).debug("chain %d: %d weights, %d prefixes visited, %d live",
-                                      top, comb(m_max + p, p), visits, live)
+        log.getLogger(__name__).debug("chain %d: %d weights, states per depth %s, %d live",
+                                      top, comb(m_max + p, p), sizes, len(state))
+    return np.column_stack([state[:, key:], state[:, 0]]), state[:, 1], weight.astype(np.int64)
 
 
 def _rank_rows(rows: np.ndarray, radices: list[int]) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows in lexicographic order and the index of each row
     among them.  Column i holds values in 0..radices[i] - 1; the columns
     are packed into one mixed-radix int64 key, and the key built so far is
-    replaced by its rank whenever the next column would overflow int64."""
+    replaced by its rank whenever the next column would overflow int64.
+    Columns past the radices are not keyed: each has that of a key's first row."""
     key, span = np.zeros(len(rows), dtype=np.int64), 1
     for column, radix in zip(rows.T, radices):
         if span > (2**63 - 1) // radix:
@@ -209,12 +204,12 @@ def _survivors(level: int, dynkin: DynkinData, m_max: int,
     The tail cells of D below t are slices of one chain: the weights
     k_t omega_t + k_(t-2) omega_(t-2) + ... with coefficient sum
     s <= m_max.  Cell (a, m) holds those that vanish above a, with s <= m
-    for even a and s = m for odd a.  The weights off every wall come in the
-    blocks of ``live_blocks`` and are reduced, each once; a sign goes into a
-    dense (representative, highest nonzero position, s) array, whose prefix
-    sums over the position (and over s for even t) hold every cell as one
-    column.  The tops r - 2 and r - 3 cover the whole tail.  Fork tips and
-    family A have one summand per cell, reduced together in one block.
+    for even a and s = m for odd a.  One weight of each class of
+    ``_chain_states`` is reduced; the class's signed count goes into a dense
+    (representative, highest nonzero position, s) array, whose prefix sums
+    over the position (and over s for even t) hold every cell as one column.
+    The tops r - 2 and r - 3 cover the whole tail.  Fork tips and family A
+    have one summand per cell, reduced together in one block.
     """
     r, sums = dynkin.rank, m_max + 1
     singles = [(a, m) for a in range(1, r + 1) for m in range(sums)
@@ -227,17 +222,11 @@ def _survivors(level: int, dynkin: DynkinData, m_max: int,
     radices = [level // mark + 1 for mark in dynkin.marks]
     for top in tops:
         p = (top + 1) // 2  # chain nodes top, top - 2, ..., 2 or 1
-        reps, index, signs = [], [], []
-        for comps in live_blocks(top, m_max, level, dynkin):  # the last part is the slack
-            res = reduce_to_alcove(affinize(_chain_weights(top, comps, r), level, dynkin), dynkin)
-            nonzero = comps[:, :p] != 0
-            position = np.where(nonzero.any(1), nonzero.argmax(1), p - 1)
-            reps.append(res.rep)
-            index.append(position * sums + m_max - comps[:, p])
-            signs.append(res.sign)
-        uniq, rank = _rank_rows(np.concatenate(reps), radices)
-        dense = np.bincount(rank * (p * sums) + np.concatenate(index),
-                            weights=np.concatenate(signs), minlength=len(uniq) * p * sums)
+        comps, position, weight = _chain_states(top, m_max, level, dynkin)  # slack last
+        res = reduce_to_alcove(affinize(_chain_weights(top, comps, r), level, dynkin), dynkin)
+        uniq, rank = _rank_rows(res.rep, radices)
+        dense = np.bincount(rank * (p * sums) + position * sums + m_max - comps[:, p],
+                            weights=weight, minlength=len(uniq) * p * sums)
         dense = dense.astype(np.int64).reshape(len(uniq), p, sums)
         dense = dense[:, ::-1].cumsum(1)[:, ::-1]  # position i: every weight vanishing above it
         if top % 2 == 0:

@@ -314,8 +314,8 @@ def node_summands(a: int, ms: Iterable[int], level: int,
     rows with their runs (m, rows), each piece copied into columns 1.. of one
     buffer whose column 0 is set once per block: the JSON writer's provenance
     before it joined rows from shared heads and tails.  Single summands take m
-    in column a; a tail cell comes from ``kr_decompose`` when it fits one block
-    and from the blocks of ``composition_blocks`` otherwise."""
+    in column a; a tail cell's ``kr_decompose`` rows are cut into pieces of
+    at most that many rows."""
     bound = qsystem.table._BLOCK_ROWS
     if dynkin.family == "A" or a >= dynkin.rank - 1 or a == 1:  # no call per cell
         cols, ms = slice(a, a + 1), np.fromiter(ms, dtype=np.int64)[:, None]
@@ -324,12 +324,9 @@ def node_summands(a: int, ms: Iterable[int], level: int,
     else:
         def tail_pieces():
             for m in ms:
-                blocks = ([kr_decompose(a, m, dynkin).terms]
-                          if qsystem.table.kr_term_count(a, m, dynkin) <= bound else
-                          (qsystem.table._chain_weights(a, comps, dynkin.rank)
-                           for comps in qsystem.table.composition_blocks(m, a // 2 + 1)))
-                for terms in blocks:
-                    yield terms, [(m, len(terms))]
+                terms = kr_decompose(a, m, dynkin).terms
+                for piece in np.split(terms, range(bound, len(terms), bound)):
+                    yield piece, [(m, len(piece))]
         cols, pieces = slice(1, None), tail_pieces()
     buf, runs, n = np.zeros((bound, dynkin.rank + 1), dtype=np.int64), [], 0
     for rows, piece_runs in pieces:

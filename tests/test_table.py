@@ -21,10 +21,9 @@ from qsystem.io import (qtable_from_json, qtable_json_chunks, qtable_to_csv, qta
                         qtable_to_text)
 from qsystem.qdim import QDimValue, precision_bits
 from qsystem.recurrence import terms
-from qsystem.table import (_chain_weights, _rank_rows, _survivors, build_qtable,
-                           composition_blocks, forced_tail_report, kr_decompose, kr_term_count,
-                           live_blocks, midpoint_checks, stars_and_bars, verify_kns,
-                           verify_qsystem)
+from qsystem.table import (_chain_states, _chain_weights, _rank_rows, _survivors, build_qtable,
+                           forced_tail_report, kr_decompose, kr_term_count, midpoint_checks,
+                           stars_and_bars, verify_kns, verify_qsystem)
 
 from oracles import (assert_same_text, combine_mpf, compositions, kr_terms_recursive,
                      node_summands, qdim_affine, qtable_from_json_loads, qtable_to_dict,
@@ -567,40 +566,50 @@ def test_rank_rows_matches_unique(radices, seed, n):
     assert np.array_equal(uniq, want) and np.array_equal(inverse, want_inverse.ravel())
 
 
-@pytest.mark.parametrize("total,parts,rows", [(9, 2, 3), (9, 4, 7), (12, 5, 40), (0, 3, 1)])
-def test_head_groups_cut_stars_and_bars(total, parts, rows):
-    # the blocks of at most `rows` rows that the chain is cut into join to the whole chain
+def _stars_and_bars_memoised(total, parts, rows):
+    """``stars_and_bars(total, parts)`` under a bound of ``rows`` from an empty
+    memo, and the rows of each array that ``_whole`` returns, so memoises."""
+    whole, memoised = qsystem.table._whole, []
+
+    def recorded(*args):
+        out = whole(*args)
+        memoised.append(len(out))
+        return out
+
+    whole.cache_clear()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(qsystem.table, "_BLOCK_ROWS", rows)
-        blocks = list(composition_blocks(total, parts))
-    assert np.concatenate(blocks).tolist() == [list(c) for c in compositions(total, parts)]
-    assert all(len(b) == rows for b in blocks[:-1]) and 0 < len(blocks[-1]) <= rows
+        patch.setattr(qsystem.table, "_whole", recorded)
+        got = stars_and_bars(total, parts)
+    return got, memoised
+
+
+@pytest.mark.parametrize("total,parts,rows", [(9, 2, 3), (9, 4, 7), (12, 5, 40), (0, 3, 1)])
+def test_head_groups_cut_stars_and_bars(total, parts, rows):
+    # heads are fixed until the rest fits `rows` rows, and only such rests are memoised
+    got, memoised = _stars_and_bars_memoised(total, parts, rows)
+    assert got.tolist() == [list(c) for c in compositions(total, parts)]
+    assert 0 < max(memoised) <= rows
 
 
 @settings(max_examples=60, deadline=None)
 @given(total=st.integers(0, 12), parts=st.integers(1, 6))
-def test_composition_blocks_match_oracle(total, parts):
+def test_stars_and_bars_match_oracle(total, parts):
     want = [list(c) for c in compositions(total, parts)]
-    assert stars_and_bars(total, parts).tolist() == want
-    for rows in (1, 7, 2**11):  # one row per block; pieces cut across blocks; the real bound
+    for rows in (1, 7, 2**11):  # one row per memoised block; a few rows; the real bound
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(qsystem.table, "_BLOCK_ROWS", rows)
-            blocks = list(composition_blocks(total, parts))
-        assert all(len(b) == rows for b in blocks[:-1]) and 0 < len(blocks[-1]) <= rows
-        assert np.concatenate(blocks).tolist() == want, rows
+            assert stars_and_bars(total, parts).tolist() == want, rows
 
 
-def test_composition_blocks_stream():
-    # 324,632 rows of 6 int64 parts are 15.6 MB whole; only blocks that fit are memoised
-    qsystem.table._whole.cache_clear()
-    tracemalloc.start()
-    try:
-        rows = sum(len(b) for b in composition_blocks(30, 6))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert rows == comb(35, 5)
-    assert peak < 4 * 2**20
+def test_stars_and_bars_memoises_only_blocks():
+    # 324,632 rows of 6 parts (15.6 MB) are built whole; no memoised array exceeds one block
+    bound = qsystem.table._BLOCK_ROWS
+    got, memoised = _stars_and_bars_memoised(30, 6, bound)
+    assert len(got) == comb(35, 5) and (got >= 0).all() and (got.sum(1) == 30).all()
+    step = got[:-1] - got[1:]  # lexicographically descending: each first nonzero step is > 0
+    assert (step[np.arange(len(step)), (step != 0).argmax(1)] > 0).all()
+    assert max(memoised) <= bound
 
 
 def _chain_signs(top, m_max, k, d):
@@ -609,21 +618,38 @@ def _chain_signs(top, m_max, k, d):
     return rows, reduce_to_alcove(affinize(_chain_weights(top, rows, d.rank), k, d), d).sign
 
 
-@settings(max_examples=60, deadline=None)
-@given(rank=st.integers(4, 10), k=st.integers(1, 10), data=st.data())
-def test_live_blocks_match_reducer(rank, k, data):
-    # the sieve drops exactly the weights the reducer puts on a wall, and keeps the rest in order
+def _class_sums(top, comps, weights, k, d):
+    """The weights of chain rows summed by (representative, highest nonzero
+    position, slack), the keys of the sums that are not 0."""
+    p = (top + 1) // 2
+    reps = reduce_to_alcove(affinize(_chain_weights(top, comps, d.rank), k, d), d).rep
+    nonzero = comps[:, :p] != 0
+    position = np.where(nonzero.any(1), nonzero.argmax(1), p - 1)
+    keys = zip(map(tuple, reps.tolist()), position.tolist(), comps[:, p].tolist())
+    sums = {}
+    for key, w in zip(keys, weights.tolist()):
+        sums[key] = sums.get(key, 0) + w
+    return {key: w for key, w in sums.items() if w}
+
+
+@settings(max_examples=40, deadline=None)
+@given(rank=st.integers(4, 11), k=st.integers(1, 10), data=st.data())
+def test_chain_walk_matches_chunked_oracle(rank, k, data):
+    # the merged prefix states, expanded one child per run, in runs of 7 and at the real
+    # bound, give the survivors of every summand reduced on its own
     d = build_dynkin("D", rank)
-    m_max = data.draw(st.integers(0, k + d.coxeter + 3), label="m_max")
-    for top in (rank - 2, rank - 3):
-        rows, sign = _chain_signs(top, m_max, k, d)
-        for bound in (1, 7, 2**11):  # a block per live row; runs cut across blocks; the real bound
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(qsystem.table, "_BLOCK_ROWS", bound)
-                blocks = list(live_blocks(top, m_max, k, d))
-            assert all(len(b) == bound for b in blocks[:-1]) and len(blocks[-1]) <= bound
-            kept = np.concatenate(blocks)
-            assert np.array_equal(kept, rows[sign != 0]), (top, m_max, bound)
+    limit, total = 0, 0
+    for m in range(k + d.coxeter + 4):
+        total += sum(kr_term_count(a, m, d) for a in range(1, rank + 1))
+        if total > ORACLE_SUMMANDS:
+            break
+        limit = m
+    m_max = data.draw(st.integers(0, limit), label="m_max")
+    want = survivors_chunked(_cells(d, m_max), k, d, chunk_rows=97)
+    for bound in (1, 7, 2**11):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(qsystem.table, "_BLOCK_ROWS", bound)
+            assert _survivors(k, d, m_max, _tops(d)) == want, bound
 
 
 @pytest.mark.parametrize("rank,k", [(5, 125), (6, 130)])
@@ -632,22 +658,23 @@ def test_live_blocks_past_64_residues(rank, k):
     d = build_dynkin("D", rank)
     for top in (rank - 2, rank - 3):
         rows, sign = _chain_signs(top, k + d.coxeter, k, d)
-        kept = np.concatenate(list(live_blocks(top, k + d.coxeter, k, d)))
-        assert np.array_equal(kept, rows[sign != 0]), top
+        comps, _, weight = _chain_states(top, k + d.coxeter, k, d)
+        assert _class_sums(top, comps, weight, k, d) == _class_sums(top, rows, sign, k, d), top
         if (rank, top) == (5, 3):
-            assert len(kept) == 8_439  # residues up to 66: bits an int64 mask would lose
+            assert np.count_nonzero(sign) == 8_439  # residues up to 66: bits an int64 mask loses
 
 
 def test_live_blocks_stream():
-    # the D13k13 top chain: 6,096,454 weights, 290,547 live rows of 7 int64 parts (15.5 MiB whole)
+    # the D13k13 top chain: 6,096,454 weights, 290,547 of them live (15.5 MiB as 7 int64
+    # parts), merge into 1,849 states, each depth expanded in runs of _BLOCK_ROWS children
     tracemalloc.start()
     try:
-        rows = sum(len(b) for b in live_blocks(11, 37, 13, build_dynkin("D", 13)))
+        comps, _, _ = _chain_states(11, 37, 13, build_dynkin("D", 13))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rows == 290_547
-    assert peak < 4 * 2**20
+    assert len(comps) == 1_849
+    assert peak < 8 * 2**20
 
 
 def test_live_blocks_log_each_chain(caplog):
@@ -655,8 +682,8 @@ def test_live_blocks_log_each_chain(caplog):
         build_qtable(build_dynkin("D", 9), 8)
     records = [r.args for r in caplog.records if r.name == "qsystem.table"]
     assert [(top, weights) for top, weights, _, _ in records] == [(7, 20_475), (6, 2_925)]
-    assert sum(live for *_, live in records) == 3_703
-    assert all(visits >= live for *_, visits, live in records)
+    assert [states for _, _, states, _ in records] == [[21, 95, 167, 196], [19, 77, 113]]
+    assert all(states[-1] == live for _, _, states, live in records)
 
 
 # --- serialization ---------------------------------------------------------------
@@ -700,6 +727,26 @@ def test_json_other_layouts_and_precisions_load_their_content(d5_table, monkeypa
     monkeypatch.delenv("QSYS_PRECISION_BITS")
     back = qtable_from_json(text)
     assert back == qtable_from_json_loads(text) and qtable_to_json(back) != text
+
+
+def test_json_at_another_precision_is_read_in_place(monkeypatch):
+    # a 64-bit D9k8 read at 128 bits: the writer's pieces with the numerics of its heads are its
+    # bytes, so nothing is parsed whole; tampered provenance still names its cell
+    monkeypatch.setenv("QSYS_PRECISION_BITS", "64")
+    text = qtable_to_json(build_qtable(build_dynkin("D", 9), 8))
+    monkeypatch.delenv("QSYS_PRECISION_BITS")
+    want = qtable_from_json_loads(text)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("json.loads called on a text in the writer's layout")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(qsystem.io.json, "loads", refused)
+        assert qtable_from_json(text) == want
+    start, _ = _provenance_span(text, 7, 3)
+    at = text.index("\n    ]", start) - 1
+    with pytest.raises(ValueError, match=r"cell \(7, 3\): provenance differs"):
+        qtable_from_json(text[:at] + str((int(text[at]) + 1) % 10) + text[at + 1:])
 
 
 @settings(max_examples=60, deadline=None)
