@@ -279,6 +279,7 @@ def solution_to_dict(sol: RestrictedSolution,
         "rank": sol.rank,
         "level": sol.level,
         "residual": sol.residual,
+        "relative_residual": sol.relative_residual,
         "iterations": sol.iterations,
         "float_iterations": sol.float_iterations,
         "polish_steps": sol.polish_steps,
@@ -302,6 +303,7 @@ def solution_to_text(sol: RestrictedSolution,
     lines = [
         f"{sol.family}{sol.rank}, level {sol.level}: "
         f"residual {sol.residual:.3e} after {sol.iterations} iterations"
+        f" (relative {sol.relative_residual:.3e})"
     ]
     for a in range(1, sol.rank + 1):
         row = "  ".join(mpmath.nstr(sol.values[(a, m)], 10)

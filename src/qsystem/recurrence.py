@@ -21,7 +21,7 @@ def terms(q: np.ndarray, adj: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     every equation 1 <= m <= m_max-1 of the value grid ``q``, shape
     (..., rank, m_max+1), for the 0/1 adjacency matrix ``adj`` of a
     connected diagram.  Works on float64 arrays and on object arrays of mpf
-    alike.  Each caller combines the terms in its own order, which fixes
+    or of Python integers alike.  Each caller combines the terms in its own order, which fixes
     the low digits it reports."""
     mid = q[..., 1:-1]
     nbrs, starts = _neighbours(len(adj), (adj != 0).tobytes())

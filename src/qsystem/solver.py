@@ -10,22 +10,26 @@ the log form does not vanish.  It runs on a stack of starts at once, with
 stacked linear solves and each start's line search and stop test its own;
 the solve uses a single start and the uniqueness probe all of its starts
 together.  Mixed-precision iterative refinement then carries the float
-solution to working precision: each step evaluates the raw residual
-square - prod - Q_{m-1} Q_{m+1} at working precision, divides it in
-float64 by prod + Q_{m-1} Q_{m+1} at the float solution, which gives the
-log form to first order, and solves for the log-coordinate correction
-in float64 with the Newton's own Jacobian of the log form (Higham,
-*Accuracy and Stability of Numerical Algorithms*, ch. 12).  Residuals are
-judged relative to the term scale S, the largest term in any equation:
-refinement stops at 2^(8 - bits) S, and a solve is accepted when its
-residual is at most tol * max(1, S).  Both phases log each step at DEBUG
-to the ``qsystem.solver`` logger.
+solution to working precision on exact dyadic numbers: every value is an
+integer at one common scale 2^-F, so each step evaluates the raw
+residual square - prod - Q_{m-1} Q_{m+1} exactly, divides it in float64
+by prod + Q_{m-1} Q_{m+1} at the float solution, which gives the log form
+to first order, and solves for the log-coordinate correction in float64
+with the Newton's own Jacobian of the log form (Higham, *Accuracy and
+Stability of Numerical Algorithms*, ch. 12).  The correction multiplies
+each value by its exponential, summed as a Taylor series on integers and
+rounded to the working precision.  Residuals are judged relative to the
+term scale S, the largest term in any equation: refinement stops once
+the exact residual is at most 2^(8 - bits) S, and a solve is accepted
+when its residual is at most tol * max(1, S).  Both phases log each step
+at DEBUG to the ``qsystem.solver`` logger.
 
 The Rogers dilogarithm takes y = min(x, 1 - x) <= 1/2 and sums Li2(y)
 and -log(1 - y) over the same powers of y in one Python-integer
 fixed-point loop with 20 guard bits, so it stays relatively accurate
 however small y is, and reflects through L(x) + L(1 - x) = pi^2/6.  It runs
-on libmp tuples; the identity evaluates each distinct argument once.
+on libmp tuples, as do the identity's arguments and their sum, which
+evaluates each distinct argument once.
 """
 
 from __future__ import annotations
@@ -38,8 +42,9 @@ from typing import Mapping
 
 import mpmath
 import numpy as np
-from mpmath.libmp import (fone, from_int, from_man_exp, mpf_cmp, mpf_div, mpf_log, mpf_mul,
-                          mpf_pi, mpf_pow_int, mpf_sub, round_nearest, to_fixed)
+from mpmath.libmp import (MPZ, fone, from_int, from_man_exp, fzero, mpf_add, mpf_cmp, mpf_div,
+                          mpf_log, mpf_lt, mpf_mul, mpf_pi, mpf_pow_int, mpf_sub,
+                          round_nearest, to_fixed)
 
 from . import precision_bits
 from .checks import PropertyReport, positive_checks
@@ -61,6 +66,9 @@ _BITS_PER_POLISH_STEP = 16
 # 0.6 MiB; groups of at most 256 KiB raise it about as little as solving one
 # start at a time.
 _JACOBIAN_ENTRIES = 1 << 15
+# Bits below the unit of each value at which the refinement sums its Taylor
+# series.
+_GUARD_BITS = 20
 
 
 class InvalidLevel(ValueError):
@@ -98,6 +106,11 @@ class RestrictedSolution:
         """Float Newton iterations plus refinement steps."""
         return self.float_iterations + self.polish_steps
 
+    @property
+    def relative_residual(self) -> float:
+        """The residual relative to max(1, S), S the term scale."""
+        return self.residual / max(1.0, self.term_scale)
+
     def value(self, a: int, m: int) -> mpmath.mpf:
         return self.values[(a, m)]
 
@@ -107,11 +120,6 @@ def _grid(dynkin: DynkinData, k: int, inner: np.ndarray) -> np.ndarray:
     q = np.ones((*inner.shape[:-2], dynkin.rank, k + 1))
     q[..., 1:k] = inner
     return q
-
-
-def _residual(q: np.ndarray, adj: np.ndarray) -> np.ndarray:
-    square, prod, cross = terms(q, adj)
-    return square - prod - cross
 
 
 @lru_cache(maxsize=None)
@@ -249,38 +257,109 @@ def _newton_float(dynkin: DynkinData, k: int, u0: np.ndarray, max_iter: int
             iterations.reshape(batch).tolist(), (nrm <= _LOG_TOL).reshape(batch).tolist())
 
 
+def _mpf_at_scale(n: int, frac: int) -> mpmath.mpf:
+    """The mpf n 2^-frac of an integer n > 0, exact, in the normal form of
+    libmp: an odd mantissa and its bit count."""
+    zeros = (n & -n).bit_length() - 1
+    man = n >> zeros
+    return mpmath.mp.make_mpf((0, MPZ(man), zeros - frac, man.bit_length()))
+
+
+def _times_exp(n: int, delta: float, exp: int, bits: int) -> tuple[int, int]:
+    """n exp(delta 2^exp) for an integer n > 0, rounded to nearest, ties to
+    even, at ``bits`` significant bits, or at the unit where that is coarser, and
+    the number of nonzero Taylor terms past n.
+
+    The series n sum_j (delta 2^exp)^j / j! is summed on integers with
+    ``_GUARD_BITS`` more bits than n until a term vanishes: each term is
+    the last times |delta| 2^exp, shifted back by ``>>`` and floor-divided
+    by j, so it is off by under one unit at the guard scale and their sum
+    by some units there, far below the final rounding.
+    """
+    num, den = delta.as_integer_ratio()
+    mul, shift = abs(num), den.bit_length() - 1 - exp
+    if shift < 0:
+        mul, shift = mul << -shift, 0
+    total = term = n << _GUARD_BITS
+    j = 0
+    while term:
+        j += 1
+        term = (term * mul >> shift) // j
+        total += -term if num < 0 and j & 1 else term
+    drop = total.bit_length() - bits
+    if drop < _GUARD_BITS:
+        drop = _GUARD_BITS
+    ties_to_even = (1 << drop - 1) - 1 + (total >> drop & 1)
+    return (total + ties_to_even) >> drop << drop - _GUARD_BITS, j - 1
+
+
 def _polish(dynkin: DynkinData, k: int,
             q_float: np.ndarray) -> tuple[np.ndarray, mpmath.mpf, int, float]:
-    """Mixed-precision iterative refinement of the float solution.
+    """Iterative refinement of the float solution on exact dyadic integers.
 
-    Each step computes the raw residual f at working precision and solves
+    Each Q is held as an integer n at one common scale 2^-F, where F is
+    large enough that every ``bits``-bit value from half the smallest float
+    value up is exact.  Each step evaluates the residual
+    square - prod - Q_{m-1} Q_{m+1} exactly, through :func:`terms` on
+    integers, every term lifted to the scale 2^(-D F) of the longest
+    product, D = max(2, largest node degree).  It then solves
     J_g delta = -f / d in float64 for the log-coordinate correction delta,
     with J_g the Jacobian of the log form and d = prod + Q_{m-1} Q_{m+1},
     both taken at the float solution: f / d is the log form to first
-    order, and its rows are O(1) where those of f scale with the terms.
-    Stops once the residual is at most 2^(8 - bits) times the term scale
-    S, or after one step per 16 bits of precision.  Returns the value grid
-    as an object array of mpf, the residual, the number of steps taken
-    and S.
+    order, and its rows are O(1) where those of f scale with the terms.  f
+    enters float64 divided by a power of two that brings its largest entry
+    to about 1, so it cannot underflow at any precision, and that power
+    returns in the update n exp(delta) of :func:`_times_exp`, rounded to
+    ``bits`` significant bits.  Stops once the exact residual is at most
+    2^(8 - bits) times the term scale S, compared on integers, or after
+    one step per 16 bits of precision.  Returns the value grid as an
+    object array of mpf, the exact residual of those values as an mpf, the
+    number of steps taken and S.
     """
     bits = precision_bits()
     adj = np.array(dynkin.adjacency)
     square, prod, cross = terms(q_float, adj)
     scale, d = float(np.max(square + prod + cross)), (prod + cross).reshape(-1)
-    target = mpmath.ldexp(scale, 8 - bits)
     jac = _jacobian_log(q_float, adj)
-    q = np.frompyfunc(mpmath.mpf, 1, 1)(q_float)
-    f = _residual(q, adj)
+    mant, expo = np.frexp(q_float)
+    frac = bits + 1 - int(expo.min())
+    degree = adj.sum(axis=1)
+    top = max(2, int(degree.max()))  # the most factors in any term
+    lift = (top - 2) * frac
+    lift_prod = ((top - degree) * frac).astype(object)[:, None]
+    num, den = scale.as_integer_ratio()
+    target = num << top * frac + 8 - bits  # res <= target / den, at scale 2^(-top F)
+    # each float is its 53-bit integer mantissa times 2^(expo - 53), and
+    # expo + F - 53 >= bits - 52 > 0
+    n = (mant * 2.0**53).astype(np.int64).astype(object) << (expo + frac - 53).astype(object)
+    debug = _log.isEnabledFor(logging.DEBUG)
+    if debug:
+        _log.debug("polish: values at scale 2^-%d, residual at 2^-%d", frac, top * frac)
+
+    def residual(n):
+        square, prod, cross = terms(n, adj)
+        return ((square - cross) << lift) - (prod << lift_prod)
+
+    f = residual(n)
     res = np.max(np.abs(f))
     steps = 0
-    while res > target and steps < bits // _BITS_PER_POLISH_STEP:
-        step = np.linalg.solve(jac, -f.astype(float).reshape(-1) / d)
-        q[:, 1:k] *= np.frompyfunc(mpmath.exp, 1, 1)(step.reshape(f.shape))
-        f = _residual(q, adj)
+    while res * den > target and steps < bits // _BITS_PER_POLISH_STEP:
+        size = res.bit_length()
+        rhs = (f / (1 << size)).astype(float).reshape(-1)
+        step = np.linalg.solve(jac, -rhs / d).reshape(f.shape)
+        power = size - top * frac  # step * 2^power is the correction
+        inner, used = zip(*[_times_exp(v, delta, power, bits) for v, delta
+                            in zip(n[:, 1:k].ravel().tolist(), step.ravel().tolist())])
+        n[:, 1:k] = np.array(inner, dtype=object).reshape(step.shape)
+        f = residual(n)
         res = np.max(np.abs(f))
         steps += 1
-        _log.debug("refine %d: residual / S %.3e", steps, float(res) / scale)
-    return q, res, steps, scale
+        if debug:
+            _log.debug("refine %d: residual / S %s, %d Taylor terms", steps,
+                       mpmath.nstr(mpmath.ldexp(res, -top * frac) / scale, 4), max(used))
+    values = np.full(n.shape, mpmath.mpf(1), dtype=object)
+    values[:, 1:k] = np.frompyfunc(_mpf_at_scale, 2, 1)(n[:, 1:k], frac)
+    return values, mpmath.mp.make_mpf(from_man_exp(res, -top * frac)), steps, scale
 
 
 def solve_restricted(dynkin: DynkinData, k: int, tol: float = 1e-12,
@@ -433,26 +512,37 @@ def dilog_identity(sol: RestrictedSolution, dynkin: DynkinData) -> DilogReport:
 
     The arguments x^(a)_m = (neighbor product) / Q^2 must lie in (0, 1)
     for a genuine positive solution; anything else raises
-    :class:`XOutOfRange`.  L is evaluated once per distinct argument; the
-    sum, in ``ndenumerate`` order, has the bits of one L per argument.
+    :class:`XOutOfRange`.  The arguments, their L and the running sum are
+    libmp tuples, each operation rounded as the mpf arithmetic of
+    :func:`terms` and ``prod / square`` rounds it.  L is evaluated once per
+    distinct argument; the sum, node by node and m by m, has the bits of
+    one L per argument.
     """
     k, r, h = sol.level, sol.rank, dynkin.coxeter
     rhs = Fraction((k - 1) * h * r, h + k)
     x_values: dict[tuple[int, int], mpmath.mpf] = {}
-    rogers: dict[tuple, mpmath.mpf] = {}  # L by the libmp tuple of its argument
+    rogers: dict[tuple, tuple] = {}  # L by the libmp tuple of its argument
     with mpmath.workprec(precision_bits()):
-        q = np.array([[sol.value(a, m) for m in range(k + 1)]
-                      for a in range(1, r + 1)], dtype=object)
-        square, prod, _ = terms(q, np.array(dynkin.adjacency))
-        total = mpmath.mpf(0)
-        for (a, j), x in np.ndenumerate(prod / square):
-            if not 0 < x < 1:
-                raise XOutOfRange(f"x({a + 1},{j + 1}) = {mpmath.nstr(x)} outside (0,1)")
-            x_values[(a + 1, j + 1)] = x
-            if x._mpf_ not in rogers:
-                rogers[x._mpf_] = mpmath.mp.make_mpf(_rogers_L(x._mpf_, mpmath.mp.prec))
-            total += rogers[x._mpf_]
-        lhs = 6 / mpmath.pi**2 * total
+        prec, make_mpf = mpmath.mp.prec, mpmath.mp.make_mpf
+        q = [[sol.value(a, m)._mpf_ for m in range(k + 1)] for a in range(1, r + 1)]
+        total = fzero
+        for a, row in enumerate(dynkin.adjacency):
+            nbrs = [q[b] for b, edge in enumerate(row) if edge]
+            for m in range(1, k):
+                # the neighbour product left to right, as np.multiply.reduceat forms it
+                prod = nbrs[0][m] if nbrs else fone
+                for nbr in nbrs[1:]:
+                    prod = mpf_mul(prod, nbr[m], prec, round_nearest)
+                x = mpf_div(prod, mpf_pow_int(q[a][m], 2, prec, round_nearest), prec,
+                            round_nearest)
+                if not (mpf_lt(fzero, x) and mpf_lt(x, fone)):
+                    raise XOutOfRange(f"x({a + 1},{m}) = {mpmath.nstr(make_mpf(x))}"
+                                      " outside (0,1)")
+                x_values[(a + 1, m)] = make_mpf(x)
+                if x not in rogers:
+                    rogers[x] = _rogers_L(x, prec)
+                total = mpf_add(total, rogers[x], prec, round_nearest)
+        lhs = 6 / mpmath.pi**2 * make_mpf(total)
         delta = float(abs(lhs - mpmath.mpf(rhs.numerator) / rhs.denominator))
     _log.debug("dilog: %d arguments, %d evaluated, delta %.3e", len(x_values), len(rogers), delta)
     return DilogReport(lhs=lhs, rhs=rhs, x_values=x_values, delta=delta)

@@ -605,6 +605,43 @@ def uniqueness_probe_sequential(dynkin: DynkinData, k: int, n_starts: int = 20,
 
 
 # ---------------------------------------------------------------------------
+# The refinement in mpf arithmetic, as the solver ran it before it held the
+# values as integers at one scale.
+
+
+def polish_mpf(dynkin: DynkinData, k: int,
+               q_float: np.ndarray) -> tuple[np.ndarray, mpmath.mpf, int, float]:
+    """Mixed-precision iterative refinement of the float solution with mpf
+    values: the residual square - prod - cross rounded at the working
+    precision, its float64 value divided by d = prod + cross, the
+    correction solved with the log-form Jacobian at the float solution and
+    applied as q * exp(delta).  Returns the value grid, the rounded
+    residual, the number of steps and the term scale S."""
+    bits = precision_bits()
+    adj = np.array(dynkin.adjacency)
+    square, prod, cross = solver.terms(q_float, adj)
+    scale, d = float(np.max(square + prod + cross)), (prod + cross).reshape(-1)
+    target = mpmath.ldexp(scale, 8 - bits)
+    jac = solver._jacobian_log(q_float, adj)
+    q = np.frompyfunc(mpmath.mpf, 1, 1)(q_float)
+
+    def residual(q):
+        square, prod, cross = solver.terms(q, adj)
+        return square - prod - cross
+
+    f = residual(q)
+    res = np.max(np.abs(f))
+    steps = 0
+    while res > target and steps < bits // solver._BITS_PER_POLISH_STEP:
+        step = np.linalg.solve(jac, -f.astype(float).reshape(-1) / d)
+        q[:, 1:k] *= np.frompyfunc(mpmath.exp, 1, 1)(step.reshape(f.shape))
+        f = residual(q)
+        res = np.max(np.abs(f))
+        steps += 1
+    return q, res, steps, scale
+
+
+# ---------------------------------------------------------------------------
 # The Rogers dilogarithm in mpf arithmetic, as the solver computed it before
 # its loop ran on libmp tuples, and the dilogarithm sum with one L per
 # argument.

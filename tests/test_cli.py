@@ -215,6 +215,18 @@ def test_solve_with_dilog(runner):
     assert data["residual"] < 1e-12
 
 
+def test_solve_reports_relative_residual(runner):
+    # the JSON gains relative_residual = residual / max(1, S); the text keeps
+    # the phrase "residual X after N iterations" and appends the same value
+    args = ["solve", "-f", "D", "-r", "8", "-k", "6"]
+    data = json.loads(runner.invoke(main, [*args, "--format", "json"]).output)
+    assert data["relative_residual"] == data["residual"] / max(1.0, data["term_scale"])
+    assert data["term_scale"] > 1e8
+    text = runner.invoke(main, args).output.splitlines()[0]
+    assert re.search(rf"residual {data['residual']:.3e} after {data['iterations']} iterations"
+                     rf" \(relative {data['relative_residual']:.3e}\)$", text), text
+
+
 def test_solve_against_table(runner):
     result = runner.invoke(main, ["solve", "-f", "D", "-r", "5", "-k", "4",
                                   "--against-table", "--format", "json"])

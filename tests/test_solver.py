@@ -1,6 +1,8 @@
 import json
 import logging
+import math
 import os
+from fractions import Fraction
 from unittest import mock
 
 import mpmath
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (dilog_sum_oracle, jacobian_log_form_einsum, newton_float_sequential,
-                     rogers_L_mpf, uniqueness_probe_sequential)
+                     polish_mpf, rogers_L_mpf, uniqueness_probe_sequential)
 from qsystem import solver
 from qsystem.dynkin import build_dynkin
 from qsystem.qdim import precision_bits
@@ -85,6 +87,80 @@ def test_refinement_reaches_working_precision(monkeypatch, bits):
         with mpmath.workprec(bits):
             res, scale = _loop_residual_and_scale(sol, dynkin)
             assert res <= mpmath.ldexp(scale, 8 - bits), (family, rank, k)
+
+
+def test_refinement_past_float64_exponent_range(monkeypatch):
+    # at 1200 bits the residual is near 2^-1190 S, below the smallest float64;
+    # the right-hand side is scaled by a power of two before the float solve
+    bits = 1200
+    monkeypatch.setenv("QSYS_PRECISION_BITS", str(bits))
+    sol = solve_restricted(build_dynkin("A", 1), 4)
+    assert sol.polish_steps <= 30
+    with mpmath.workprec(bits + 20):
+        for m in range(5):
+            expected = mpmath.sin((m + 1) * mpmath.pi / 6) / mpmath.sin(mpmath.pi / 6)
+            assert abs(sol.value(1, m) - expected) <= mpmath.ldexp(sol.term_scale, 8 - bits), m
+
+
+def _fraction(x: mpmath.mpf) -> Fraction:
+    sign, man, exp, _ = x._mpf_
+    return (-1) ** sign * Fraction(int(man)) * Fraction(2) ** exp
+
+
+def _exact_residual(q: np.ndarray, dynkin) -> Fraction:
+    """Largest |Q_m^2 - prod - Q_{m-1} Q_{m+1}| of the mpf grid ``q``, in
+    fractions, equation by equation."""
+    v = [[_fraction(x) for x in row] for row in q]
+    worst = Fraction(0)
+    for a, row in enumerate(dynkin.adjacency):
+        for m in range(1, len(v[a]) - 1):
+            prod = math.prod((v[b][m] for b, edge in enumerate(row) if edge), start=Fraction(1))
+            worst = max(worst, abs(v[a][m] ** 2 - prod - v[a][m - 1] * v[a][m + 1]))
+    return worst
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256, 512])
+@pytest.mark.parametrize("family,rank", [("D", r) for r in range(4, 10)]
+                         + [("A", r) for r in range(1, 9)])
+def test_polish_matches_mpf_oracle(family, rank, bits, monkeypatch):
+    # the refinement on integers against the one on mpf values: both reach
+    # the target, in no more steps, at the same values, and the residual it
+    # returns is the exact residual of the values it returns
+    monkeypatch.setenv("QSYS_PRECISION_BITS", str(bits))
+    dynkin = build_dynkin(family, rank)
+    for k in range(2, 9):
+        q_float = _newton_float(dynkin, k, np.log(_initial_guess(rank, k)), 200)[0]
+        with mpmath.workprec(bits):
+            q, res, steps, scale = solver._polish(dynkin, k, q_float)
+            want, want_res, want_steps, want_scale = polish_mpf(dynkin, k, q_float)
+            case = (family, rank, k, bits)
+            assert scale == want_scale
+            assert want_res <= mpmath.ldexp(scale, 8 - bits), case
+            assert res <= mpmath.ldexp(scale, 8 - bits), case
+            assert steps <= want_steps, (case, steps, want_steps)
+            assert all(x._mpf_[3] <= bits for x in q.ravel()), case
+            assert all(abs(x - y) <= mpmath.ldexp(abs(y), 10 - bits)
+                       for x, y in zip(q.ravel(), want.ravel())), case
+            assert _fraction(res) == _exact_residual(q, dynkin), case
+
+
+@given(st.integers(64, 600), st.integers(0, 2**600), st.floats(-1, 1),
+       st.one_of(st.integers(-80, 0), st.integers(-1300, 0)))
+@settings(max_examples=200, deadline=None)
+def test_times_exp_rounds_to_nearest(bits, low, delta, power):
+    # n exp(delta 2^power) on integers against mpmath 80 bits beyond the
+    # result, rounded to nearest at ``bits`` bits; n has over ``bits`` + 1
+    # bits, so that rounding is coarser than the unit.  Within 2^-10 units in
+    # the last place of a tie either neighbour passes: the series is summed
+    # with 20 guard bits, not to the last bit
+    n = (1 << bits + 2) + low
+    got, _ = solver._times_exp(n, delta, power, bits)
+    with mpmath.workprec(n.bit_length() + abs(power) + 80):
+        exact = n * mpmath.exp(mpmath.ldexp(delta, power))
+        slack = mpmath.ldexp(1, int(exact).bit_length() - bits - 10)
+        near = (exact - slack, exact + slack)
+    with mpmath.workprec(bits):
+        assert got in {int(mpmath.mpf(x)) for x in near}, (n, delta, power)
 
 
 def test_boundaries_are_unit():
@@ -289,6 +365,24 @@ def test_solution_reports_phases(caplog):
     assert (data["float_iterations"], data["polish_steps"], data["iterations"]) == (
         sol.float_iterations, sol.polish_steps, sol.iterations)
     assert data["term_scale"] == sol.term_scale
+
+
+def test_refinement_logs_scale_residual_and_taylor_terms(caplog):
+    # one record gives the scale 2^-F of the values; each step's record the
+    # exact residual / S and the most Taylor terms any correction used
+    d5 = build_dynkin("D", 5)
+    with caplog.at_level(logging.DEBUG, logger="qsystem.solver"):
+        sol = solve_restricted(d5, 4)
+    scales = [r for r in caplog.records if r.getMessage().startswith("polish: ")]
+    assert len(scales) == 1
+    frac, residual_scale = scales[0].args
+    assert frac == precision_bits()  # every value is at least 1 here
+    assert residual_scale == 3 * frac  # D5 has a node of degree 3
+    steps = [r.args for r in caplog.records if r.getMessage().startswith("refine ")]
+    assert [step for step, _, _ in steps] == list(range(1, sol.polish_steps + 1))
+    assert all(terms >= 1 for _, _, terms in steps)
+    assert float(steps[-1][1]) == pytest.approx(sol.relative_residual, rel=1e-3)
+    assert float(steps[-1][1]) <= 2.0 ** (8 - precision_bits())
 
 
 @pytest.mark.parametrize("family,rank,k", [("A", 2, 3), ("D", 5, 4)])
