@@ -46,7 +46,7 @@ def _dynkin(family: str, rank: int, level: int, max_rank: int,
 
 def _check_tol(name: str, tol: float) -> None:
     if not 0 < tol < math.inf:
-        raise UsageFailure(f"{name} must be {'finite' if tol > 0 else 'positive'}, got {tol}")
+        raise UsageFailure(f"{name} must be {'positive' if tol <= 0 else 'finite'}, got {tol}")
 
 
 def _text_or_json(fmt: str, name: str) -> None:

@@ -5,12 +5,11 @@ reconstruct the working-precision value exactly, so serialize/parse is
 lossless and exact tags survive the round trip.  Provenance rows are joined
 from texts made once per table or node and streamed (``_json_pieces``).
 
-The reader checks the provenance it reads against the writer: it builds
-the table from the header and cell heads, regenerates the writer's pieces
-for it with the numeric texts of the heads and compares them with the text
-in place, so the provenance of a text in the writer's layout is never
-parsed.  Any other JSON is loaded whole, and its provenance compared with
-the writer's as parsed content.  A mismatch raises ``ValueError`` naming
+The reader checks the provenance it reads against the writer's pieces in
+one comparison.  A text that opens with the writer's header is compared in
+place, so its provenance is never parsed; any other JSON is loaded once and
+dumped without whitespace in the writer's keys and order, and compared with
+the pieces less their whitespace.  A mismatch raises ``ValueError`` naming
 the first cell that differs.
 
 ``table`` and ``qdim`` are imported only in the bodies of the functions
@@ -25,6 +24,7 @@ import json
 from fractions import Fraction
 from itertools import chain, islice, zip_longest
 from math import comb
+from os.path import commonprefix
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 import mpmath
@@ -69,11 +69,13 @@ def _json_pieces(table: QTable, numerics: dict[tuple, str] | None = None) -> Ite
     w + 1..a - 1, made once per node for each U less u_a, and that of nodes
     a..r, made once per u_a; the rows of each U are one ``str.join`` of its
     heads by its tail.  All join to the bytes of ``json.dumps`` with ``indent=1``.
-    A numeric is the text ``numerics`` maps its ``_mpf_`` to, by default ``_mpf_str``."""
+    A numeric is the JSON text ``numerics`` maps its cell to, by default of ``_mpf_str``."""
     from . import table as tb  # _BLOCK_ROWS and kr_decompose are looked up at call time
     dynkin, r, k, top, bound = (build_dynkin(table.family, table.rank), table.rank, table.level,
                                 table.m_max, tb._BLOCK_ROWS)
-    texts = {key: json.dumps(text) for key, text in (numerics or _numeric_texts(table)).items()}
+    if numerics is None:  # each distinct value formatted and dumped once
+        texts = {key: json.dumps(text) for key, text in _numeric_texts(table).items()}
+        numerics = {cell: texts[x.numeric._mpf_] for cell, x in table.cells.items()}
     # a node's 0..top, the ends of a part and of a row, then column 0 from k - 2 top (its least)
     vocab = np.array([f",\n     {v}" for v in range(top + 1)] + ["|", "\n    ]|"]
                      + [f",\n    [\n     {v}" for v in range(k - 2 * top, k + 1)], dtype=object)
@@ -115,7 +117,7 @@ def _json_pieces(table: QTable, numerics: dict[tuple, str] | None = None) -> Ite
             cell = table.cells[(a, m)]
             pieces.append(f'{sep}\n  {{\n   "a": {a},\n   "m": {m},\n   "exact": '
                           f'{"null" if cell.exact is None else cell.exact},\n   "numeric": '
-                          f'{texts[cell.numeric._mpf_]},\n   "provenance": [\n')
+                          f'{numerics[(a, m)]},\n   "provenance": [\n')
             sep, first, i = ",", len(pieces), 0
             # the rows before each run where the cell reaches the bound (one of a row does not)
             ends = None if n + size <= bound else np.cumsum(np.append(0, m + 1 - ss))
@@ -156,22 +158,22 @@ def qtable_from_dict(data: dict) -> QTable:
                   coxeter=int(data["h"]), m_max=m_max, cells=cells)
 
 
-# The header and a cell head as the writer lays them out; other JSON goes to json.loads.
+# The writer's header and cell head (numeric quoted, then bare); other JSON goes to json.loads.
 _HEADER = (r'\{\n "family": "([^"\\]*)",\n "rank": (\d+),\n "level": (-?\d+),\n'
            r' "h": (-?\d+),\n "cells": \[')
 _CELL_HEAD = (r'\n  \{\n   "a": (\d+),\n   "m": (\d+),\n   "exact": (null|-?\d+),\n'
-              r'   "numeric": "([^"\\]*)",\n   "provenance": \[\n')
+              r'   "numeric": ("([^"\\]*)"),\n   "provenance": \[\n')
+_WHITESPACE = str.maketrans("", "", " \t\n\r")  # the writer's, all between tokens
 
 
-def _is_join(text: str, chunks: Iterable[str]) -> bool:
-    """Whether ``text`` is the join of ``chunks`` and JSON whitespace; each
-    chunk is compared in place."""
+def _first_difference(text: str, chunks: Iterable[str]) -> int | None:
+    """Where ``text`` first differs from ``chunks`` joined and JSON whitespace, or None."""
     pos = 0
     for chunk in chunks:
         if not text.startswith(chunk, pos):
-            return False
+            return pos + len(commonprefix([text[pos:pos + len(chunk)], chunk]))
         pos += len(chunk)
-    return not text[pos:].strip(" \t\n\r")
+    return pos if text[pos:].strip(" \t\n\r") else None
 
 
 def _cell_order(got: list, table: QTable) -> str | None:
@@ -185,49 +187,46 @@ def _cell_order(got: list, table: QTable) -> str | None:
     return None
 
 
-def _checked_table(data: dict) -> QTable:
-    """The table of parsed JSON data whose cells are in the writer's order and
-    whose provenance is the writer's, compared as parsed content; the header,
-    tags and numerics are the data's, whatever precision wrote them."""
-    try:
-        table = qtable_from_dict(data)
-        got = [(int(e["a"]), int(e["m"])) for e in data["cells"]]
-        provenance = [e["provenance"] for e in data["cells"]]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"not a JSON table: {exc!r}") from exc
-    if (why := _cell_order(got, table)) is not None:
-        raise ValueError(why)
-    want = json.loads("".join(qtable_json_chunks(table)))["cells"]
-    for cell, rows, e in zip(got, provenance, want):
-        if rows != e["provenance"]:
-            raise ValueError(f"cell {cell}: provenance differs from the writer's")
-    return table
-
-
 def qtable_from_json(text: str) -> QTable:
     """The table of a JSON text, whose provenance must be the writer's.
 
-    Text in the writer's layout is read from its header and cell heads alone:
-    the writer's pieces for that table and the numerics of the heads are
-    compared with it in place, and
-    equal bytes are valid JSON with the provenance the writer derives.  Other
-    JSON is loaded whole and its content compared.  Provenance that differs,
-    or a cell missing, extra or out of order, raises ``ValueError`` naming the
-    first cell that differs."""
+    A text that opens with the writer's header is held to its layout: the
+    table is built from the header and cell heads, and the writer's pieces,
+    with the numerics of the heads, are compared with the text in place.
+    Any other JSON is loaded once and its dump without whitespace, in the
+    writer's keys and order, compared with the pieces less their whitespace.
+    Malformed data, a cell missing, extra or out of order, or provenance
+    that differs raises ``ValueError``, naming the first cell that differs."""
     import re  # loaded with json; only the reader takes it
     header = re.match(_HEADER, text)
-    if header is not None:
-        family, rank, level, h = header.groups()
-        heads = re.compile(_CELL_HEAD).findall(text, header.end())
-        table = qtable_from_dict({"family": family, "rank": rank, "level": level, "h": h,
-                                  "cells": [{"a": a, "m": m, "numeric": numeric,
-                                             "exact": None if exact == "null" else exact}
-                                            for a, m, exact, numeric in heads]})
-        numerics = {table.cells[(int(a), int(m))].numeric._mpf_: x for a, m, _, x in heads}
-        if (_cell_order(list(table.cells), table) is None
-                and _is_join(text, qtable_json_chunks(table, numerics))):
-            return table
-    return _checked_table(json.loads(text))
+    try:
+        if header is not None:
+            family, rank, level, h = header.groups()
+            heads = re.compile(_CELL_HEAD).findall(text, header.end())
+            data = {"family": family, "rank": rank, "level": level, "h": h,
+                    "cells": [{"a": a, "m": m, "exact": None if exact == "null" else exact,
+                               "numeric": numeric} for a, m, exact, _, numeric in heads]}
+            numerics, got = [head[3] for head in heads], text
+        else:
+            data = json.loads(text)
+            cells = [{key: e[key] for key in ("a", "m", "exact", "numeric", "provenance")}
+                     for e in data["cells"]]
+            got = json.dumps({**{key: data[key] for key in ("family", "rank", "level", "h")},
+                              "cells": cells}, separators=(",", ":"))
+            numerics = [json.dumps(e["numeric"]) for e in cells]
+        table = qtable_from_dict(data)
+        order = [(int(e["a"]), int(e["m"])) for e in data["cells"]]
+    except (KeyError, TypeError, OverflowError) as exc:  # int() of an infinite float
+        raise ValueError(f"not a JSON table: {exc!r}") from exc
+    if (why := _cell_order(order, table)) is not None:
+        raise ValueError(why)
+    chunks = qtable_json_chunks(table, dict(zip(order, numerics)))
+    at = _first_difference(got, chunks if header else (c.translate(_WHITESPACE) for c in chunks))
+    if at is not None:
+        cells_before = got.count('"a":', 0, at)  # cell heads up to the first difference
+        raise ValueError(f"cell {order[cells_before - 1]}: provenance differs from the writer's"
+                         if cells_before else "the header differs from the writer's")
+    return table
 
 
 def _cell_text(cell: QDimValue) -> str:

@@ -28,8 +28,9 @@ The Rogers dilogarithm takes y = min(x, 1 - x) <= 1/2 and sums Li2(y)
 and -log(1 - y) over the same powers of y in one Python-integer
 fixed-point loop with 20 guard bits, so it stays relatively accurate
 however small y is, and reflects through L(x) + L(1 - x) = pi^2/6.  It runs
-on libmp tuples, as do the identity's arguments and their sum, which
-evaluates each distinct argument once.
+on libmp tuples, as does the identity's sum, which evaluates each
+distinct argument once; the arguments come from the recurrence's own
+terms on the mpf grid.
 """
 
 from __future__ import annotations
@@ -512,37 +513,31 @@ def dilog_identity(sol: RestrictedSolution, dynkin: DynkinData) -> DilogReport:
 
     The arguments x^(a)_m = (neighbor product) / Q^2 must lie in (0, 1)
     for a genuine positive solution; anything else raises
-    :class:`XOutOfRange`.  The arguments, their L and the running sum are
-    libmp tuples, each operation rounded as the mpf arithmetic of
-    :func:`terms` and ``prod / square`` rounds it.  L is evaluated once per
-    distinct argument; the sum, node by node and m by m, has the bits of
-    one L per argument.
+    :class:`XOutOfRange`, naming the first, node by node and m by m.  The
+    arguments are ``prod / square`` of :func:`terms` on the grid of mpf
+    values at the working precision; their L and the running sum are libmp
+    tuples.  L is evaluated once per distinct argument; the sum, node by
+    node and m by m, has the bits of one L per argument.
     """
     k, r, h = sol.level, sol.rank, dynkin.coxeter
     rhs = Fraction((k - 1) * h * r, h + k)
     x_values: dict[tuple[int, int], mpmath.mpf] = {}
     rogers: dict[tuple, tuple] = {}  # L by the libmp tuple of its argument
     with mpmath.workprec(precision_bits()):
-        prec, make_mpf = mpmath.mp.prec, mpmath.mp.make_mpf
-        q = [[sol.value(a, m)._mpf_ for m in range(k + 1)] for a in range(1, r + 1)]
+        prec = mpmath.mp.prec
+        q = np.array([[sol.value(a, m) for m in range(k + 1)] for a in range(1, r + 1)],
+                     dtype=object)
+        square, prod, _ = terms(q, np.array(dynkin.adjacency))
         total = fzero
-        for a, row in enumerate(dynkin.adjacency):
-            nbrs = [q[b] for b, edge in enumerate(row) if edge]
-            for m in range(1, k):
-                # the neighbour product left to right, as np.multiply.reduceat forms it
-                prod = nbrs[0][m] if nbrs else fone
-                for nbr in nbrs[1:]:
-                    prod = mpf_mul(prod, nbr[m], prec, round_nearest)
-                x = mpf_div(prod, mpf_pow_int(q[a][m], 2, prec, round_nearest), prec,
-                            round_nearest)
-                if not (mpf_lt(fzero, x) and mpf_lt(x, fone)):
-                    raise XOutOfRange(f"x({a + 1},{m}) = {mpmath.nstr(make_mpf(x))}"
-                                      " outside (0,1)")
-                x_values[(a + 1, m)] = make_mpf(x)
-                if x not in rogers:
-                    rogers[x] = _rogers_L(x, prec)
-                total = mpf_add(total, rogers[x], prec, round_nearest)
-        lhs = 6 / mpmath.pi**2 * make_mpf(total)
+        for (a, m), x in np.ndenumerate(prod / square):
+            t = x._mpf_
+            if not (mpf_lt(fzero, t) and mpf_lt(t, fone)):
+                raise XOutOfRange(f"x({a + 1},{m + 1}) = {mpmath.nstr(x)} outside (0,1)")
+            x_values[(a + 1, m + 1)] = x
+            if t not in rogers:
+                rogers[t] = _rogers_L(t, prec)
+            total = mpf_add(total, rogers[t], prec, round_nearest)
+        lhs = 6 / mpmath.pi**2 * mpmath.mp.make_mpf(total)
         delta = float(abs(lhs - mpmath.mpf(rhs.numerator) / rhs.denominator))
     _log.debug("dilog: %d arguments, %d evaluated, delta %.3e", len(x_values), len(rogers), delta)
     return DilogReport(lhs=lhs, rhs=rhs, x_values=x_values, delta=delta)

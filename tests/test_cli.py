@@ -308,6 +308,17 @@ def test_bad_input_is_a_usage_error(runner, tmp_path, monkeypatch, args, env):
     assert len(errors) == 1
 
 
+@pytest.mark.parametrize("args,name", [
+    (["verify", "-f", "D", "-r", "4", "-k", "2", "--tol", "nan"], "tolerance"),
+    (["solve", "-f", "D", "-r", "4", "-k", "3", "--solver-tol", "nan"], "solver tolerance"),
+], ids=["tol", "solver-tol"])
+def test_nan_tolerance_must_be_finite(runner, args, name):
+    # nan is neither positive nor not: it fails the finite bound, as inf does
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert f"error: {name} must be finite, got nan" in result.output.splitlines()
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("args", [
     pytest.param(["table", "-f", "D", "-r", "5", "-k", "4", "--format", "text"], id="text"),

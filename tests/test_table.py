@@ -749,11 +749,81 @@ def test_json_at_another_precision_is_read_in_place(monkeypatch):
         qtable_from_json(text[:at] + str((int(text[at]) + 1) % 10) + text[at + 1:])
 
 
+def _refuse_loads(patch):
+    def refused(*args, **kwargs):
+        raise AssertionError("json.loads called on a text in the writer's layout")
+
+    patch.setattr(qsystem.io.json, "loads", refused)
+
+
+def test_json_tampered_writer_text_is_rejected_in_place(d10k10_table, monkeypatch):
+    # the last row of the largest cell (35,960 rows): the in-place comparison itself names it
+    text = qtable_to_json(d10k10_table)
+    _, end = _provenance_span(text, 8, 28)
+    at = end - len("\n    ]") - 1
+    _refuse_loads(monkeypatch)
+    with pytest.raises(ValueError, match=r"cell \(8, 28\): provenance differs"):
+        qtable_from_json(text[:at] + str((int(text[at]) + 1) % 10) + text[at + 1:])
+
+
+def test_json_respelled_numeric_loads_equal(d5_table, monkeypatch):
+    # cells of one value spelled two ways: each cell keeps the spelling of its own head
+    text = qtable_to_json(d5_table)
+    assert text.count('"numeric": "1.0",') > 1
+    _refuse_loads(monkeypatch)
+    assert qtable_from_json(text.replace('"numeric": "1.0",', '"numeric": "1.00",', 1)) == d5_table
+
+
+def test_json_writer_header_holds_the_writer_layout(d5_table):
+    # valid JSON of the same content, but a text that opens with the writer's header is compared
+    # with the writer's bytes: a re-indented cell, or only its rows, is named
+    text = qtable_to_json(d5_table)
+    head = text.index('\n  {\n   "a": 3,\n   "m": 5,')
+    start, end = _provenance_span(text, 3, 5)
+    cell_end = text.index("\n  }", end) + len("\n  }")
+    for lo, hi, why in [(head, cell_end, r"where the writer puts \(3, 5\)"),
+                        (start, end, r"cell \(3, 5\): provenance differs")]:
+        bad = text[:lo] + text[lo:hi].replace("\n", "\n ") + text[hi:]
+        assert qtable_from_json_loads(bad) == d5_table
+        with pytest.raises(ValueError, match=why):
+            qtable_from_json(bad)
+
+
+
+def test_json_header_unlike_the_writer_s_is_named(d5_table):
+    # a rank spelled 05 in the writer's layout, or as a string in other JSON, is not the writer's
+    text = qtable_to_json(d5_table)
+    for bad in (text.replace('"rank": 5,', '"rank": 05,', 1),
+                json.dumps({**json.loads(text), "rank": "5"})):
+        with pytest.raises(ValueError, match="the header differs from the writer's"):
+            qtable_from_json(bad)
+
+def _cells_edited(table, edit):
+    data = json.loads(qtable_to_json(table))
+    edit(data["cells"][3])
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("text", [
+    "[]", "null", '{"cells": 5}', "{}", '"cells"', '{"family": "D", "rank": 5, "cells": []}',
+    lambda table: _cells_edited(table, lambda cell: cell.update(a=None)),
+    lambda table: _cells_edited(table, lambda cell: cell.pop("provenance")),
+    lambda table: _cells_edited(table, lambda cell: cell.update(numeric=[1])),
+    lambda table: _cells_edited(table, lambda cell: cell.update(exact="x")),
+    lambda table: _cells_edited(table, lambda cell: cell.update(m=float("inf"))),
+], ids=["list", "null", "cells-5", "empty", "string", "no-level", "a-null", "no-provenance",
+        "numeric-list", "exact-text", "m-infinity"])
+def test_json_malformed_data_raises_value_error(d5_table, text):
+    with pytest.raises(ValueError):  # never KeyError, TypeError or OverflowError
+        qtable_from_json(text(d5_table) if callable(text) else text)
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), family=st.sampled_from("AD"))
 def test_json_reader_matches_loads(data, family):
     # D4-D9 and A1-A8 at levels 1-6, m_max from 0 to the default + 2, read in pieces cut after
-    # every run, within cells, or at the library's bound; one digit of a provenance row changed
+    # every run, within cells, or at the library's bound, as written and as a sort_keys dump;
+    # one digit of a provenance row changed
     d = build_dynkin(family, data.draw(st.integers(4, 9) if family == "D" else st.integers(1, 8)))
     k = data.draw(st.integers(1, 6))
     table = build_qtable(d, k, data.draw(st.integers(0, k + d.coxeter + 2), label="m_max"))
@@ -763,12 +833,18 @@ def test_json_reader_matches_loads(data, family):
     start, end = _provenance_span(text, a, m)
     at = data.draw(st.sampled_from([i for i in range(start, end) if text[i].isdigit()]), label="at")
     digit = data.draw(st.sampled_from("0123456789".replace(text[at], "")), label="digit")
+    bad = text[:at] + digit + text[at + 1:]
+    # the same content dumped with sorted keys: compared without whitespace in the writer's order
+    other, other_bad = (json.dumps(json.loads(t), sort_keys=True) for t in (text, bad))
     for rows in (1, 7, 2**11):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(qsystem.table, "_BLOCK_ROWS", rows)
             assert qtable_from_json(text) == want
             with pytest.raises(ValueError):
-                qtable_from_json(text[:at] + digit + text[at + 1:])
+                qtable_from_json(bad)
+            assert qtable_from_json(other) == want
+            with pytest.raises(ValueError, match=rf"cell \({a}, {m}\): provenance differs"):
+                qtable_from_json(other_bad)
 
 
 JSON_GRID = ([("D", r, k) for r in range(4, 9) for k in range(1, 7)]
