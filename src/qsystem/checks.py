@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import mpmath
+from mpmath.libmp import fzero, mpf_abs, mpf_gt, mpf_lt, mpf_sub, round_nearest
 
 
 @dataclass(frozen=True)
@@ -57,13 +58,15 @@ def scale(x, y):
 def mirror_failures(value: Callable, cells: Iterable[tuple[int, int]], k: int,
                     tol: float, letter: str = "z") -> tuple[str, ...]:
     """Cells (a, m) whose value differs from the mirror value(a, k - m) by
-    more than ``tol`` times their scale."""
-    tol = mpmath.mpf(tol)
+    more than ``tol`` times their scale; the difference is taken on libmp
+    tuples at the working precision, as mpf arithmetic takes it."""
+    tol, bits = mpmath.mpf(tol), mpmath.mp.prec
     fails = []
     for a, m in cells:
         x, y = value(a, m), value(a, k - m)
-        delta = abs(x - y)
-        if delta > tol and delta > tol * scale(x, y):  # scale >= 1: tol alone settles most
+        gap = mpf_abs(mpf_sub(x._mpf_, y._mpf_, bits, round_nearest))
+        if mpf_gt(gap, tol._mpf_) and (  # scale >= 1: tol alone settles most
+                delta := mpmath.mp.make_mpf(gap)) > tol * scale(x, y):
             fails.append(f"|{letter}({a},{m}) - {letter}({a},{k - m})| = {mpmath.nstr(delta)}")
     return tuple(fails)
 
@@ -71,16 +74,18 @@ def mirror_failures(value: Callable, cells: Iterable[tuple[int, int]], k: int,
 def positive_checks(value: Callable, rank: int, k: int, tol: float,
                     letter: str = "z") -> tuple[PropertyCheck, PropertyCheck, PropertyCheck]:
     """Positivity on 0 <= m <= k, symmetry about k/2 (each mirror pair once,
-    m <= k/2) and strict growth up to the midpoint of ``value(a, m)``."""
+    m <= k/2) and strict growth up to the midpoint of ``value(a, m)``, an
+    mpf, compared on libmp tuples."""
     nodes = range(1, rank + 1)
     half = range(k // 2 + 1)
     return (
         PropertyCheck("positivity", tuple(
             f"{letter}({a},{m}) = {value(a, m)}"
-            for a in nodes for m in range(k + 1) if not value(a, m) > 0)),
+            for a in nodes for m in range(k + 1) if not mpf_gt(value(a, m)._mpf_, fzero))),
         PropertyCheck("symmetry", mirror_failures(
             value, ((a, m) for a in nodes for m in half), k, tol, letter)),
         PropertyCheck("unimodality", tuple(
             f"{letter}({a},{m - 1}) >= {letter}({a},{m})"
-            for a in nodes for m in half[1:] if not value(a, m - 1) < value(a, m))),
+            for a in nodes for m in half[1:]
+            if not mpf_lt(value(a, m - 1)._mpf_, value(a, m)._mpf_))),
     )

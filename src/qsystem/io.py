@@ -29,6 +29,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 
 import mpmath
 import numpy as np
+from mpmath.libmp import from_int, from_str, round_nearest, to_str
 
 from . import precision_bits
 from .dynkin import build_dynkin
@@ -45,9 +46,10 @@ def _mpf_str(x: mpmath.mpf) -> str:
 
 
 def _numeric_texts(table: QTable) -> dict[tuple, str]:
-    """``_mpf_str`` of each distinct cell value, keyed by its ``_mpf_``."""
-    distinct = {cell.numeric._mpf_: cell.numeric for cell in table.cells.values()}
-    return {key: _mpf_str(x) for key, x in distinct.items()}
+    """``_mpf_str`` of each distinct cell value, keyed by its ``_mpf_``, from libmp's ``to_str``."""
+    digits = int(precision_bits() * 0.30103) + 10
+    return {key: to_str(key, digits, strip_zeros=True)
+            for key in {cell.numeric._mpf_ for cell in table.cells.values()}}
 
 
 def _joined_rows(index: np.ndarray, vocab: np.ndarray) -> np.ndarray:
@@ -65,11 +67,13 @@ def _json_pieces(table: QTable, numerics: dict[tuple, str] | None = None) -> Ite
     2 for even a) and the tail nodes w + 1..r of its upper chain parts U =
     (u_a, u_(a-2), .., u_(w+2)).  The heads of ΣU = s in cell (a, m), the rows
     of ``kr_decompose(w, m - s)`` with column 0 lowered by 2s (the tail nodes'
-    marks are 2), are made once per table; a tail is the text of nodes
-    w + 1..a - 1, made once per node for each U less u_a, and that of nodes
-    a..r, made once per u_a; the rows of each U are one ``str.join`` of its
-    heads by its tail.  All join to the bytes of ``json.dumps`` with ``indent=1``.
-    A numeric is the JSON text ``numerics`` maps its cell to, by default of ``_mpf_str``."""
+    marks are 2), are made once per table, as one object array of lists; the
+    tail of each U, the text of nodes w + 1..a - 1 made once per node for each
+    U less u_a and that of nodes a..r made once per u_a, is joined once per
+    node of at most _BLOCK_ROWS tuples U, and per run in a larger node; the
+    rows of each U are one ``str.join`` of its heads by its tail.
+    All join to the bytes of ``json.dumps`` with ``indent=1``.  A numeric is
+    the JSON text ``numerics`` maps its cell to, by default of ``_mpf_str``."""
     from . import table as tb  # _BLOCK_ROWS and kr_decompose are looked up at call time
     dynkin, r, k, top, bound = (build_dynkin(table.family, table.rank), table.rank, table.level,
                                 table.m_max, tb._BLOCK_ROWS)
@@ -79,7 +83,8 @@ def _json_pieces(table: QTable, numerics: dict[tuple, str] | None = None) -> Ite
     # a node's 0..top, the ends of a part and of a row, then column 0 from k - 2 top (its least)
     vocab = np.array([f",\n     {v}" for v in range(top + 1)] + ["|", "\n    ]|"]
                      + [f",\n    [\n     {v}" for v in range(k - 2 * top, k + 1)], dtype=object)
-    heads: dict[int, list] = {}  # heads[w][m][s]: the rows of kr_decompose(w, m - s), and ""
+    first = np.cumsum([0] + list(range(top + 1, 1, -1)))  # heads[w][first[s] + c]: (s, c)
+    heads: dict[int, np.ndarray] = {}  # the rows of kr_decompose(w, c) with 2s taken off, and ""
     pieces, n, sep = [f'{{\n "family": {json.dumps(table.family)},\n "rank": {r},\n'
                       f' "level": {k},\n "h": {table.coxeter},\n "cells": ['], 0, ""
     for a in range(1, r + 1):
@@ -94,10 +99,9 @@ def _json_pieces(table: QTable, numerics: dict[tuple, str] | None = None) -> Ite
                 col0 = (k - rows @ dynkin.marks[1:w + 1])[i] - 2 * np.repeat(range(top + 1), n_s)
                 nodes = _joined_rows(np.column_stack([rows, np.full(len(rows), top + 1)]), vocab)
                 it = iter((vocab[col0 + 3 * top + 3 - k] + nodes[i]).tolist())  # by s, c, row
-                h = [[[*islice(it, c + 1), ""] for c in range(top + 1 - s)]
-                     for s in range(top + 1)]
-                heads[w] = [np.fromiter((h[s][m - s] for s in range(m + 1)), dtype=object)
-                            for m in range(top + 1)]
+                heads[w] = np.fromiter(([*islice(it, c + 1), ""] for s in range(top + 1)
+                                        for c in range(top + 1 - s)), dtype=object,
+                                       count=first[-1] + 1)
             comps = tb.stars_and_bars(top, a // 2)  # U, then the slack
             inner, inner_of = tb._rank_rows(comps[:, 1:-1], [top + 1] * (a // 2 - 2))  # U less u_a
             index = np.zeros((max(len(inner), top + 1), r + 2), dtype=np.int64)
@@ -105,28 +109,31 @@ def _json_pieces(table: QTable, numerics: dict[tuple, str] | None = None) -> Ite
             lows = _joined_rows(index[:len(inner), min(a, w + 1):a + 1], vocab)[inner_of]
             index[:top + 1, a] = range(top + 1)
             highs = _joined_rows(index[:top + 1, max(a, w + 1):], vocab)[comps[:, 0]]
+            if len(comps) <= bound:  # larger nodes join per run: none holds all its tails
+                lows, highs = lows + highs, None
             sums = top - comps[:, -1]
+            at = first[sums] - sums  # the heads of U in cell m at heads[w][at + m]
         for m in range(top + 1):
             if single:
-                ts = [",\n     0" * (a - 1) + f",\n     {m}" + ",\n     0" * (r - a) + "\n    ]"]
-                hs, size = [[f",\n    [\n     {k - dynkin.marks[a] * m}", ""]], 1
-            else:  # the tails of each U, referenced, are joined a piece at a time
+                lo = [",\n     0" * (a - 1) + f",\n     {m}" + ",\n     0" * (r - a) + "\n    ]"]
+                hi, hs, size = None, [[f",\n    [\n     {k - dynkin.marks[a] * m}", ""]], 1
+            else:
                 keep = sums <= m
-                lo, hi, ss = lows[keep], highs[keep], sums[keep]
-                hs, size = heads[w][m][ss], comb(m + a // 2, a // 2)
+                lo, hi = lows[keep], None if highs is None else highs[keep]
+                hs, size = heads[w][at[keep] + m], comb(m + a // 2, a // 2)
             cell = table.cells[(a, m)]
             pieces.append(f'{sep}\n  {{\n   "a": {a},\n   "m": {m},\n   "exact": '
                           f'{"null" if cell.exact is None else cell.exact},\n   "numeric": '
                           f'{numerics[(a, m)]},\n   "provenance": [\n')
-            sep, first, i = ",", len(pieces), 0
+            sep, start, i = ",", len(pieces), 0
             # the rows before each run where the cell reaches the bound (one of a row does not)
-            ends = None if n + size <= bound else np.cumsum(np.append(0, m + 1 - ss))
+            ends = None if n + size <= bound else np.cumsum(np.append(0, m + 1 - sums[keep]))
             while i < len(hs):  # runs up to the first that brings the pending rows to the bound
                 j = len(hs) if ends is None else min(int(ends.searchsorted(bound - n + ends[i])),
                                                      len(hs))
-                pieces += map(str.join, ts if single else lo[i:j] + hi[i:j], hs[i:j])
+                pieces += map(str.join, lo[i:j] if hi is None else lo[i:j] + hi[i:j], hs[i:j])
                 if i == 0:  # the cell's first row, after its head, has no ",\n"
-                    pieces[first] = pieces[first][2:]
+                    pieces[start] = pieces[start][2:]
                 n, i = n + (size if ends is None else int(ends[j] - ends[i])), j
                 if n >= bound:
                     yield pieces
@@ -145,17 +152,26 @@ def qtable_to_json(table: QTable) -> str:
 
 
 def qtable_from_dict(data: dict) -> QTable:
-    """The table of JSON data; each distinct numeric string is parsed once."""
-    from .qdim import QDimValue
+    """The table of JSON data; each distinct numeric string is parsed once.
+    The header's h must be the Coxeter number of its diagram, an exact tag
+    -1, 0 or 1 and a tagged cell's numeric exactly its tag; an untagged
+    numeric is read as written."""
+    from .qdim import EXACT, QDimValue
     from .table import QTable
-    with mpmath.workprec(precision_bits()):
-        parsed = {text: mpmath.mpf(text) for text in {e["numeric"] for e in data["cells"]}}
-    cells = {(int(e["a"]), int(e["m"])): QDimValue(
-        exact=None if e["exact"] is None else int(e["exact"]), numeric=parsed[e["numeric"]])
-        for e in data["cells"]}
+    family, rank, h = data["family"], int(data["rank"]), int(data["h"])
+    if h != build_dynkin(family, rank).coxeter:
+        raise ValueError(f"h = {h} is not the Coxeter number of {family}{rank}")
+    bits, cells = precision_bits(), {}
+    parsed = {text: mpmath.mp.make_mpf(from_str(text, bits, round_nearest))
+              for text in {e["numeric"] for e in data["cells"]}}
+    for e in data["cells"]:
+        cell, tag, numeric = (int(e["a"]), int(e["m"])), e["exact"], parsed[e["numeric"]]
+        if tag is not None and (int(tag) not in EXACT or numeric._mpf_ != from_int(int(tag))):
+            raise ValueError(f"cell {cell}: exact tag {tag} with numeric {e['numeric']}")
+        cells[cell] = QDimValue(exact=None, numeric=numeric) if tag is None else EXACT[int(tag)]
     m_max = max((m for _, m in cells), default=0)
-    return QTable(family=data["family"], rank=int(data["rank"]), level=int(data["level"]),
-                  coxeter=int(data["h"]), m_max=m_max, cells=cells)
+    return QTable(family=family, rank=rank, level=int(data["level"]), coxeter=h, m_max=m_max,
+                  cells=cells)
 
 
 # The writer's header and cell head (numeric quoted, then bare); other JSON goes to json.loads.
@@ -163,6 +179,7 @@ _HEADER = (r'\{\n "family": "([^"\\]*)",\n "rank": (\d+),\n "level": (-?\d+),\n'
            r' "h": (-?\d+),\n "cells": \[')
 _CELL_HEAD = (r'\n  \{\n   "a": (\d+),\n   "m": (\d+),\n   "exact": (null|-?\d+),\n'
               r'   "numeric": ("([^"\\]*)"),\n   "provenance": \[\n')
+_COMPACT_HEAD = r'\{"a":([^,]*),"m":([^,]*),'  # a cell head as the reader dumps other JSON
 _WHITESPACE = str.maketrans("", "", " \t\n\r")  # the writer's, all between tokens
 
 
@@ -202,11 +219,14 @@ def qtable_from_json(text: str) -> QTable:
     try:
         if header is not None:
             family, rank, level, h = header.groups()
-            heads = re.compile(_CELL_HEAD).findall(text, header.end())
+            head, heads, pos = re.compile(_CELL_HEAD), [], header.end()
+            while (pos := text.find("{", pos) + 1) > 0:  # after the header, only cell heads open
+                if match := head.match(text, pos - 4):  # braces: memchr finds them
+                    heads.append(match.groups())
             data = {"family": family, "rank": rank, "level": level, "h": h,
                     "cells": [{"a": a, "m": m, "exact": None if exact == "null" else exact,
                                "numeric": numeric} for a, m, exact, _, numeric in heads]}
-            numerics, got = [head[3] for head in heads], text
+            numerics, got, mark = [groups[3] for groups in heads], text, '\n  {\n   "a": '
         else:
             data = json.loads(text)
             cells = [{key: e[key] for key in ("a", "m", "exact", "numeric", "provenance")}
@@ -214,18 +234,20 @@ def qtable_from_json(text: str) -> QTable:
             got = json.dumps({**{key: data[key] for key in ("family", "rank", "level", "h")},
                               "cells": cells}, separators=(",", ":"))
             numerics = [json.dumps(e["numeric"]) for e in cells]
+            head, mark = re.compile(_COMPACT_HEAD), '{"a":'
         table = qtable_from_dict(data)
         order = [(int(e["a"]), int(e["m"])) for e in data["cells"]]
-    except (KeyError, TypeError, OverflowError) as exc:  # int() of an infinite float
-        raise ValueError(f"not a JSON table: {exc!r}") from exc
+    except (KeyError, TypeError, OverflowError, AttributeError) as exc:  # int() of an infinite
+        raise ValueError(f"not a JSON table: {exc!r}") from exc  # float, a numeric not a string
     if (why := _cell_order(order, table)) is not None:
         raise ValueError(why)
     chunks = qtable_json_chunks(table, dict(zip(order, numerics)))
     at = _first_difference(got, chunks if header else (c.translate(_WHITESPACE) for c in chunks))
     if at is not None:
-        cells_before = got.count('"a":', 0, at)  # cell heads up to the first difference
-        raise ValueError(f"cell {order[cells_before - 1]}: provenance differs from the writer's"
-                         if cells_before else "the header differs from the writer's")
+        start = got.rfind(mark, 0, at)  # the head of the cell that differs
+        cell = head.match(got, start) if start >= 0 else None
+        raise ValueError(f"cell ({cell[1]}, {cell[2]}): provenance differs from the writer's"
+                         if cell else "the header differs from the writer's")
     return table
 
 

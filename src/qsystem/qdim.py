@@ -64,6 +64,10 @@ class QDimValue:
         return self.exact is not None
 
 
+# The certified values -1, 0 and 1, one object each for every row and cell that holds one.
+EXACT = {tag: QDimValue(exact=tag, numeric=mpmath.mpf(tag)) for tag in (-1, 0, 1)}
+
+
 @lru_cache(maxsize=None)
 def _sines(n_mod: int, bits: int) -> tuple[tuple, ...]:
     """sin(pi q / N) for q in 0..N-1 at ``bits`` of precision, as libmp
@@ -76,16 +80,22 @@ def _sines(n_mod: int, bits: int) -> tuple[tuple, ...]:
 def _products(sines: tuple[tuple, ...], counts: np.ndarray, bits: int) -> list[tuple]:
     """Per row of ``counts``, the libmp product of sines[q] ** counts[q] in
     ascending q from ``fone``, rounded to nearest at ``bits`` after each
-    step; each power (q, count) is taken once per call."""
+    step; each power (q, count) is taken once per call, and a row takes the
+    partial product of the factors it shares, as a prefix, with the row
+    before it (``np.unique`` sorts them so)."""
     rows, qs = np.nonzero(counts)
     keys = list(zip(qs.tolist(), counts[rows, qs].tolist()))
     powers = {key: mpf_pow_int(sines[key[0]], key[1], bits, round_nearest) for key in set(keys)}
-    factors, out, start = [powers[key] for key in keys], [], 0
-    for n in np.bincount(rows, minlength=len(counts)).tolist():
-        acc = fone
-        for factor in factors[start:start + n]:
-            acc = mpf_mul(acc, factor, bits, round_nearest)
-        out.append(acc)
+    nonzero = counts > 0
+    before = np.cumsum(nonzero, 1) - nonzero  # the factors before each column
+    differ = (counts[1:] != counts[:-1]).argmax(1)  # the first column unlike the row before
+    shared = [0] + before[np.arange(1, len(counts)), differ].tolist()
+    factors, out, start, partial = [powers[key] for key in keys], [], 0, [fone]
+    for n, same in zip(np.bincount(rows, minlength=len(counts)).tolist(), shared):
+        del partial[same + 1:]  # partial[i]: the product of the row's first i factors
+        for factor in factors[start + same:start + n]:
+            partial.append(mpf_mul(partial[-1], factor, bits, round_nearest))
+        out.append(partial[n])
         start += n
     return out
 
@@ -138,7 +148,7 @@ def qdim_affine(reps: np.ndarray, level: int, dynkin: DynkinData) -> list[QDimVa
     numerics = iter([quotients[i] if sign > 0 else mpf_neg(quotients[i]) for i, sign
                      in zip(inverse.reshape(-1).tolist(), signs[generic].tolist())])
     out = [QDimValue(exact=None, numeric=mpmath.mp.make_mpf(next(numerics))) if is_generic
-           else QDimValue(exact=tag, numeric=mpmath.mpf(tag))
+           else EXACT[tag]
            for tag, is_generic in zip(np.where(zero, 0, signs).tolist(), generic.tolist())]
     log = sys.modules.get("logging")  # not loaded, it has no handler to take the record
     if log and log.getLogger(__name__).isEnabledFor(log.DEBUG):

@@ -20,21 +20,21 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb
 from typing import Mapping
 
 import mpmath
 import numpy as np
-from mpmath.libmp import fzero, mpf_add, mpf_mul_int, round_nearest
+from mpmath.libmp import (fone, fzero, mpf_abs, mpf_add, mpf_gt, mpf_mul, mpf_mul_int,
+                          mpf_pow_int, mpf_sub, round_nearest, to_float)
 
 from . import precision_bits
 from .affine import affinize, reduce_to_alcove
 from .checks import (PropertyCheck, PropertyReport, mirror_failures, positive_checks,
                      scale)
 from .dynkin import DynkinData
-from .qdim import QDimValue, qdim_affine
-from .recurrence import terms
+from .qdim import EXACT, QDimValue, qdim_affine
 
 Cell = tuple[int, int]
 
@@ -260,20 +260,19 @@ class QTable:
 
 
 def _combine(parts: list[tuple[int, QDimValue]]) -> QDimValue:
-    """Signed integer combination of quantum dimensions with exactness
-    propagation; an inexact sum is folded in order on libmp tuples at the
-    working precision."""
-    if not parts:
-        return QDimValue(exact=0, numeric=mpmath.mpf(0))
-    if all(p.is_exact for _, p in parts):
-        total = sum(mult * p.exact for mult, p in parts)
-        if abs(total) <= 1:
-            return QDimValue(exact=total, numeric=mpmath.mpf(total))
-        return QDimValue(exact=None, numeric=mpmath.mpf(total))
-    total, bits = fzero, mpmath.mp.prec
+    """Signed integer combination of quantum dimensions, folded in order on
+    libmp tuples at the working precision; a sum of exact parts is their
+    integer sum, and one of -1, 0 or 1 is the shared exact value."""
+    total, tag, bits = fzero, 0, mpmath.mp.prec
+    if len(parts) == 1 and parts[0][0] == 1 and parts[0][1].numeric._mpf_[3] <= bits:
+        return parts[0][1]  # its own sum: a value at the working precision is not rounded
     for mult, p in parts:
         total = mpf_add(total, mpf_mul_int(p.numeric._mpf_, mult, bits, round_nearest),
                         bits, round_nearest)
+        if tag is not None:
+            tag = None if p.exact is None else tag + mult * p.exact
+    if tag in EXACT:
+        return EXACT[tag]
     return QDimValue(exact=None, numeric=mpmath.mp.make_mpf(total))
 
 
@@ -322,27 +321,30 @@ class QSystemReport:
 
 def verify_qsystem(table: QTable, dynkin: DynkinData, tol: float = 1e-9) -> QSystemReport:
     """Check (z^(a)_m)^2 = prod_neighbors + z^(a)_{m-1} z^(a)_{m+1} for
-    1 <= m <= m_max - 1."""
+    1 <= m <= m_max - 1.  Each residual |square - (prod + cross)| is taken
+    on libmp tuples at the working precision, rounded to nearest, with the
+    operations of mpf arithmetic on the terms of ``recurrence.terms``: the
+    square, the neighbours multiplied left to right, the cross product."""
+    bits, rnd, m_max = precision_bits(), round_nearest, table.m_max
+    q = [[table.value(a, m)._mpf_ for m in range(m_max + 1)] for a in range(1, table.rank + 1)]
     residuals: dict[Cell, float] = {}
     worst: Cell | None = None
-    max_res = mpmath.mpf(0)
-    with mpmath.workprec(precision_bits()):
-        q = np.array([[table.value(a, m) for m in range(table.m_max + 1)]
-                      for a in range(1, table.rank + 1)], dtype=object)
-        square, prod, cross = terms(q, np.array(dynkin.adjacency))
-        for (a, j), res in np.ndenumerate(abs(square - (prod + cross))):
-            residuals[(a + 1, j + 1)] = float(res)
-            if res > max_res:
-                max_res = res
-                worst = (a + 1, j + 1)
-        threshold = tol * (1 + float(max(abs(v.numeric) for v in table.cells.values())) ** 2)
-    return QSystemReport(
-        max_residual=float(max_res),
-        threshold=threshold,
-        worst=worst,
-        passed=float(max_res) <= threshold,
-        residuals=residuals,
-    )
+    max_res, largest = fzero, 0.0
+    for a, (row, edges) in enumerate(zip(q, dynkin.adjacency), start=1):
+        nbrs = [q[b][1:-1] for b, edge in enumerate(edges) if edge] or [[fone] * (m_max - 1)]
+        prods = reduce(lambda xs, ys: [mpf_mul(x, y, bits, rnd) for x, y in zip(xs, ys)], nbrs)
+        for m, (prod, low, mid, high) in enumerate(zip(prods, row, row[1:], row[2:]), start=1):
+            res = mpf_abs(mpf_sub(mpf_pow_int(mid, 2, bits, rnd),
+                                  mpf_add(prod, mpf_mul(low, high, bits, rnd), bits, rnd),
+                                  bits, rnd))
+            residuals[(a, m)] = size = to_float(res, rnd=rnd)
+            if size >= largest and mpf_gt(res, max_res):  # rounding keeps order
+                max_res, worst, largest = res, (a, m), size
+    # float rounding keeps order, so the float of the largest |z| is the largest float
+    top = max(to_float(mpf_abs(x, bits, rnd), rnd=rnd) for row in q for x in row)
+    threshold = tol * (1 + top ** 2)
+    return QSystemReport(max_residual=largest, threshold=threshold, worst=worst,
+                         passed=largest <= threshold, residuals=residuals)
 
 
 def _integer_failures(table: QTable, cells: list[tuple[int, int, int]],

@@ -4,8 +4,9 @@ automorphisms, greedy and full-row alcove reduction, the recursive
 summand enumeration, the chunked per-cell survivor grouping, a node's
 summands in packed blocks, the dict form of the JSON table and its reader
 through ``json.loads``, dominant weights, the Weyl-orbit and the
-one-weight sine-product quantum dimensions, the cell combination in mpf
-arithmetic, one-weight wrappers of the library's block functions, the
+one-weight sine-product quantum dimensions, the cell combination, the
+recurrence residuals and the positivity, symmetry and growth checks in
+mpf arithmetic, one-weight wrappers of the library's block functions, the
 one-start-at-a-time float Newton with its einsum Jacobians and
 uniqueness probe, the Rogers dilogarithm in mpf arithmetic with the
 dilogarithm sum that evaluates it per argument, and a text comparison
@@ -30,9 +31,11 @@ import qsystem.qdim
 import qsystem.table
 from qsystem import solver
 from qsystem.affine import AffineWeight, ReductionResult, reduce_to_alcove
+from qsystem.checks import PropertyCheck, scale
 from qsystem.dynkin import DynkinData, positive_roots
 from qsystem.io import _mpf_str, qtable_from_dict
 from qsystem.qdim import QDimValue, precision_bits
+from qsystem.recurrence import terms
 from qsystem.table import QTable, kr_decompose
 
 _WEYL_ORDER_CAP = 10**6
@@ -520,6 +523,56 @@ def combine_mpf(parts: list[tuple[int, QDimValue]]) -> QDimValue:
     for mult, p in parts:
         total += mult * p.numeric
     return QDimValue(exact=None, numeric=total)
+
+
+def verify_qsystem_mpf(table: QTable, dynkin: DynkinData,
+                       tol: float = 1e-9) -> qsystem.table.QSystemReport:
+    """The recurrence residuals through mpf operators on the object arrays of
+    ``recurrence.terms``: the differential oracle of
+    ``qsystem.table.verify_qsystem``, which must give the same report."""
+    residuals: dict[tuple[int, int], float] = {}
+    worst = None
+    max_res = mpmath.mpf(0)
+    with mpmath.workprec(precision_bits()):
+        q = np.array([[table.value(a, m) for m in range(table.m_max + 1)]
+                      for a in range(1, table.rank + 1)], dtype=object)
+        square, prod, cross = terms(q, np.array(dynkin.adjacency))
+        for (a, j), res in np.ndenumerate(abs(square - (prod + cross))):
+            residuals[(a + 1, j + 1)] = float(res)
+            if res > max_res:
+                max_res = res
+                worst = (a + 1, j + 1)
+        threshold = tol * (1 + float(max(abs(v.numeric) for v in table.cells.values())) ** 2)
+    return qsystem.table.QSystemReport(max_residual=float(max_res), threshold=threshold,
+                                       worst=worst, passed=float(max_res) <= threshold,
+                                       residuals=residuals)
+
+
+def mirror_failures_mpf(value, cells, k: int, tol: float, letter: str = "z") -> tuple[str, ...]:
+    """``qsystem.checks.mirror_failures`` through mpf operators."""
+    tol = mpmath.mpf(tol)
+    fails = []
+    for a, m in cells:
+        x, y = value(a, m), value(a, k - m)
+        delta = abs(x - y)
+        if delta > tol and delta > tol * scale(x, y):
+            fails.append(f"|{letter}({a},{m}) - {letter}({a},{k - m})| = {mpmath.nstr(delta)}")
+    return tuple(fails)
+
+
+def positive_checks_mpf(value, rank: int, k: int, tol: float,
+                        letter: str = "z") -> tuple[PropertyCheck, PropertyCheck, PropertyCheck]:
+    """``qsystem.checks.positive_checks`` through mpf comparisons."""
+    nodes, half = range(1, rank + 1), range(k // 2 + 1)
+    return (
+        PropertyCheck("positivity", tuple(f"{letter}({a},{m}) = {value(a, m)}" for a in nodes
+                                          for m in range(k + 1) if not value(a, m) > 0)),
+        PropertyCheck("symmetry", mirror_failures_mpf(
+            value, ((a, m) for a in nodes for m in half), k, tol, letter)),
+        PropertyCheck("unimodality", tuple(
+            f"{letter}({a},{m - 1}) >= {letter}({a},{m})"
+            for a in nodes for m in half[1:] if not value(a, m - 1) < value(a, m))),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ import qsystem.qdim
 import qsystem.table
 
 from qsystem.affine import AffineWeight, affinize, reduce_to_alcove
+from qsystem.checks import positive_checks
 from qsystem.dynkin import build_dynkin
 from qsystem.io import (qtable_from_json, qtable_json_chunks, qtable_to_csv, qtable_to_json,
                         qtable_to_text)
@@ -26,8 +27,8 @@ from qsystem.table import (_chain_states, _chain_weights, _rank_rows, _survivors
                            stars_and_bars, verify_kns, verify_qsystem)
 
 from oracles import (assert_same_text, combine_mpf, compositions, kr_terms_recursive,
-                     node_summands, qdim_affine, qtable_from_json_loads, qtable_to_dict,
-                     survivors_chunked)
+                     node_summands, positive_checks_mpf, qdim_affine, qtable_from_json_loads,
+                     qtable_to_dict, survivors_chunked, verify_qsystem_mpf)
 
 
 @pytest.fixture(scope="module")
@@ -496,6 +497,50 @@ def test_combine_matches_mpf_oracle(data, bits):
     assert got.numeric._mpf_ == want.numeric._mpf_
 
 
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), family=st.sampled_from("AD"), bits=st.sampled_from([64, 128, 512]))
+def test_tuple_table_path_matches_mpf_oracles(data, family, bits):
+    # D4-D9 and A1-A8 at levels 1-8: every cell has the tag and the bits of the mpf sum of its
+    # survivors, and the recurrence report is the one of mpf arithmetic on recurrence.terms
+    d = build_dynkin(family, data.draw(st.integers(4, 9) if family == "D" else st.integers(1, 8)))
+    k = data.draw(st.integers(1, 8))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("QSYS_PRECISION_BITS", str(bits))
+        table = build_qtable(d, k)
+        survivors = _survivors(k, d, table.m_max, _tops(d))
+        reps = sorted({rep for found in survivors.values() for rep, _ in found})
+        block = np.array(reps, dtype=np.int64).reshape(len(reps), d.rank + 1)
+        values = dict(zip(reps, qsystem.qdim.qdim_affine(block, k, d)))
+        with mpmath.workprec(bits):
+            for cell, found in survivors.items():
+                want = combine_mpf([(mult, values[rep]) for rep, mult in found])
+                got = table.cells[cell]
+                assert (got.exact, got.numeric._mpf_) == (want.exact, want.numeric._mpf_), cell
+        got, want = verify_qsystem(table, d), verify_qsystem_mpf(table, d)
+    assert got.residuals == want.residuals
+    assert (got.worst, got.max_residual, got.threshold, got.passed) == (
+        want.worst, want.max_residual, want.threshold, want.passed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), bits=st.sampled_from([64, 128, 512]),
+       tol=st.sampled_from([1e-300, 1e-9, 0.5]))
+def test_positive_checks_match_mpf_oracle(data, bits, tol):
+    # grids of values equal, a unit in the last place apart, near zero, negative and large:
+    # the same failures, byte for byte, as mpf comparisons give
+    rank, k = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 6))
+    ulp = mpmath.ldexp(1, 1 - bits)
+    pool = [0, 1, -1, 2, 1 + ulp, 1 - ulp / 2, ulp, mpmath.mpf(3) / 7, 1e40, 1e40 * (1 + ulp)]
+    with mpmath.workprec(bits):
+        grid = {(a, m): mpmath.mpf(data.draw(st.sampled_from(pool)))
+                for a in range(1, rank + 1) for m in range(k + 1)}
+
+        def value(a, m):
+            return grid[(a, m)]
+
+        assert positive_checks(value, rank, k, tol) == positive_checks_mpf(value, rank, k, tol)
+
+
 @pytest.mark.parametrize("rows", [None, 7])
 @pytest.mark.parametrize("family,rank,k", [("D", 9, 8), ("A", 5, 3)])
 def test_cell_summands_cut_each_cell_in_order(monkeypatch, rows, family, rank, k):
@@ -797,6 +842,50 @@ def test_json_header_unlike_the_writer_s_is_named(d5_table):
                 json.dumps({**json.loads(text), "rank": "5"})):
         with pytest.raises(ValueError, match="the header differs from the writer's"):
             qtable_from_json(bad)
+
+
+@pytest.mark.parametrize("old,new,why", [
+    ('"h": 8,', '"h": 99,', r"h = 99 is not the Coxeter number of D5"),
+    ('"a": 3,\n   "m": 5,\n   "exact": 0,', '"a": 3,\n   "m": 5,\n   "exact": 12345,',
+     r"cell \(3, 5\): exact tag 12345"),
+    ('"a": 1,\n   "m": 4,\n   "exact": 1,\n   "numeric": "1.0"',
+     '"a": 1,\n   "m": 4,\n   "exact": 1,\n   "numeric": "2"',
+     r"cell \(1, 4\): exact tag 1 with numeric 2"),
+], ids=["h", "tag", "tagged-numeric"])
+def test_json_header_and_tags_are_checked(d5_table, old, new, why):
+    # the provenance is the writer's, but h is not the diagram's, a tag is not -1, 0 or 1, or a
+    # tagged numeric is not its tag: in the writer's layout and in other JSON alike
+    text = qtable_to_json(d5_table)
+    assert text.count(old) == 1
+    bad = text.replace(old, new)
+    for layout in (bad, json.dumps(json.loads(bad), sort_keys=True)):
+        with pytest.raises(ValueError, match=why):
+            qtable_from_json(layout)
+
+
+def test_json_untagged_numeric_is_read_as_written(d5_table):
+    # only the tags are checked against their numerics: a generic cell's value is content
+    text = qtable_to_json(d5_table)
+    generic = next(cell for cell, value in d5_table.cells.items() if value.exact is None)
+    head = f'"a": {generic[0]},\n   "m": {generic[1]},\n   "exact": null,\n   "numeric": "'
+    at = text.index(head) + len(head)
+    back = qtable_from_json(text[:at] + "7" + text[text.index('"', at):])
+    assert back.cells[generic].numeric == 7 and back.cells[generic].exact is None
+
+
+@pytest.mark.parametrize("first", [True, False], ids=["first-cell", "last-cell"])
+def test_json_difference_names_first_and_last_cell(d5_table, first):
+    # the cell that differs is the one whose head is the last before the difference
+    text = qtable_to_json(d5_table)
+    cell = (1, 0) if first else (5, d5_table.m_max)
+    start, end = _provenance_span(text, *cell)
+    at = (text.index("\n    ]", start) if first else end - len("\n    ]")) - 1
+    bad = text[:at] + str((int(text[at]) + 1) % 10) + text[at + 1:]
+    why = rf"^cell \({cell[0]}, {cell[1]}\): provenance differs from the writer's$"
+    for layout in (bad, json.dumps(json.loads(bad), sort_keys=True)):
+        with pytest.raises(ValueError, match=why):
+            qtable_from_json(layout)
+
 
 def _cells_edited(table, edit):
     data = json.loads(qtable_to_json(table))
