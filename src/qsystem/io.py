@@ -300,7 +300,10 @@ def solution_to_dict(sol: RestrictedSolution,
         "rank": sol.rank,
         "level": sol.level,
         "residual": sol.residual,
+        "residual_mpf": _mpf_str(sol.residual_mpf),
         "relative_residual": sol.relative_residual,
+        "relative_residual_mpf": _mpf_str(mpmath.fdiv(sol.residual_mpf, max(1.0, sol.term_scale),
+                                                            prec=precision_bits())),
         "iterations": sol.iterations,
         "float_iterations": sol.float_iterations,
         "polish_steps": sol.polish_steps,
@@ -312,6 +315,7 @@ def solution_to_dict(sol: RestrictedSolution,
             "lhs": _mpf_str(dilog.lhs),
             "rhs": str(Fraction(dilog.rhs)),
             "delta": dilog.delta,
+            "delta_mpf": _mpf_str(dilog.delta_mpf),
         }
     if table_deviation is not None:
         out["table_deviation"] = table_deviation

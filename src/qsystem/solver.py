@@ -6,16 +6,18 @@ pinned to 1.  Positivity is built in by solving for u = log Q.  Damped
 Newton in float64 solves the log form of the recurrence,
 log Q_m^2 - log(prod + Q_{m-1} Q_{m+1}) = 0, which is close to linear in
 u, with no fallback: the degenerate zero solutions sit at u = -inf, where
-the log form does not vanish.  It runs on a stack of starts at once, with
-stacked linear solves and each start's line search and stop test its own;
-the solve uses a single start and the uniqueness probe all of its starts
-together.  Mixed-precision iterative refinement then carries the float
+the log form does not vanish.  It runs on a stack of starts at once, each
+start's line search and stop test its own; the solve uses a single start
+and the uniqueness probe all of its starts together.  The Jacobian of the
+log form is 2I minus couplings between the two colours of (Dynkin tree) x
+(path 1..k-1), so each linear solve runs on the half-size red-black Schur
+complement.  Mixed-precision iterative refinement then carries the float
 solution to working precision on exact dyadic numbers: every value is an
-integer at one common scale 2^-F, so each step evaluates the raw
-residual square - prod - Q_{m-1} Q_{m+1} exactly, divides it in float64
-by prod + Q_{m-1} Q_{m+1} at the float solution, which gives the log form
-to first order, and solves for the log-coordinate correction in float64
-with the Newton's own Jacobian of the log form (Higham, *Accuracy and
+integer at one common scale 2^-F, so each step evaluates the raw residual
+square - prod - Q_{m-1} Q_{m+1} exactly, divides it in float64 by
+prod + Q_{m-1} Q_{m+1} at the float solution (the log form to first
+order) and solves for the log-coordinate correction with the Newton's
+own Jacobian there, its complement inverted once (Higham, *Accuracy and
 Stability of Numerical Algorithms*, ch. 12).  The correction multiplies
 each value by its exponential, summed as a Taylor series on integers and
 rounded to the working precision.  Residuals are judged relative to the
@@ -61,11 +63,11 @@ _LOG_TOL = 1e-13
 # A refinement step gains about -log2(cond(J) * 2^-53) bits, some 40 in
 # practice; one step per 16 bits of working precision leaves ample room.
 _BITS_PER_POLISH_STEP = 16
-# Most Jacobian entries (float64) solved together in one stacked linear
-# solve.  On a 2-CPU Linux host, a single stack of 21 A8k8 Jacobians (56 x 56,
-# 527 KiB) raised the peak RSS of a D8k6 and A8k8 solve-and-probe process by
-# 0.6 MiB; groups of at most 256 KiB raise it about as little as solving one
-# start at a time.
+# Most Schur-complement entries (float64) solved together in one stacked
+# linear solve.  On a 2-CPU Linux host, the 20-start probe of D16k16 (120 x 120
+# complements) raised a fresh process's peak RSS by 15.8 MiB as one stack of
+# 21 (2.4 MiB of entries) and by 10.7 MiB in groups of at most 256 KiB; the
+# D8k6 and A8k8 probes fit in one group.
 _JACOBIAN_ENTRIES = 1 << 15
 # Bits below the unit of each value at which the refinement sums its Taylor
 # series.
@@ -101,6 +103,7 @@ class RestrictedSolution:
     polish_steps: int
     term_scale: float
     tol: float
+    residual_mpf: mpmath.mpf  # the exact residual, of which ``residual`` is the float
 
     @property
     def iterations(self) -> int:
@@ -124,44 +127,81 @@ def _grid(dynkin: DynkinData, k: int, inner: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _couplings(rank: int, n: int, edges: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """Flat positions in the (rank n)^2 Jacobian of the neighbour
-    couplings (a, j)-(b, j), b ~ a, and of the chain couplings
-    (a, j)-(a, j -+ 1), for n unknowns per node."""
+def _red_black(rank: int, n: int, edges: bytes) -> tuple[np.ndarray, ...]:
+    """The red and black unknowns of a (rank, n) grid, red the smaller class
+    of the colours (tree colour of a + m) mod 2 of (a, m); per unknown, the
+    slots of its weights in those of :func:`_log_residual` and the unknowns
+    they couple it to, padded with the zero slot 0; and the Schur cell of
+    each red-black-red path."""
     adj = np.frombuffer(edges, dtype=bool).reshape(rank, rank)
-    chain = np.eye(n, k=1, dtype=bool) | np.eye(n, k=-1, dtype=bool)
-    return (np.flatnonzero(np.kron(adj, np.eye(n, dtype=bool))),
-            np.flatnonzero(np.kron(np.eye(rank, dtype=bool), chain)))
+    tree = np.zeros(rank, dtype=int)
+    for a, b in zip(*np.nonzero(np.triu(adj))):  # each A or D node joins a smaller label
+        tree[b] = 1 - tree[a]
+    colour = ((tree[:, None] + np.arange(n)) % 2).ravel()
+    colour ^= 2 * colour.sum() < colour.size  # red, the smaller class, is colour 0
+    red, black = np.flatnonzero(colour == 0), np.flatnonzero(colour)
+    kind = np.kron(adj, np.eye(n)) + 2 * np.kron(np.eye(rank), np.eye(n, k=1) + np.eye(n, k=-1))
+    slot = np.where(kind > 0, (kind - 1) * rank * n + np.arange(rank * n)[:, None] + 1, 0)
+
+    def rows(of, to):
+        block = slot[np.ix_(of, to)].astype(int)
+        col = np.argsort(block == 0, axis=1, kind="stable")[:, :max((block > 0).sum(1), default=0)]
+        return np.take_along_axis(block, col, axis=1), col
+    (rb_slot, rb_col), (br_slot, br_col) = rows(red, black), rows(black, red)
+    cells = len(red) * np.arange(len(red))[:, None, None] + br_col[rb_col]
+    return red, black, rb_slot, rb_col, br_slot, br_col, cells.ravel()
 
 
-def _log_residual(q: np.ndarray, adj: np.ndarray) -> np.ndarray:
-    """The log form log Q_m^2 - log(prod + Q_{m-1} Q_{m+1}) of every
-    equation: dimensionless and close to linear in log Q."""
+def _log_residual(q: np.ndarray, adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The log form log Q_m^2 - log(d), d = prod + Q_{m-1} Q_{m+1}, of every
+    equation, dimensionless and close to linear in log Q, and per grid the
+    weights of its Jacobian: 0, then prod / d and Q_{m-1} Q_{m+1} / d flat."""
     square, prod, cross = terms(q, adj)
-    return np.log(square / (prod + cross))
+    d, batch = prod + cross, prod.shape[:-2]
+    w = [np.zeros((*batch, 1)), (prod / d).reshape(*batch, -1), (cross / d).reshape(*batch, -1)]
+    return np.log(square / d), np.concatenate(w, axis=-1)
 
 
-def _jacobian_log(q: np.ndarray, adj: np.ndarray) -> np.ndarray:
-    """Jacobian of the log form with respect to log-coordinates, one
-    (rn, rn) matrix, rn = rank (k-1), per grid of the stack ``q``.
+def _jacobian_log(w: np.ndarray, adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The log-form Jacobian J = 2I - N at the weights ``w`` of a stack of
+    grids, as the rows of N_rb and N_br at the columns of :func:`_red_black`:
+    row (a, m) is 2 at (a, m), which no term of it involves, -prod / d at
+    (b, m), b ~ a, and -Q_{m-1} Q_{m+1} / d at (a, m -+ 1), of the other colour."""
+    _, _, rb_slot, _, br_slot, _, _ = _red_black(
+        len(adj), w.shape[-1] // (2 * len(adj)), (adj != 0).tobytes())
+    return w[..., rb_slot], w[..., br_slot]
 
-    It is diag(prod + cross)^-1 (J_f - 2 diag(f)) for the raw residual f
-    and its Jacobian J_f: row (a, m) couples to the r unknowns at the same
-    m through Q_m^2 and the neighbour product, and to (a, m -+ 1) through
-    Q_{m-1} Q_{m+1}.
-    """
-    square, prod, cross = terms(q, adj)
-    *batch, rank, n = prod.shape
-    size = rank * n
-    nbr, chain = _couplings(rank, n, (adj != 0).tobytes())
-    # Scaling the terms before assembly gives the bits of scaling the
-    # assembled rows, since -(x / d) == (-x) / d, without a second matrix.
-    d = prod + cross
-    jac = np.zeros((*batch, size * size))
-    jac[..., ::size + 1] = ((2 * square - 2 * (square - prod - cross)) / d).reshape(*batch, size)
-    jac[..., nbr] = -(prod / d).reshape(*batch, size)[..., nbr // size]
-    jac[..., chain] = -(cross / d).reshape(*batch, size)[..., chain // size]
-    return jac.reshape(*batch, size, size)
+
+def _log_solver(w: np.ndarray, adj: np.ndarray, invert: bool = False):
+    """x = J^-1 b, b of shape (..., rank, n), for the log-form Jacobian J at
+    the weights ``w``.  As J is 2I in its red-red and black-black blocks,
+    (4I - N_rb N_br) x_r = 2 b_r + N_rb b_b and x_b = (b_b + N_br x_r) / 2
+    (Saad, *Iterative Methods for Sparse Linear Systems*, sec. 3.3).  The
+    Schur complement, half the size of J, is summed path by path and solved
+    by ``np.linalg.solve`` at each call (raising ``LinAlgError`` where
+    singular), or with ``invert`` inverted once, each solve then corrected
+    once in float64 to the accuracy of an LU solve."""
+    red, black, _, rb_col, _, br_col, cells = _red_black(
+        len(adj), w.shape[-1] // (2 * len(adj)), (adj != 0).tobytes())
+    n_rb, n_br = _jacobian_log(w, adj)
+    batch, r, count = w.shape[:-1], len(red), w.size // w.shape[-1]
+    at = (r * r * np.arange(count)[:, None] + cells).ravel()
+    paths = np.bincount(at, (n_rb[..., None] * n_br[..., rb_col, :]).ravel(), count * r * r)
+    schur = 4 * np.eye(r) - paths.reshape(*batch, r, r)
+    inverse = np.linalg.inv(schur) if invert else None
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        flat = b.reshape(*batch, -1)
+        b_b = flat[..., black]
+        rhs = (2 * flat[..., red] + np.sum(n_rb * b_b[..., rb_col], axis=-1))[..., None]
+        x_r = np.linalg.solve(schur, rhs) if inverse is None else inverse @ rhs
+        if inverse is not None:
+            x_r += inverse @ (rhs - schur @ x_r)
+        x = np.empty_like(flat)
+        x[..., red] = x_r = x_r[..., 0]
+        x[..., black] = (b_b + np.sum(n_br * x_r[..., br_col], axis=-1)) / 2
+        return x.reshape(b.shape)
+    return solve
 
 
 def _initial_guess(rank: int, k: int) -> np.ndarray:
@@ -169,31 +209,25 @@ def _initial_guess(rank: int, k: int) -> np.ndarray:
     return np.tile(1.0 + m * (k - m) / k, (rank, 1))
 
 
-def _newton_steps(q: np.ndarray, g: np.ndarray,
-                  adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Newton steps J^-1 (-g) of the log form for a stack of grids, and
-    which of them have a singular Jacobian (their step is NaN).
-
-    The stack is solved in even groups of at most ``_JACOBIAN_ENTRIES``
-    Jacobian entries each; a group with a singular Jacobian is solved
-    again one grid at a time.
-    """
-    rhs = -g.reshape(len(g), -1, 1)
-    step = np.empty_like(rhs)
+def _newton_steps(g: np.ndarray, w: np.ndarray, adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Newton steps J^-1 (-g) of the log form for a stack of grids at the
+    weights ``w``, solved in even groups of at most ``_JACOBIAN_ENTRIES``
+    Schur-complement entries, and which grids have a singular Jacobian:
+    a group with one is solved again grid by grid, and its step is NaN."""
+    step = np.empty_like(g)
     singular = np.zeros(len(g), dtype=bool)
-    groups = -(-len(g) * rhs.shape[1] ** 2 // _JACOBIAN_ENTRIES)
+    groups = -(-len(g) // max(1, _JACOBIAN_ENTRIES // max(1, (g[0].size // 2) ** 2)))
     per = -(-len(g) // groups)
     for lo in range(0, len(g), per):
-        group = slice(lo, lo + per)
         try:
-            step[group] = np.linalg.solve(_jacobian_log(q[group], adj), rhs[group])
+            step[lo:lo + per] = _log_solver(w[lo:lo + per], adj)(-g[lo:lo + per])
         except np.linalg.LinAlgError:
             for i in range(lo, min(lo + per, len(g))):
                 try:
-                    step[i] = np.linalg.solve(_jacobian_log(q[i], adj), rhs[i])
+                    step[i:i + 1] = _log_solver(w[i:i + 1], adj)(-g[i:i + 1])
                 except np.linalg.LinAlgError:
                     step[i], singular[i] = np.nan, True
-    return step.reshape(g.shape), singular
+    return step, singular
 
 
 def _newton_float(dynkin: DynkinData, k: int, u0: np.ndarray, max_iter: int
@@ -224,13 +258,13 @@ def _newton_float(dynkin: DynkinData, k: int, u0: np.ndarray, max_iter: int
     # the descent test rejects them, so silence the warnings.
     with np.errstate(all="ignore"):
         q = _grid(dynkin, k, np.exp(u))
-        g = _log_residual(q, adj)
+        g, w = _log_residual(q, adj)
         nrm = np.max(np.abs(g), axis=(1, 2))
         while True:
             live = np.flatnonzero(~(nrm <= _LOG_TOL) & (iterations < max_iter) & ~stopped)
             if not len(live):
                 break
-            step, singular = _newton_steps(q[live], g[live], adj)
+            step, singular = _newton_steps(g[live], w[live], adj)
             stopped[live[singular]] = True
             step, live = step[~singular], live[~singular]
             base = np.sum(g[live].reshape(len(live), -1) ** 2, axis=1)
@@ -239,11 +273,11 @@ def _newton_float(dynkin: DynkinData, k: int, u0: np.ndarray, max_iter: int
             while len(search):
                 cand = u[live[search]] + t[search, None, None] * step[search]
                 q_t = _grid(dynkin, k, np.exp(cand))
-                g_t = _log_residual(q_t, adj)
+                g_t, w_t = _log_residual(q_t, adj)
                 good = (np.sum(g_t.reshape(len(search), -1) ** 2, axis=1)
                         < base[search] * (1 - 1e-4 * t[search]))
                 done = live[search[good]]
-                u[done], q[done], g[done] = cand[good], q_t[good], g_t[good]
+                u[done], q[done], g[done], w[done] = cand[good], q_t[good], g_t[good], w_t[good]
                 nrm[done] = np.max(np.abs(g_t[good]), axis=(1, 2))
                 iterations[done] += 1
                 if debug:
@@ -306,12 +340,13 @@ def _polish(dynkin: DynkinData, k: int,
     product, D = max(2, largest node degree).  It then solves
     J_g delta = -f / d in float64 for the log-coordinate correction delta,
     with J_g the Jacobian of the log form and d = prod + Q_{m-1} Q_{m+1},
-    both taken at the float solution: f / d is the log form to first
-    order, and its rows are O(1) where those of f scale with the terms.  f
-    enters float64 divided by a power of two that brings its largest entry
-    to about 1, so it cannot underflow at any precision, and that power
-    returns in the update n exp(delta) of :func:`_times_exp`, rounded to
-    ``bits`` significant bits.  Stops once the exact residual is at most
+    both taken at the float solution, through one inverse of its Schur
+    complement: f / d is the log form to first order, and its rows are O(1)
+    where those of f scale with the terms.  f enters float64 divided by a
+    power of two that brings its largest entry to about 1, so it cannot
+    underflow at any precision, and that power returns in the update
+    n exp(delta) of :func:`_times_exp`, rounded to ``bits`` significant
+    bits.  Stops once the exact residual is at most
     2^(8 - bits) times the term scale S, compared on integers, or after
     one step per 16 bits of precision.  Returns the value grid as an
     object array of mpf, the exact residual of those values as an mpf, the
@@ -320,8 +355,8 @@ def _polish(dynkin: DynkinData, k: int,
     bits = precision_bits()
     adj = np.array(dynkin.adjacency)
     square, prod, cross = terms(q_float, adj)
-    scale, d = float(np.max(square + prod + cross)), (prod + cross).reshape(-1)
-    jac = _jacobian_log(q_float, adj)
+    scale, d = float(np.max(square + prod + cross)), prod + cross
+    solve = _log_solver(_log_residual(q_float, adj)[1], adj, invert=True)
     mant, expo = np.frexp(q_float)
     frac = bits + 1 - int(expo.min())
     degree = adj.sum(axis=1)
@@ -346,8 +381,7 @@ def _polish(dynkin: DynkinData, k: int,
     steps = 0
     while res * den > target and steps < bits // _BITS_PER_POLISH_STEP:
         size = res.bit_length()
-        rhs = (f / (1 << size)).astype(float).reshape(-1)
-        step = np.linalg.solve(jac, -rhs / d).reshape(f.shape)
+        step = solve(-(f / (1 << size)).astype(float) / d)
         power = size - top * frac  # step * 2^power is the correction
         inner, used = zip(*[_times_exp(v, delta, power, bits) for v, delta
                             in zip(n[:, 1:k].ravel().tolist(), step.ravel().tolist())])
@@ -379,7 +413,7 @@ def solve_restricted(dynkin: DynkinData, k: int, tol: float = 1e-12,
                   for a in range(1, dynkin.rank + 1) for m in (0, 1)}
         return RestrictedSolution(dynkin.family, dynkin.rank, k, values, residual=0.0,
                                   float_iterations=0, polish_steps=0, term_scale=0.0,
-                                  tol=tol)
+                                  tol=tol, residual_mpf=mpmath.mpf(0))
 
     u0 = np.log(_initial_guess(dynkin.rank, k))
     q_float, res_float, its, ok = _newton_float(dynkin, k, u0, max_iter)
@@ -395,7 +429,7 @@ def solve_restricted(dynkin: DynkinData, k: int, tol: float = 1e-12,
               for a in range(1, dynkin.rank + 1) for m in range(k + 1)}
     return RestrictedSolution(dynkin.family, dynkin.rank, k, values, residual=float(res),
                               float_iterations=its, polish_steps=polish_its,
-                              term_scale=scale, tol=tol)
+                              term_scale=scale, tol=tol, residual_mpf=res)
 
 
 def check_positive_solution_properties(sol: RestrictedSolution,
@@ -506,6 +540,7 @@ class DilogReport:
     rhs: Fraction
     x_values: Mapping[tuple[int, int], mpmath.mpf]
     delta: float
+    delta_mpf: mpmath.mpf  # |lhs - rhs| at the working precision, of which ``delta`` is the float
 
 
 def dilog_identity(sol: RestrictedSolution, dynkin: DynkinData) -> DilogReport:
@@ -538,6 +573,7 @@ def dilog_identity(sol: RestrictedSolution, dynkin: DynkinData) -> DilogReport:
                 rogers[t] = _rogers_L(t, prec)
             total = mpf_add(total, rogers[t], prec, round_nearest)
         lhs = 6 / mpmath.pi**2 * mpmath.mp.make_mpf(total)
-        delta = float(abs(lhs - mpmath.mpf(rhs.numerator) / rhs.denominator))
+        delta_mpf = abs(lhs - mpmath.mpf(rhs.numerator) / rhs.denominator)
+    delta = float(delta_mpf)
     _log.debug("dilog: %d arguments, %d evaluated, delta %.3e", len(x_values), len(rogers), delta)
-    return DilogReport(lhs=lhs, rhs=rhs, x_values=x_values, delta=delta)
+    return DilogReport(lhs=lhs, rhs=rhs, x_values=x_values, delta=delta, delta_mpf=delta_mpf)

@@ -7,7 +7,7 @@ through ``json.loads``, dominant weights, the Weyl-orbit and the
 one-weight sine-product quantum dimensions, the cell combination, the
 recurrence residuals and the positivity, symmetry and growth checks in
 mpf arithmetic, one-weight wrappers of the library's block functions, the
-one-start-at-a-time float Newton with its einsum Jacobians and
+dense log-form Jacobians, the one-start-at-a-time float Newton and
 uniqueness probe, the Rogers dilogarithm in mpf arithmetic with the
 dilogarithm sum that evaluates it per argument, and a text comparison
 that reports only the first difference."""
@@ -576,9 +576,10 @@ def positive_checks_mpf(value, rank: int, k: int, tol: float,
 
 
 # ---------------------------------------------------------------------------
-# The float Newton one start at a time, as the solver ran it before it took
-# a stack of starts.  The grid, the log residual and the recurrence terms
-# are the solver's own.
+# The log-form Jacobian as a dense matrix, the slow path that the red-black
+# Schur solve replaced, and the float Newton one start at a time, as the
+# solver ran it before it took a stack of starts.  The grid, the log
+# residual and the recurrence terms are the solver's own.
 
 
 def jacobian_log_einsum(q: np.ndarray, adj: np.ndarray) -> np.ndarray:
@@ -602,32 +603,86 @@ def jacobian_log_form_einsum(q: np.ndarray, adj: np.ndarray) -> np.ndarray:
             / (prod + cross).reshape(-1, 1))
 
 
-def newton_float_sequential(dynkin: DynkinData, k: int, u0: np.ndarray,
-                            max_iter: int) -> tuple[np.ndarray, float, int, bool]:
-    """Damped Newton with Armijo backtracking from the single start ``u0``."""
+@lru_cache(maxsize=None)
+def _couplings(rank: int, n: int, edges: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """Flat positions in the (rank n)^2 Jacobian of the neighbour
+    couplings (a, j)-(b, j), b ~ a, and of the chain couplings
+    (a, j)-(a, j -+ 1), for n unknowns per node."""
+    adj = np.frombuffer(edges, dtype=bool).reshape(rank, rank)
+    chain = np.eye(n, k=1, dtype=bool) | np.eye(n, k=-1, dtype=bool)
+    return (np.flatnonzero(np.kron(adj, np.eye(n, dtype=bool))),
+            np.flatnonzero(np.kron(np.eye(rank, dtype=bool), chain)))
+
+
+def jacobian_log_dense(w: np.ndarray, adj: np.ndarray) -> np.ndarray:
+    """The log-form Jacobian 2I - N as one dense (rn, rn) matrix per grid of
+    the stack of weights ``w`` of ``solver._log_residual`` (0, then prod / d
+    and cross / d flat), rn = rank (k-1), scattered into a zeroed array: 2 on
+    the diagonal, -prod / d at the neighbours and -cross / d along the
+    chain."""
+    *batch, width = w.shape
+    rank = len(adj)
+    size = width // 2
+    nbrs, chains = _couplings(rank, size // rank, (adj != 0).tobytes())
+    jac = np.zeros((*batch, size * size))
+    jac[..., ::size + 1] = 2.0
+    jac[..., nbrs] = -w[..., 1:size + 1][..., nbrs // size]
+    jac[..., chains] = -w[..., size + 1:][..., chains // size]
+    return jac.reshape(*batch, size, size)
+
+
+def jacobian_from_blocks(n_rb: np.ndarray, n_br: np.ndarray, rank: int, n: int,
+                         adj: np.ndarray) -> np.ndarray:
+    """The dense log-form Jacobian 2I - N of one grid, rebuilt from the
+    red-black blocks of ``solver._jacobian_log``; their padding adds zeros."""
+    red, black, _, rb_col, _, br_col, _ = solver._red_black(rank, n, (adj != 0).tobytes())
+    jac = 2 * np.eye(rank * n)
+    np.subtract.at(jac, (red[:, None], black[rb_col]), n_rb)
+    np.subtract.at(jac, (black[:, None], red[br_col]), n_br)
+    return jac
+
+
+def dense_log_solver(w: np.ndarray, adj: np.ndarray, invert: bool = False):
+    """``solver._log_solver`` for one grid through ``np.linalg.solve`` of
+    :func:`jacobian_log_dense` at every call."""
+    jac = jacobian_log_dense(w, adj)
+    return lambda b: np.linalg.solve(jac, b.reshape(-1)).reshape(b.shape)
+
+
+def newton_float_sequential(dynkin: DynkinData, k: int, u0: np.ndarray, max_iter: int,
+                            dense: bool = False) -> tuple[np.ndarray, float, int, bool]:
+    """Damped Newton with Armijo backtracking from the single start ``u0``,
+    each step solved by the solver's own red-black solve on a stack of one
+    grid, or with ``dense`` by ``np.linalg.solve`` of
+    :func:`jacobian_log_dense`."""
     adj = np.array(dynkin.adjacency, dtype=float)
     u = u0
     q = solver._grid(dynkin, k, np.exp(u))
     iterations = 0
     with np.errstate(all="ignore"):
-        g = solver._log_residual(q, adj)
+        g, w = solver._log_residual(q, adj)
         nrm = float(np.max(np.abs(g)))
         while not nrm <= solver._LOG_TOL and iterations < max_iter:
-            try:
-                step = np.linalg.solve(jacobian_log_form_einsum(q, adj), -g.reshape(-1))
-            except np.linalg.LinAlgError:
-                break
+            if dense:
+                try:
+                    step = np.linalg.solve(jacobian_log_dense(w, adj), -g.reshape(-1))
+                except np.linalg.LinAlgError:
+                    break
+            else:
+                step, singular = solver._newton_steps(g[None], w[None], adj)
+                if singular[0]:
+                    break
             step = step.reshape(u.shape)
             base, t = float(np.sum(g**2)), 1.0
             while t > solver._BACKTRACK_FLOOR:
                 q_t = solver._grid(dynkin, k, np.exp(u + t * step))
-                g_t = solver._log_residual(q_t, adj)
+                g_t, w_t = solver._log_residual(q_t, adj)
                 if float(np.sum(g_t**2)) < base * (1 - 1e-4 * t):
                     break
                 t /= 2
             else:
                 break
-            u, q, g = u + t * step, q_t, g_t
+            u, q, g, w = u + t * step, q_t, g_t, w_t
             nrm = float(np.max(np.abs(g)))
             iterations += 1
     return q, nrm, iterations, nrm <= solver._LOG_TOL
@@ -667,15 +722,15 @@ def polish_mpf(dynkin: DynkinData, k: int,
     """Mixed-precision iterative refinement of the float solution with mpf
     values: the residual square - prod - cross rounded at the working
     precision, its float64 value divided by d = prod + cross, the
-    correction solved with the log-form Jacobian at the float solution and
-    applied as q * exp(delta).  Returns the value grid, the rounded
-    residual, the number of steps and the term scale S."""
+    correction solved by the solver's own log-form solve at the float
+    solution and applied as q * exp(delta).  Returns the value grid, the
+    rounded residual, the number of steps and the term scale S."""
     bits = precision_bits()
     adj = np.array(dynkin.adjacency)
     square, prod, cross = solver.terms(q_float, adj)
-    scale, d = float(np.max(square + prod + cross)), (prod + cross).reshape(-1)
+    scale, d = float(np.max(square + prod + cross)), prod + cross
     target = mpmath.ldexp(scale, 8 - bits)
-    jac = solver._jacobian_log(q_float, adj)
+    solve = solver._log_solver(solver._log_residual(q_float, adj)[1], adj, invert=True)
     q = np.frompyfunc(mpmath.mpf, 1, 1)(q_float)
 
     def residual(q):
@@ -686,8 +741,8 @@ def polish_mpf(dynkin: DynkinData, k: int,
     res = np.max(np.abs(f))
     steps = 0
     while res > target and steps < bits // solver._BITS_PER_POLISH_STEP:
-        step = np.linalg.solve(jac, -f.astype(float).reshape(-1) / d)
-        q[:, 1:k] *= np.frompyfunc(mpmath.exp, 1, 1)(step.reshape(f.shape))
+        step = solve(-f.astype(float) / d)
+        q[:, 1:k] *= np.frompyfunc(mpmath.exp, 1, 1)(step)
         f = residual(q)
         res = np.max(np.abs(f))
         steps += 1

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import pytest
 from click.testing import CliRunner
 
@@ -225,6 +226,27 @@ def test_solve_reports_relative_residual(runner):
     text = runner.invoke(main, args).output.splitlines()[0]
     assert re.search(rf"residual {data['residual']:.3e} after {data['iterations']} iterations"
                      rf" \(relative {data['relative_residual']:.3e}\)$", text), text
+
+
+def test_solve_json_keeps_residuals_below_float64_range(runner):
+    # at 1,200 bits the residual, about 2^-1190 S, is 0.0 as a float; the mpf
+    # keys carry the exact residual of the returned values, and the text is
+    # as before
+    bits = 1200
+    args = ["solve", "-f", "A", "-r", "1", "-k", "4", "--dilog"]
+    env = {"QSYS_PRECISION_BITS": str(bits)}
+    data = json.loads(runner.invoke(main, [*args, "--format", "json"], env=env).output)
+    assert data["residual"] == data["relative_residual"] == data["dilog"]["delta"] == 0.0
+    with mpmath.workprec(bits):
+        residual = mpmath.mpf(data["residual_mpf"])
+        assert 0 < residual <= mpmath.ldexp(data["term_scale"], 8 - bits)
+        relative = mpmath.mpf(data["relative_residual_mpf"])
+        assert abs(relative - residual / data["term_scale"]) <= mpmath.ldexp(relative, 4 - bits)
+        assert 0 <= mpmath.mpf(data["dilog"]["delta_mpf"]) <= mpmath.ldexp(1, 8 - bits)
+    text = runner.invoke(main, args, env=env).output
+    assert text.startswith(f"A1, level 4: residual 0.000e+00 after {data['iterations']}"
+                           " iterations (relative 0.000e+00)\n"), text
+    assert "(delta 0.000e+00)" in text
 
 
 def test_solve_against_table(runner):

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (dilog_sum_oracle, jacobian_log_form_einsum, newton_float_sequential,
+from oracles import (dense_log_solver, dilog_sum_oracle, jacobian_from_blocks,
+                     jacobian_log_dense, jacobian_log_form_einsum, newton_float_sequential,
                      polish_mpf, rogers_L_mpf, uniqueness_probe_sequential)
 from qsystem import solver
 from qsystem.dynkin import build_dynkin
@@ -21,6 +22,7 @@ from qsystem.solver import (DomainError, InvalidLevel, NoConvergence,
                             uniqueness_probe, _grid, _initial_guess,
                             _jacobian_log, _log_residual, _newton_float)
 from qsystem.io import solution_to_dict
+from qsystem.recurrence import terms
 from qsystem.table import build_qtable
 
 
@@ -204,13 +206,15 @@ def _finite_difference_jacobian(residual, dynkin, k, u, adj, eps=1e-6):
 
 
 def test_log_form_jacobian_against_finite_differences():
+    # the dense form rebuilt from the red-black blocks
     d5 = build_dynkin("D", 5)
     k = 5
     rng = np.random.default_rng(4)
     adj = np.array(d5.adjacency, dtype=float)
     u = np.log(_initial_guess(5, k)) + rng.uniform(-0.5, 0.5, (5, k - 1))
-    jac = _jacobian_log(_grid(d5, k, np.exp(u)), adj)
-    fd = _finite_difference_jacobian(_log_residual, d5, k, u, adj)
+    _, w = _log_residual(_grid(d5, k, np.exp(u)), adj)
+    jac = jacobian_from_blocks(*_jacobian_log(w, adj), 5, k - 1, adj)
+    fd = _finite_difference_jacobian(lambda q, adj: _log_residual(q, adj)[0], d5, k, u, adj)
     assert np.max(np.abs(jac - fd)) / np.max(np.abs(fd)) < 1e-6
 
 
@@ -243,18 +247,72 @@ def test_float_newton_from_jittered_starts(case, k, seed):
 
 
 def test_jacobians_match_einsum_blocks_bit_for_bit():
-    # the assembled Jacobian, on a stack of grids and on one grid, against
-    # the dense einsum form it replaced
+    # the red-black blocks, on a stack of grids and on one grid, hold the
+    # off-diagonal entries of the dense einsum form bit for bit; its diagonal,
+    # 2 by algebra, is within a few ulps of 2
     rng = np.random.default_rng(5)
-    for family, rank, k in (("A", 1, 2), ("A", 3, 5), ("D", 5, 4), ("D", 8, 6)):
+    for family, rank, k in (("A", 1, 2), ("A", 3, 5), ("D", 5, 4), ("D", 8, 6),
+                            ("D", 12, 12)):
         dynkin = build_dynkin(family, rank)
         adj = np.array(dynkin.adjacency, dtype=float)
         u = np.log(_initial_guess(rank, k)) + rng.uniform(-0.5, 0.5, (3, rank, k - 1))
         q = _grid(dynkin, k, np.exp(u))
-        stacked = _jacobian_log(q, adj)
+        _, w = _log_residual(q, adj)
+        n_rb, n_br = _jacobian_log(w, adj)
+        off = ~np.eye(rank * (k - 1), dtype=bool)
         for i in range(len(q)):
-            assert np.array_equal(stacked[i], jacobian_log_form_einsum(q[i], adj))
-            assert np.array_equal(_jacobian_log(q[i], adj), stacked[i])
+            single = _jacobian_log(w[i], adj)
+            assert np.array_equal(single[0], n_rb[i]) and np.array_equal(single[1], n_br[i])
+            jac = jacobian_from_blocks(n_rb[i], n_br[i], rank, k - 1, adj)
+            want = jacobian_log_form_einsum(q[i], adj)
+            # as bits, + 0.0 turning any -0.0 into 0.0
+            assert np.array_equal(jac[off].view(np.int64), (want[off] + 0.0).view(np.int64))
+            assert np.all(np.abs(np.diag(want) - 2) <= 4 * np.spacing(2.0)), (family, rank, k)
+            assert np.array_equal(jac, jacobian_log_dense(w[i], adj))
+
+
+def _jittered_grids(dynkin, k, seed, n_starts=4):
+    """Value grids from starts jittered by +-50% in log-coordinates, as the
+    uniqueness probe draws them."""
+    u0 = np.log(_initial_guess(dynkin.rank, k))
+    rng = np.random.default_rng(seed)
+    starts = [u0 * (1 + rng.uniform(-0.5, 0.5, size=u0.shape)) for _ in range(n_starts)]
+    return _grid(dynkin, k, np.exp(np.stack(starts)))
+
+
+@given(st.sampled_from(GRID), st.integers(2, 12), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_red_black_solve_matches_dense_solve(case, k, seed):
+    # the Schur-complement solve, on a stack of jittered grids, against
+    # np.linalg.solve of the dense Jacobian: a backward-stable solve of J is
+    # off by at most about cond(J) u n relative to the exact solution
+    dynkin = build_dynkin(*case)
+    adj = np.array(dynkin.adjacency, dtype=float)
+    q = _jittered_grids(dynkin, k, seed)
+    g, w = _log_residual(q, adj)
+    size = g[0].size
+    for invert in (False, True):
+        got = solver._log_solver(w, adj, invert)(-g)
+        for i in range(len(q)):
+            jac = jacobian_log_dense(w[i], adj)
+            want = np.linalg.solve(jac, -g[i].reshape(-1))
+            bound = size * np.linalg.cond(jac) * np.finfo(float).eps
+            error = np.linalg.norm(got[i].reshape(-1) - want) / np.linalg.norm(want)
+            assert error <= bound, (case, k, seed, invert, error, bound)
+
+
+def test_red_black_solve_with_no_red_unknown():
+    # A1k2 has one unknown, Q_1, which couples to nothing: the red class is
+    # empty, the Schur complement is 0 x 0 and x = b / 2
+    a1 = build_dynkin("A", 1)
+    adj = np.array(a1.adjacency, dtype=float)
+    red, black = solver._red_black(1, 1, (adj != 0).tobytes())[:2]
+    assert len(red) == 0 and list(black) == [0]
+    g, w = _log_residual(_jittered_grids(a1, 2, 7), adj)
+    for invert in (False, True):
+        assert np.array_equal(solver._log_solver(w, adj, invert)(g), g / 2)
+    step, singular = solver._newton_steps(g, w, adj)
+    assert np.array_equal(step, -g / 2) and not singular.any()
 
 
 @given(st.sampled_from([c for c in GRID if c[1] <= 8]), st.integers(1, 10),
@@ -290,13 +348,23 @@ def test_batched_newton_stops_only_the_singular_start(monkeypatch):
     u0 = np.log(_initial_guess(5, k))
     starts = np.stack([u0, u0 * 1.2])
     stuck = _grid(d5, k, np.exp(starts[1]))
+    stuck_w = _log_residual(stuck, np.array(d5.adjacency, dtype=float))[1]
     jacobian = solver._jacobian_log
+    _, _, rb_slot, rb_col, br_slot, br_col, _ = solver._red_black(
+        5, k - 1, (np.array(d5.adjacency) != 0).tobytes())
+    # couple the first red unknown to its first black neighbour j with 2 both
+    # ways and nothing else anywhere: N_rb N_br is 4 at (0, 0) and 0 elsewhere,
+    # so that row of the Schur complement 4I - N_rb N_br is zero
+    j = rb_col[0, 0]
+    n_rb, n_br = np.zeros(rb_slot.shape), np.zeros(br_slot.shape)
+    n_rb[0, 0], n_br[j, list(br_col[j]).index(0)] = 2.0, 2.0
 
-    def singular_at_stuck(q, adj):
-        # zero the Jacobian of every grid equal to the second start's
-        jac = jacobian(q, adj)
-        jac[np.all(q == stuck, axis=(-2, -1))] = 0.0
-        return jac
+    def singular_at_stuck(w, adj):
+        # blocks of a singular Schur complement for every grid of the second start
+        blocks = jacobian(w, adj)
+        hit = np.all(w == stuck_w, axis=-1)
+        blocks[0][hit], blocks[1][hit] = n_rb, n_br
+        return blocks
 
     monkeypatch.setattr(solver, "_jacobian_log", singular_at_stuck)
     q, res, iterations, ok = _newton_float(d5, k, starts, 200)
@@ -309,17 +377,42 @@ def test_batched_newton_stops_only_the_singular_start(monkeypatch):
 @pytest.mark.parametrize("family,rank,k", [("D", 8, 6), ("A", 8, 8), ("D", 12, 12)])
 def test_solve_restricted_values_match_sequential_newton(monkeypatch, family, rank, k):
     # the whole solve, float phase and refinement, with the sequential
-    # Newton and the einsum Jacobian swapped back in
+    # Newton swapped back in
     monkeypatch.setenv("QSYS_PRECISION_BITS", "128")
     dynkin = build_dynkin(family, rank)
     got = solve_restricted(dynkin, k)
     monkeypatch.setattr(solver, "_newton_float", newton_float_sequential)
-    monkeypatch.setattr(solver, "_jacobian_log", jacobian_log_form_einsum)
     want = solve_restricted(dynkin, k)
     assert got.values.keys() == want.values.keys()
     assert all(got.values[key] == want.values[key] for key in want.values)
     assert (got.residual, got.float_iterations, got.polish_steps, got.term_scale) == (
         want.residual, want.float_iterations, want.polish_steps, want.term_scale)
+
+
+@pytest.mark.parametrize("bits", [128, 512])
+@pytest.mark.parametrize("family,rank,k", [("D", 8, 6), ("A", 8, 8), ("D", 12, 12)])
+def test_solve_restricted_matches_dense_path(monkeypatch, family, rank, k, bits):
+    # the whole solve with every linear system solved on the dense Jacobian.
+    # Both stop at residuals |f| <= 2^(8 - bits) S, so in log-coordinates each
+    # is within ||J^-1|| 2^(8 - bits) S / min d of the exact solution, and
+    # the two values within twice that, relative, of each other
+    monkeypatch.setenv("QSYS_PRECISION_BITS", str(bits))
+    dynkin = build_dynkin(family, rank)
+    got = solve_restricted(dynkin, k)
+    monkeypatch.setattr(solver, "_newton_float",
+                        lambda *args: newton_float_sequential(*args, dense=True))
+    monkeypatch.setattr(solver, "_log_solver", dense_log_solver)
+    want = solve_restricted(dynkin, k)
+    assert got.float_iterations == want.float_iterations
+    assert abs(got.polish_steps - want.polish_steps) <= 1
+    adj = np.array(dynkin.adjacency, dtype=float)
+    q = np.array([[float(want.value(a, m)) for m in range(k + 1)] for a in range(1, rank + 1)])
+    _, prod, cross = terms(q, adj)
+    inverse = np.linalg.inv(jacobian_log_dense(_log_residual(q, adj)[1], adj))
+    bound = 2 * np.linalg.norm(inverse, np.inf) * want.term_scale / np.min(prod + cross)
+    with mpmath.workprec(bits):
+        for key, y in want.values.items():
+            assert abs(got.values[key] - y) <= mpmath.ldexp(bound * y, 8 - bits), key
 
 
 @pytest.fixture(scope="module")
