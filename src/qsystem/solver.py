@@ -11,11 +11,12 @@ start's line search and stop test its own; the solve uses a single start
 and the uniqueness probe all of its starts together.  The Jacobian of the
 log form is 2I minus couplings between the two colours of (Dynkin tree) x
 (path 1..k-1), so each linear solve runs on the half-size red-black Schur
-complement.  Mixed-precision iterative refinement then carries the float
-solution to working precision on exact dyadic numbers: every value is an
-integer at one common scale 2^-F, so each step evaluates the raw residual
-square - prod - Q_{m-1} Q_{m+1} exactly, divides it in float64 by
-prod + Q_{m-1} Q_{m+1} at the float solution (the log form to first
+complement, whose gather indices, path cells and 4I are planned once per
+diagram and level.  Mixed-precision iterative refinement then carries the
+float solution to working precision on exact dyadic numbers: every value
+is an integer at one common scale 2^-F, so each step evaluates the raw
+residual square - prod - Q_{m-1} Q_{m+1} exactly, divides it in float64
+by prod + Q_{m-1} Q_{m+1} at the float solution (the log form to first
 order) and solves for the log-coordinate correction with the Newton's
 own Jacobian there, its complement inverted once (Higham, *Accuracy and
 Stability of Numerical Algorithms*, ch. 12).  The correction multiplies
@@ -26,13 +27,13 @@ the exact residual is at most 2^(8 - bits) S, and a solve is accepted
 when its residual is at most tol * max(1, S).  Both phases log each step
 at DEBUG to the ``qsystem.solver`` logger.
 
-The Rogers dilogarithm takes y = min(x, 1 - x) <= 1/2 and sums Li2(y)
-and -log(1 - y) over the same powers of y in one Python-integer
-fixed-point loop with 20 guard bits, so it stays relatively accurate
-however small y is, and reflects through L(x) + L(1 - x) = pi^2/6.  It runs
-on libmp tuples, as does the identity's sum, which evaluates each
-distinct argument once; the arguments come from the recurrence's own
-terms on the mpf grid.
+The Rogers dilogarithm takes y = min(x, 1 - x) <= 1/2 and z = -log(1 - y)
+of the exact 1 - y, sums Li2(y) / z on its Bernoulli series in z in one
+Python-integer fixed-point loop with 20 guard bits, so it stays
+relatively accurate however small y is, and reflects through
+L(x) + L(1 - x) = pi^2/6.  It runs on libmp tuples, as does the
+identity's sum, which evaluates each distinct argument once; the
+arguments come from the recurrence's own terms on the mpf grid.
 """
 
 from __future__ import annotations
@@ -41,13 +42,14 @@ import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from types import SimpleNamespace
 from typing import Mapping
 
 import mpmath
 import numpy as np
-from mpmath.libmp import (MPZ, fone, from_int, from_man_exp, fzero, mpf_add, mpf_cmp, mpf_div,
-                          mpf_log, mpf_lt, mpf_mul, mpf_pi, mpf_pow_int, mpf_sub,
-                          round_nearest, to_fixed)
+from mpmath.libmp import (MPZ, bernfrac, fone, from_int, from_man_exp, fzero, ifac, mpf_add,
+                          mpf_cmp, mpf_div, mpf_log, mpf_lt, mpf_mul, mpf_neg, mpf_pi,
+                          mpf_pow_int, mpf_shift, mpf_sub, round_nearest, to_fixed)
 
 from . import precision_bits
 from .checks import PropertyReport, positive_checks
@@ -127,13 +129,17 @@ def _grid(dynkin: DynkinData, k: int, inner: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _red_black(rank: int, n: int, edges: bytes) -> tuple[np.ndarray, ...]:
-    """The red and black unknowns of a (rank, n) grid, red the smaller class
-    of the colours (tree colour of a + m) mod 2 of (a, m); per unknown, the
-    slots of its weights in those of :func:`_log_residual` and the unknowns
-    they couple it to, padded with the zero slot 0; and the Schur cell of
-    each red-black-red path."""
-    adj = np.frombuffer(edges, dtype=bool).reshape(rank, rank)
+def _plan(dynkin: DynkinData, k: int) -> SimpleNamespace:
+    """What a Newton step at level k needs that does not depend on the
+    values.  Red is the smaller class of the colours (tree colour of a + m)
+    mod 2 of (a, m).  Per unknown, ``rb_slot`` and ``br_slot`` hold the slots
+    of its weights in those of :func:`_log_residual`, padded with the zero
+    slot 0, and ``black_rb`` and ``br_col`` the unknowns of the other colour
+    they couple it to, as grid indices and as places in ``red``.  ``back``
+    puts (x_r, x_b) in (a, m) order; ``path_rb`` and ``path_br`` are the
+    block entries of each red-black-red path, padding left out, ``cells``
+    its Schur cell and ``four`` 4I."""
+    rank, n, adj = dynkin.rank, k - 1, np.array(dynkin.adjacency, dtype=bool)
     tree = np.zeros(rank, dtype=int)
     for a, b in zip(*np.nonzero(np.triu(adj))):  # each A or D node joins a smaller label
         tree[b] = 1 - tree[a]
@@ -148,8 +154,17 @@ def _red_black(rank: int, n: int, edges: bytes) -> tuple[np.ndarray, ...]:
         col = np.argsort(block == 0, axis=1, kind="stable")[:, :max((block > 0).sum(1), default=0)]
         return np.take_along_axis(block, col, axis=1), col
     (rb_slot, rb_col), (br_slot, br_col) = rows(red, black), rows(black, red)
-    cells = len(red) * np.arange(len(red))[:, None, None] + br_col[rb_col]
-    return red, black, rb_slot, rb_col, br_slot, br_col, cells.ravel()
+    (r, c_rb), c_br = rb_col.shape, br_col.shape[1]
+    i, at_rb, at_br = np.indices((r, c_rb, c_br)).reshape(3, -1)
+    to = rb_col[i, at_rb]
+    real = (rb_slot[i, at_rb] > 0) & (br_slot[to, at_br] > 0)  # no padding on the path
+    return SimpleNamespace(
+        adj=adj.astype(float), red=red, black=black, rb_slot=rb_slot, br_slot=br_slot,
+        br_col=br_col, black_rb=black[rb_col],
+        back=np.argsort(np.concatenate([red, black]), kind="stable"),
+        path_rb=(i * c_rb + at_rb)[real], path_br=(to * c_br + at_br)[real],
+        cells=(r * i + br_col[to, at_br])[real], four=4 * np.eye(r),
+        per=max(1, _JACOBIAN_ENTRIES // max(1, (rank * n // 2) ** 2)))  # most grids a solve takes
 
 
 def _log_residual(q: np.ndarray, adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -157,22 +172,23 @@ def _log_residual(q: np.ndarray, adj: np.ndarray) -> tuple[np.ndarray, np.ndarra
     equation, dimensionless and close to linear in log Q, and per grid the
     weights of its Jacobian: 0, then prod / d and Q_{m-1} Q_{m+1} / d flat."""
     square, prod, cross = terms(q, adj)
-    d, batch = prod + cross, prod.shape[:-2]
-    w = [np.zeros((*batch, 1)), (prod / d).reshape(*batch, -1), (cross / d).reshape(*batch, -1)]
-    return np.log(square / d), np.concatenate(w, axis=-1)
+    d = prod + cross
+    w = np.zeros((*d.shape[:-2], 1 + 2 * d.shape[-2] * d.shape[-1]))
+    parts = w[..., 1:].reshape(*d.shape[:-2], 2, *d.shape[-2:])
+    np.divide(prod, d, out=parts[..., 0, :, :])
+    np.divide(cross, d, out=parts[..., 1, :, :])
+    return np.log(square / d), w
 
 
-def _jacobian_log(w: np.ndarray, adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _jacobian_log(w: np.ndarray, plan: SimpleNamespace) -> tuple[np.ndarray, np.ndarray]:
     """The log-form Jacobian J = 2I - N at the weights ``w`` of a stack of
-    grids, as the rows of N_rb and N_br at the columns of :func:`_red_black`:
+    grids, as the rows of N_rb and N_br at the columns of the plan:
     row (a, m) is 2 at (a, m), which no term of it involves, -prod / d at
     (b, m), b ~ a, and -Q_{m-1} Q_{m+1} / d at (a, m -+ 1), of the other colour."""
-    _, _, rb_slot, _, br_slot, _, _ = _red_black(
-        len(adj), w.shape[-1] // (2 * len(adj)), (adj != 0).tobytes())
-    return w[..., rb_slot], w[..., br_slot]
+    return w[..., plan.rb_slot], w[..., plan.br_slot]
 
 
-def _log_solver(w: np.ndarray, adj: np.ndarray, invert: bool = False):
+def _log_solver(w: np.ndarray, plan: SimpleNamespace, invert: bool = False):
     """x = J^-1 b, b of shape (..., rank, n), for the log-form Jacobian J at
     the weights ``w``.  As J is 2I in its red-red and black-black blocks,
     (4I - N_rb N_br) x_r = 2 b_r + N_rb b_b and x_b = (b_b + N_br x_r) / 2
@@ -181,26 +197,22 @@ def _log_solver(w: np.ndarray, adj: np.ndarray, invert: bool = False):
     by ``np.linalg.solve`` at each call (raising ``LinAlgError`` where
     singular), or with ``invert`` inverted once, each solve then corrected
     once in float64 to the accuracy of an LU solve."""
-    red, black, _, rb_col, _, br_col, cells = _red_black(
-        len(adj), w.shape[-1] // (2 * len(adj)), (adj != 0).tobytes())
-    n_rb, n_br = _jacobian_log(w, adj)
-    batch, r, count = w.shape[:-1], len(red), w.size // w.shape[-1]
-    at = (r * r * np.arange(count)[:, None] + cells).ravel()
-    paths = np.bincount(at, (n_rb[..., None] * n_br[..., rb_col, :]).ravel(), count * r * r)
-    schur = 4 * np.eye(r) - paths.reshape(*batch, r, r)
+    n_rb, n_br = _jacobian_log(w, plan)
+    batch, r, count = w.shape[:-1], len(plan.red), w.size // w.shape[-1]
+    paths = n_rb.reshape(count, -1)[:, plan.path_rb] * n_br.reshape(count, -1)[:, plan.path_br]
+    at = plan.cells if count == 1 else (r * r * np.arange(count)[:, None] + plan.cells).ravel()
+    schur = plan.four - np.bincount(at, paths.ravel(), count * r * r).reshape(*batch, r, r)
     inverse = np.linalg.inv(schur) if invert else None
 
     def solve(b: np.ndarray) -> np.ndarray:
         flat = b.reshape(*batch, -1)
-        b_b = flat[..., black]
-        rhs = (2 * flat[..., red] + np.sum(n_rb * b_b[..., rb_col], axis=-1))[..., None]
+        rhs = (2 * flat[..., plan.red] + (n_rb * flat[..., plan.black_rb]).sum(axis=-1))[..., None]
         x_r = np.linalg.solve(schur, rhs) if inverse is None else inverse @ rhs
         if inverse is not None:
             x_r += inverse @ (rhs - schur @ x_r)
-        x = np.empty_like(flat)
-        x[..., red] = x_r = x_r[..., 0]
-        x[..., black] = (b_b + np.sum(n_br * x_r[..., br_col], axis=-1)) / 2
-        return x.reshape(b.shape)
+        x_r = x_r[..., 0]
+        x_b = (flat[..., plan.black] + (n_br * x_r[..., plan.br_col]).sum(axis=-1)) / 2
+        return np.concatenate((x_r, x_b), axis=-1)[..., plan.back].reshape(b.shape)
     return solve
 
 
@@ -209,22 +221,22 @@ def _initial_guess(rank: int, k: int) -> np.ndarray:
     return np.tile(1.0 + m * (k - m) / k, (rank, 1))
 
 
-def _newton_steps(g: np.ndarray, w: np.ndarray, adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _newton_steps(g: np.ndarray, w: np.ndarray,
+                  plan: SimpleNamespace) -> tuple[np.ndarray, np.ndarray]:
     """Newton steps J^-1 (-g) of the log form for a stack of grids at the
     weights ``w``, solved in even groups of at most ``_JACOBIAN_ENTRIES``
     Schur-complement entries, and which grids have a singular Jacobian:
     a group with one is solved again grid by grid, and its step is NaN."""
     step = np.empty_like(g)
     singular = np.zeros(len(g), dtype=bool)
-    groups = -(-len(g) // max(1, _JACOBIAN_ENTRIES // max(1, (g[0].size // 2) ** 2)))
-    per = -(-len(g) // groups)
+    per = -(-len(g) // -(-len(g) // plan.per))
     for lo in range(0, len(g), per):
         try:
-            step[lo:lo + per] = _log_solver(w[lo:lo + per], adj)(-g[lo:lo + per])
+            step[lo:lo + per] = _log_solver(w[lo:lo + per], plan)(-g[lo:lo + per])
         except np.linalg.LinAlgError:
             for i in range(lo, min(lo + per, len(g))):
                 try:
-                    step[i:i + 1] = _log_solver(w[i:i + 1], adj)(-g[i:i + 1])
+                    step[i:i + 1] = _log_solver(w[i:i + 1], plan)(-g[i:i + 1])
                 except np.linalg.LinAlgError:
                     step[i], singular[i] = np.nan, True
     return step, singular
@@ -242,16 +254,17 @@ def _newton_float(dynkin: DynkinData, k: int, u0: np.ndarray, max_iter: int
     linear solves of :func:`_newton_steps` and one line search per
     iteration; each keeps its own step length, iteration count and stop
     test, and a singular Jacobian or a failed line search stops only its
-    own start, so every start follows the path it would follow alone.
-    Returns the value grids, shape (..., rank, k+1), and per start max |g|,
-    the iteration count and a convergence flag, as Python numbers for a
-    single start and nested lists for a stack; final accuracy comes from
-    the refinement at working precision afterwards.
+    own start, so every start follows the path it would follow alone.  A
+    start leaves the stack when it stops, and an iteration that accepts
+    every candidate takes the candidates' arrays whole.  Returns the value
+    grids, shape (..., rank, k+1), and per start max |g|, the iteration
+    count and a convergence flag, as Python numbers for a single start and
+    nested lists for a stack; final accuracy comes from the refinement.
     """
-    adj = np.array(dynkin.adjacency, dtype=float)
-    batch = u0.shape[:-2]
+    plan = _plan(dynkin, k)
+    adj, batch = plan.adj, u0.shape[:-2]
     u = u0.reshape(-1, *u0.shape[-2:]).copy()
-    iterations = np.zeros(len(u), dtype=int)
+    start, its = np.arange(len(u)), np.zeros(len(u), dtype=int)  # each live grid's start
     stopped = np.zeros(len(u), dtype=bool)
     debug = _log.isEnabledFor(logging.DEBUG)
     # Overflowed or underflowed line-search candidates give inf/NaN in g;
@@ -259,37 +272,45 @@ def _newton_float(dynkin: DynkinData, k: int, u0: np.ndarray, max_iter: int
     with np.errstate(all="ignore"):
         q = _grid(dynkin, k, np.exp(u))
         g, w = _log_residual(q, adj)
-        nrm = np.max(np.abs(g), axis=(1, 2))
+        nrm = np.abs(g).max(axis=(1, 2))
+        q_out, nrm_out, its_out = np.empty_like(q), np.empty_like(nrm), np.empty_like(its)
         while True:
-            live = np.flatnonzero(~(nrm <= _LOG_TOL) & (iterations < max_iter) & ~stopped)
-            if not len(live):
-                break
-            step, singular = _newton_steps(g[live], w[live], adj)
-            stopped[live[singular]] = True
-            step, live = step[~singular], live[~singular]
-            base = np.sum(g[live].reshape(len(live), -1) ** 2, axis=1)
-            t = np.ones(len(live))
-            search = np.arange(len(live))
+            go = ~(nrm <= _LOG_TOL) & (its < max_iter) & ~stopped
+            if not go.all():
+                out = start[~go]
+                q_out[out], nrm_out[out], its_out[out] = q[~go], nrm[~go], its[~go]
+                if not go.any():
+                    break
+                start, u, q, g, w, nrm, its = (a[go] for a in (start, u, q, g, w, nrm, its))
+            step, stopped = _newton_steps(g, w, plan)
+            base, t = (g.reshape(len(g), -1) ** 2).sum(axis=1), np.ones(len(g))
+            search = np.flatnonzero(~stopped)
             while len(search):
-                cand = u[live[search]] + t[search, None, None] * step[search]
+                at = slice(None) if len(search) == len(u) else search
+                cand = u[at] + t[at, None, None] * step[at]
                 q_t = _grid(dynkin, k, np.exp(cand))
                 g_t, w_t = _log_residual(q_t, adj)
-                good = (np.sum(g_t.reshape(len(search), -1) ** 2, axis=1)
-                        < base[search] * (1 - 1e-4 * t[search]))
-                done = live[search[good]]
-                u[done], q[done], g[done], w[done] = cand[good], q_t[good], g_t[good], w_t[good]
-                nrm[done] = np.max(np.abs(g_t[good]), axis=(1, 2))
-                iterations[done] += 1
+                good = ((g_t.reshape(len(search), -1) ** 2).sum(axis=1)
+                        < base[at] * (1 - 1e-4 * t[at]))
+                done = search[good]
+                if len(done) == len(u):  # every candidate accepted: take them whole
+                    u, q, g, w, nrm = cand, q_t, g_t, w_t, np.abs(g_t).max(axis=(1, 2))
+                    its += 1
+                else:
+                    u[done], q[done], g[done], w[done] = cand[good], q_t[good], g_t[good], w_t[good]
+                    nrm[done] = np.abs(g_t[good]).max(axis=(1, 2))
+                    its[done] += 1
                 if debug:
-                    for i, j in zip(done, search[good]):
+                    for i in done:
                         _log.debug("newton %d: max|g| %.3e, step length %g (start %d)",
-                                   iterations[i], nrm[i], t[j], i)
+                                   its[i], nrm[i], t[i], start[i])
                 search = search[~good]
-                t[search] /= 2
-                stopped[live[search[t[search] <= _BACKTRACK_FLOOR]]] = True
-                search = search[t[search] > _BACKTRACK_FLOOR]
-    return (q.reshape(*batch, *q.shape[1:]), nrm.reshape(batch).tolist(),
-            iterations.reshape(batch).tolist(), (nrm <= _LOG_TOL).reshape(batch).tolist())
+                if len(search):
+                    t[search] /= 2
+                    stopped[search[t[search] <= _BACKTRACK_FLOOR]] = True
+                    search = search[t[search] > _BACKTRACK_FLOOR]
+    return (q_out.reshape(*batch, *q.shape[1:]), nrm_out.reshape(batch).tolist(),
+            its_out.reshape(batch).tolist(), (nrm_out <= _LOG_TOL).reshape(batch).tolist())
 
 
 def _mpf_at_scale(n: int, frac: int) -> mpmath.mpf:
@@ -356,7 +377,7 @@ def _polish(dynkin: DynkinData, k: int,
     adj = np.array(dynkin.adjacency)
     square, prod, cross = terms(q_float, adj)
     scale, d = float(np.max(square + prod + cross)), prod + cross
-    solve = _log_solver(_log_residual(q_float, adj)[1], adj, invert=True)
+    solve = _log_solver(_log_residual(q_float, adj)[1], _plan(dynkin, k), invert=True)
     mant, expo = np.frexp(q_float)
     frac = bits + 1 - int(expo.min())
     degree = adj.sum(axis=1)
@@ -480,46 +501,55 @@ def uniqueness_probe(dynkin: DynkinData, k: int, n_starts: int = 20,
 # Rogers dilogarithm and the central-charge identity
 
 
+@lru_cache(maxsize=None)
+def _rogers_constants(prec: int) -> tuple[tuple, tuple[int, ...]]:
+    """pi^2/6 at ``prec`` bits, and |B_2j| / (2j+1)!, j >= 1, rounded down at
+    the fixed-point scale 2^-(prec + 20), as many as can reach that scale at
+    z <= log 2, where each term of the series is under 2^-6 of the last."""
+    pi2, wp = mpf_pow_int(mpf_pi(prec, round_nearest), 2, prec, round_nearest), prec + 20
+    return mpf_div(pi2, from_int(6), prec, round_nearest), tuple(
+        (abs(num) << wp) // (den * ifac(2 * j + 1))
+        for j in range(1, wp // 6 + 2) for num, den in [bernfrac(2 * j)])
+
+
 def _rogers_L(x: tuple, prec: int) -> tuple:
     """Rogers L of the libmp tuple ``x``, 0 < x < 1, at ``prec`` bits, each
     step rounded to nearest as the same mpf arithmetic would round it."""
     rest = mpf_sub(fone, x, prec, round_nearest)  # exact for x >= 1/2
     reflect = mpf_cmp(rest, x) < 0
-    y = rest if reflect else x
-    wp = prec + 20
-    yf = to_fixed(y, wp)
-    li2 = log = power = 1 << wp
-    n = 1
-    while power >= n:
-        n += 1
-        power = power * yf >> wp
-        li2 += power // (n * n)
-        log += power // n
-    li2, log = (mpf_mul(y, from_man_exp(s, -wp), prec, round_nearest) for s in (li2, log))
-    half = mpf_div(mpf_mul(mpf_log(y, prec, round_nearest), log, prec, round_nearest),
-                   from_int(2), prec, round_nearest)
-    L = mpf_sub(li2, half, prec, round_nearest)
-    if not reflect:
-        return L
-    pi2 = mpf_pow_int(mpf_pi(prec, round_nearest), 2, prec, round_nearest)
-    return mpf_sub(mpf_div(pi2, from_int(6), prec, round_nearest), L, prec, round_nearest)
+    y, rest = (rest, x) if reflect else (x, mpf_sub(fone, x))  # rest = 1 - y, exact
+    z = mpf_neg(mpf_log(rest, prec, round_nearest))
+    (pi2_6, coefficients), wp = _rogers_constants(prec), prec + 20
+    zf = to_fixed(z, wp)
+    square, power = zf * zf >> wp, 1 << wp
+    total = power - (zf >> 2)  # Li2(y) / z, from 1 - z / 4
+    for j, coefficient in enumerate(coefficients):
+        power = power * square >> wp
+        term = coefficient * power >> wp
+        if not term:
+            break
+        total += -term if j & 1 else term
+    half_log_y = mpf_shift(mpf_log(y, prec, round_nearest), -1)
+    L = mpf_mul(z, mpf_sub(from_man_exp(total, -wp), half_log_y, prec, round_nearest), prec,
+                round_nearest)
+    return mpf_sub(pi2_6, L, prec, round_nearest) if reflect else L
 
 
 def rogers_L(x) -> mpmath.mpf:
     """Rogers dilogarithm on [0, 1], with L(0) = 0 and L(1) = pi^2/6.
 
-    With y = min(x, 1 - x) <= 1/2, L(y) = Li2(y) - log(y) (-log(1 - y)) / 2
-    (Zagier, *The Dilogarithm Function*), and L(x) = pi^2/6 - L(y) above
-    1/2.  Li2(y) = y sum_{n>=1} y^(n-1)/n^2 and -log(1 - y) = y sum_{n>=1}
-    y^(n-1)/n are summed over the same powers in one Python-integer
-    fixed-point loop at 20 bits above the working precision, the technique
-    of mpmath's own ``libmp`` series: each power is a product shifted back
-    by ``>>`` and each term a floor division.  With y <= 1/2 the truncation
-    errors do not grow from power to power, so each term is off by under
-    three units of the last place and the few hundred terms together stay
-    far inside the guard bits.  Both sums are at least 1, so those units
-    are relative to them, and the factor y, applied in floating point,
-    keeps both series relatively accurate however small y is.
+    With y = min(x, 1 - x) <= 1/2 and z = -log(1 - y) <= log 2,
+    L(y) = Li2(y) - log(y) z / 2 = z (Li2(y) / z - log(y) / 2) (Zagier,
+    *The Dilogarithm Function*), and L(x) = pi^2/6 - L(y) above 1/2.  1 - y
+    is taken exactly, so z keeps every digit however small y is (mpf_log
+    raises its own precision next to 1), and Li2(y) / z =
+    1 - z/4 + sum_{j>=1} B_2j z^2j / (2j+1)! is summed in a Python-integer
+    fixed-point loop at 20 bits above the working precision until a term
+    vanishes, each power a product shifted back by ``>>``: the terms shrink
+    by (z / 2 pi)^2 < 2^-6 each, so some 24 terms reach 128 bits, and their
+    truncation errors stay far inside the guard bits.  Li2(y) / z is near 1
+    and -log(y) / 2 positive, so the sum and the product with z lose no
+    digits.
     """
     with mpmath.workprec(precision_bits()):
         x = mpmath.mpf(x)

@@ -8,12 +8,14 @@ one-weight sine-product quantum dimensions, the cell combination, the
 recurrence residuals and the positivity, symmetry and growth checks in
 mpf arithmetic, one-weight wrappers of the library's block functions, the
 dense log-form Jacobians, the one-start-at-a-time float Newton and
-uniqueness probe, the Rogers dilogarithm in mpf arithmetic with the
+uniqueness probe, the float Newton's kernels with their indices looked up
+at every call, the Rogers dilogarithm in mpf arithmetic with the
 dilogarithm sum that evaluates it per argument, and a text comparison
 that reports only the first difference."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -631,21 +633,19 @@ def jacobian_log_dense(w: np.ndarray, adj: np.ndarray) -> np.ndarray:
     return jac.reshape(*batch, size, size)
 
 
-def jacobian_from_blocks(n_rb: np.ndarray, n_br: np.ndarray, rank: int, n: int,
-                         adj: np.ndarray) -> np.ndarray:
+def jacobian_from_blocks(n_rb: np.ndarray, n_br: np.ndarray, plan) -> np.ndarray:
     """The dense log-form Jacobian 2I - N of one grid, rebuilt from the
     red-black blocks of ``solver._jacobian_log``; their padding adds zeros."""
-    red, black, _, rb_col, _, br_col, _ = solver._red_black(rank, n, (adj != 0).tobytes())
-    jac = 2 * np.eye(rank * n)
-    np.subtract.at(jac, (red[:, None], black[rb_col]), n_rb)
-    np.subtract.at(jac, (black[:, None], red[br_col]), n_br)
+    jac = 2 * np.eye(len(plan.red) + len(plan.black))
+    np.subtract.at(jac, (plan.red[:, None], plan.black_rb), n_rb)
+    np.subtract.at(jac, (plan.black[:, None], plan.red[plan.br_col]), n_br)
     return jac
 
 
-def dense_log_solver(w: np.ndarray, adj: np.ndarray, invert: bool = False):
+def dense_log_solver(w: np.ndarray, plan, invert: bool = False):
     """``solver._log_solver`` for one grid through ``np.linalg.solve`` of
     :func:`jacobian_log_dense` at every call."""
-    jac = jacobian_log_dense(w, adj)
+    jac = jacobian_log_dense(w, plan.adj)
     return lambda b: np.linalg.solve(jac, b.reshape(-1)).reshape(b.shape)
 
 
@@ -655,7 +655,7 @@ def newton_float_sequential(dynkin: DynkinData, k: int, u0: np.ndarray, max_iter
     each step solved by the solver's own red-black solve on a stack of one
     grid, or with ``dense`` by ``np.linalg.solve`` of
     :func:`jacobian_log_dense`."""
-    adj = np.array(dynkin.adjacency, dtype=float)
+    plan, adj = solver._plan(dynkin, k), np.array(dynkin.adjacency, dtype=float)
     u = u0
     q = solver._grid(dynkin, k, np.exp(u))
     iterations = 0
@@ -669,7 +669,7 @@ def newton_float_sequential(dynkin: DynkinData, k: int, u0: np.ndarray, max_iter
                 except np.linalg.LinAlgError:
                     break
             else:
-                step, singular = solver._newton_steps(g[None], w[None], adj)
+                step, singular = solver._newton_steps(g[None], w[None], plan)
                 if singular[0]:
                     break
             step = step.reshape(u.shape)
@@ -713,6 +713,142 @@ def uniqueness_probe_sequential(dynkin: DynkinData, k: int, n_starts: int = 20,
 
 
 # ---------------------------------------------------------------------------
+# The float Newton's kernels as the solver ran them before it built one plan
+# per diagram and level: every call looks its red-black indices up by a key
+# made from the adjacency and offsets the Schur path cells for its stack, the
+# weights are three arrays concatenated, and each accepted candidate is
+# written back through live[search[good]].
+
+
+@lru_cache(maxsize=None)
+def red_black_indices(rank: int, n: int, edges: bytes) -> tuple[np.ndarray, ...]:
+    """The red and black unknowns, red the smaller colour class; per unknown,
+    the slots of its weights and the unknowns of the other colour they couple
+    it to, padded with the zero slot 0; and the Schur cell of each
+    red-black-red path, padded ones included."""
+    adj = np.frombuffer(edges, dtype=bool).reshape(rank, rank)
+    tree = np.zeros(rank, dtype=int)
+    for a, b in zip(*np.nonzero(np.triu(adj))):
+        tree[b] = 1 - tree[a]
+    colour = ((tree[:, None] + np.arange(n)) % 2).ravel()
+    colour ^= 2 * colour.sum() < colour.size
+    red, black = np.flatnonzero(colour == 0), np.flatnonzero(colour)
+    kind = np.kron(adj, np.eye(n)) + 2 * np.kron(np.eye(rank), np.eye(n, k=1) + np.eye(n, k=-1))
+    slot = np.where(kind > 0, (kind - 1) * rank * n + np.arange(rank * n)[:, None] + 1, 0)
+
+    def rows(of, to):
+        block = slot[np.ix_(of, to)].astype(int)
+        col = np.argsort(block == 0, axis=1, kind="stable")[:, :max((block > 0).sum(1), default=0)]
+        return np.take_along_axis(block, col, axis=1), col
+    (rb_slot, rb_col), (br_slot, br_col) = rows(red, black), rows(black, red)
+    cells = len(red) * np.arange(len(red))[:, None, None] + br_col[rb_col]
+    return red, black, rb_slot, rb_col, br_slot, br_col, cells.ravel()
+
+
+def log_residual_concatenated(q: np.ndarray, adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``solver._log_residual`` with the weights 0, prod / d and cross / d
+    concatenated from three arrays."""
+    square, prod, cross = terms(q, adj)
+    d, batch = prod + cross, prod.shape[:-2]
+    w = [np.zeros((*batch, 1)), (prod / d).reshape(*batch, -1), (cross / d).reshape(*batch, -1)]
+    return np.log(square / d), np.concatenate(w, axis=-1)
+
+
+def jacobian_log_by_key(w: np.ndarray, adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The blocks N_rb and N_br of ``solver._jacobian_log``, their indices
+    looked up by key."""
+    _, _, rb_slot, _, br_slot, _, _ = red_black_indices(
+        len(adj), w.shape[-1] // (2 * len(adj)), (adj != 0).tobytes())
+    return w[..., rb_slot], w[..., br_slot]
+
+
+def log_solver_by_key(w: np.ndarray, adj: np.ndarray, invert: bool = False):
+    """``solver._log_solver`` with its indices looked up by key, the blocks
+    from :func:`jacobian_log_by_key` and every path, padded ones included,
+    summed by ``np.bincount``."""
+    red, black, _, rb_col, _, br_col, cells = red_black_indices(
+        len(adj), w.shape[-1] // (2 * len(adj)), (adj != 0).tobytes())
+    n_rb, n_br = jacobian_log_by_key(w, adj)
+    batch, r, count = w.shape[:-1], len(red), w.size // w.shape[-1]
+    at = (r * r * np.arange(count)[:, None] + cells).ravel()
+    paths = np.bincount(at, (n_rb[..., None] * n_br[..., rb_col, :]).ravel(), count * r * r)
+    schur = 4 * np.eye(r) - paths.reshape(*batch, r, r)
+    inverse = np.linalg.inv(schur) if invert else None
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        flat = b.reshape(*batch, -1)
+        b_b = flat[..., black]
+        rhs = (2 * flat[..., red] + np.sum(n_rb * b_b[..., rb_col], axis=-1))[..., None]
+        x_r = np.linalg.solve(schur, rhs) if inverse is None else inverse @ rhs
+        if inverse is not None:
+            x_r += inverse @ (rhs - schur @ x_r)
+        x = np.empty_like(flat)
+        x[..., red] = x_r = x_r[..., 0]
+        x[..., black] = (b_b + np.sum(n_br * x_r[..., br_col], axis=-1)) / 2
+        return x.reshape(b.shape)
+    return solve
+
+
+def newton_steps_by_key(g: np.ndarray, w: np.ndarray, adj: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """``solver._newton_steps`` through :func:`log_solver_by_key`."""
+    step = np.empty_like(g)
+    singular = np.zeros(len(g), dtype=bool)
+    groups = -(-len(g) // max(1, solver._JACOBIAN_ENTRIES // max(1, (g[0].size // 2) ** 2)))
+    per = -(-len(g) // groups)
+    for lo in range(0, len(g), per):
+        try:
+            step[lo:lo + per] = log_solver_by_key(w[lo:lo + per], adj)(-g[lo:lo + per])
+        except np.linalg.LinAlgError:
+            for i in range(lo, min(lo + per, len(g))):
+                try:
+                    step[i:i + 1] = log_solver_by_key(w[i:i + 1], adj)(-g[i:i + 1])
+                except np.linalg.LinAlgError:
+                    step[i], singular[i] = np.nan, True
+    return step, singular
+
+
+def newton_float_reindexed(dynkin: DynkinData, k: int, u0: np.ndarray, max_iter: int):
+    """``solver._newton_float`` on the kernels above, with the whole stack
+    kept and each accepted candidate written back through live[search[good]]."""
+    adj = np.array(dynkin.adjacency, dtype=float)
+    batch = u0.shape[:-2]
+    u = u0.reshape(-1, *u0.shape[-2:]).copy()
+    iterations = np.zeros(len(u), dtype=int)
+    stopped = np.zeros(len(u), dtype=bool)
+    with np.errstate(all="ignore"):
+        q = solver._grid(dynkin, k, np.exp(u))
+        g, w = log_residual_concatenated(q, adj)
+        nrm = np.max(np.abs(g), axis=(1, 2))
+        while True:
+            live = np.flatnonzero(~(nrm <= solver._LOG_TOL) & (iterations < max_iter) & ~stopped)
+            if not len(live):
+                break
+            step, singular = newton_steps_by_key(g[live], w[live], adj)
+            stopped[live[singular]] = True
+            step, live = step[~singular], live[~singular]
+            base = np.sum(g[live].reshape(len(live), -1) ** 2, axis=1)
+            t = np.ones(len(live))
+            search = np.arange(len(live))
+            while len(search):
+                cand = u[live[search]] + t[search, None, None] * step[search]
+                q_t = solver._grid(dynkin, k, np.exp(cand))
+                g_t, w_t = log_residual_concatenated(q_t, adj)
+                good = (np.sum(g_t.reshape(len(search), -1) ** 2, axis=1)
+                        < base[search] * (1 - 1e-4 * t[search]))
+                done = live[search[good]]
+                u[done], q[done], g[done], w[done] = cand[good], q_t[good], g_t[good], w_t[good]
+                nrm[done] = np.max(np.abs(g_t[good]), axis=(1, 2))
+                iterations[done] += 1
+                search = search[~good]
+                t[search] /= 2
+                stopped[live[search[t[search] <= solver._BACKTRACK_FLOOR]]] = True
+                search = search[t[search] > solver._BACKTRACK_FLOOR]
+    return (q.reshape(*batch, *q.shape[1:]), nrm.reshape(batch).tolist(),
+            iterations.reshape(batch).tolist(), (nrm <= solver._LOG_TOL).reshape(batch).tolist())
+
+
+# ---------------------------------------------------------------------------
 # The refinement in mpf arithmetic, as the solver ran it before it held the
 # values as integers at one scale.
 
@@ -730,7 +866,8 @@ def polish_mpf(dynkin: DynkinData, k: int,
     square, prod, cross = solver.terms(q_float, adj)
     scale, d = float(np.max(square + prod + cross)), prod + cross
     target = mpmath.ldexp(scale, 8 - bits)
-    solve = solver._log_solver(solver._log_residual(q_float, adj)[1], adj, invert=True)
+    solve = solver._log_solver(solver._log_residual(q_float, adj)[1], solver._plan(dynkin, k),
+                              invert=True)
     q = np.frompyfunc(mpmath.mpf, 1, 1)(q_float)
 
     def residual(q):
@@ -750,13 +887,15 @@ def polish_mpf(dynkin: DynkinData, k: int,
 
 
 # ---------------------------------------------------------------------------
-# The Rogers dilogarithm in mpf arithmetic, as the solver computed it before
-# its loop ran on libmp tuples, and the dilogarithm sum with one L per
-# argument.
+# The Rogers dilogarithm's Bernoulli series with mpf operators in place of the
+# solver's libmp calls, and the dilogarithm sum with one L per argument.
 
 
 def rogers_L_mpf(x) -> mpmath.mpf:
-    """Rogers L on [0, 1] at the working precision, through mpf operators."""
+    """Rogers L on [0, 1] at the working precision, through mpf operators:
+    z (Li2(y) / z - log(y) / 2) with y = min(x, 1 - x), z = -log(1 - y) and
+    Li2(y) / z = 1 - z/4 + sum_j B_2j z^2j / (2j+1)! in fixed point, each
+    coefficient from ``mpmath.bernfrac`` as it is needed."""
     with mpmath.workprec(precision_bits()):
         x = mpmath.mpf(x)
         if not 0 <= x <= 1:
@@ -766,17 +905,19 @@ def rogers_L_mpf(x) -> mpmath.mpf:
         if x == 1:
             return mpmath.pi**2 / 6
         y = min(x, 1 - x)  # 1 - x is exact for x >= 1/2
+        z = -mpmath.log(mpmath.fsub(1, y, exact=True))
         wp = mpmath.mp.prec + 20
-        yf = to_fixed(y._mpf_, wp)
-        li2 = log = power = 1 << wp
-        n = 1
-        while power >= n:
-            n += 1
-            power = power * yf >> wp
-            li2 += power // (n * n)
-            log += power // n
-        li2, log = (y * mpmath.mp.make_mpf(from_man_exp(s, -wp)) for s in (li2, log))
-        L = li2 - mpmath.log(y) * log / 2
+        zf = to_fixed(z._mpf_, wp)
+        square, power = zf * zf >> wp, 1 << wp
+        total = power - (zf >> 2)
+        for j in itertools.count(1):
+            num, den = mpmath.bernfrac(2 * j)
+            power = power * square >> wp
+            term = (abs(num) << wp) // (den * math.factorial(2 * j + 1)) * power >> wp
+            if not term:
+                break
+            total += term if j % 2 else -term
+        L = z * (mpmath.mp.make_mpf(from_man_exp(total, -wp)) - mpmath.log(y) / 2)
         return mpmath.pi**2 / 6 - L if 2 * x > 1 else L
 
 

@@ -8,11 +8,13 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import oracles
 from oracles import (dense_log_solver, dilog_sum_oracle, jacobian_from_blocks,
-                     jacobian_log_dense, jacobian_log_form_einsum, newton_float_sequential,
-                     polish_mpf, rogers_L_mpf, uniqueness_probe_sequential)
+                     jacobian_log_dense, jacobian_log_form_einsum, log_residual_concatenated,
+                     log_solver_by_key, newton_float_reindexed, newton_float_sequential,
+                     newton_steps_by_key, polish_mpf, rogers_L_mpf, uniqueness_probe_sequential)
 from qsystem import solver
 from qsystem.dynkin import build_dynkin
 from qsystem.qdim import precision_bits
@@ -213,7 +215,8 @@ def test_log_form_jacobian_against_finite_differences():
     adj = np.array(d5.adjacency, dtype=float)
     u = np.log(_initial_guess(5, k)) + rng.uniform(-0.5, 0.5, (5, k - 1))
     _, w = _log_residual(_grid(d5, k, np.exp(u)), adj)
-    jac = jacobian_from_blocks(*_jacobian_log(w, adj), 5, k - 1, adj)
+    plan = solver._plan(d5, k)
+    jac = jacobian_from_blocks(*_jacobian_log(w, plan), plan)
     fd = _finite_difference_jacobian(lambda q, adj: _log_residual(q, adj)[0], d5, k, u, adj)
     assert np.max(np.abs(jac - fd)) / np.max(np.abs(fd)) < 1e-6
 
@@ -255,15 +258,16 @@ def test_jacobians_match_einsum_blocks_bit_for_bit():
                             ("D", 12, 12)):
         dynkin = build_dynkin(family, rank)
         adj = np.array(dynkin.adjacency, dtype=float)
+        plan = solver._plan(dynkin, k)
         u = np.log(_initial_guess(rank, k)) + rng.uniform(-0.5, 0.5, (3, rank, k - 1))
         q = _grid(dynkin, k, np.exp(u))
         _, w = _log_residual(q, adj)
-        n_rb, n_br = _jacobian_log(w, adj)
+        n_rb, n_br = _jacobian_log(w, plan)
         off = ~np.eye(rank * (k - 1), dtype=bool)
         for i in range(len(q)):
-            single = _jacobian_log(w[i], adj)
+            single = _jacobian_log(w[i], plan)
             assert np.array_equal(single[0], n_rb[i]) and np.array_equal(single[1], n_br[i])
-            jac = jacobian_from_blocks(n_rb[i], n_br[i], rank, k - 1, adj)
+            jac = jacobian_from_blocks(n_rb[i], n_br[i], plan)
             want = jacobian_log_form_einsum(q[i], adj)
             # as bits, + 0.0 turning any -0.0 into 0.0
             assert np.array_equal(jac[off].view(np.int64), (want[off] + 0.0).view(np.int64))
@@ -292,7 +296,7 @@ def test_red_black_solve_matches_dense_solve(case, k, seed):
     g, w = _log_residual(q, adj)
     size = g[0].size
     for invert in (False, True):
-        got = solver._log_solver(w, adj, invert)(-g)
+        got = solver._log_solver(w, solver._plan(dynkin, k), invert)(-g)
         for i in range(len(q)):
             jac = jacobian_log_dense(w[i], adj)
             want = np.linalg.solve(jac, -g[i].reshape(-1))
@@ -306,12 +310,12 @@ def test_red_black_solve_with_no_red_unknown():
     # empty, the Schur complement is 0 x 0 and x = b / 2
     a1 = build_dynkin("A", 1)
     adj = np.array(a1.adjacency, dtype=float)
-    red, black = solver._red_black(1, 1, (adj != 0).tobytes())[:2]
-    assert len(red) == 0 and list(black) == [0]
+    plan = solver._plan(a1, 2)
+    assert len(plan.red) == 0 and list(plan.black) == [0]
     g, w = _log_residual(_jittered_grids(a1, 2, 7), adj)
     for invert in (False, True):
-        assert np.array_equal(solver._log_solver(w, adj, invert)(g), g / 2)
-    step, singular = solver._newton_steps(g, w, adj)
+        assert np.array_equal(solver._log_solver(w, plan, invert)(g), g / 2)
+    step, singular = solver._newton_steps(g, w, plan)
     assert np.array_equal(step, -g / 2) and not singular.any()
 
 
@@ -342,36 +346,96 @@ def test_batched_probe_matches_sequential_oracle_at_default_budget(family, rank,
     assert got == want and repr(got.max_deviation) == repr(want.max_deviation)
 
 
+def _singular_blocks(jacobian, plan, stuck_w):
+    """``jacobian`` with the blocks of a singular Schur complement for every
+    grid whose weights are ``stuck_w``: the first red unknown coupled to its
+    first black neighbour j with 2 both ways and nothing else anywhere, so
+    N_rb N_br is 4 at (0, 0) and 0 elsewhere, and that row of 4I - N_rb N_br
+    is zero."""
+    j = list(plan.black).index(plan.black_rb[0, 0])
+    n_rb, n_br = np.zeros(plan.rb_slot.shape), np.zeros(plan.br_slot.shape)
+    n_rb[0, 0], n_br[j, list(plan.br_col[j]).index(0)] = 2.0, 2.0
+
+    def blocks(w, index):
+        out = jacobian(w, index)
+        hit = np.all(w == stuck_w, axis=-1)
+        out[0][hit], out[1][hit] = n_rb, n_br
+        return out
+    return blocks
+
+
 def test_batched_newton_stops_only_the_singular_start(monkeypatch):
     d5 = build_dynkin("D", 5)
     k = 4
     u0 = np.log(_initial_guess(5, k))
     starts = np.stack([u0, u0 * 1.2])
     stuck = _grid(d5, k, np.exp(starts[1]))
-    stuck_w = _log_residual(stuck, np.array(d5.adjacency, dtype=float))[1]
-    jacobian = solver._jacobian_log
-    _, _, rb_slot, rb_col, br_slot, br_col, _ = solver._red_black(
-        5, k - 1, (np.array(d5.adjacency) != 0).tobytes())
-    # couple the first red unknown to its first black neighbour j with 2 both
-    # ways and nothing else anywhere: N_rb N_br is 4 at (0, 0) and 0 elsewhere,
-    # so that row of the Schur complement 4I - N_rb N_br is zero
-    j = rb_col[0, 0]
-    n_rb, n_br = np.zeros(rb_slot.shape), np.zeros(br_slot.shape)
-    n_rb[0, 0], n_br[j, list(br_col[j]).index(0)] = 2.0, 2.0
-
-    def singular_at_stuck(w, adj):
-        # blocks of a singular Schur complement for every grid of the second start
-        blocks = jacobian(w, adj)
-        hit = np.all(w == stuck_w, axis=-1)
-        blocks[0][hit], blocks[1][hit] = n_rb, n_br
-        return blocks
-
-    monkeypatch.setattr(solver, "_jacobian_log", singular_at_stuck)
+    plan = solver._plan(d5, k)
+    stuck_w = _log_residual(stuck, plan.adj)[1]
+    monkeypatch.setattr(solver, "_jacobian_log",
+                        _singular_blocks(solver._jacobian_log, plan, stuck_w))
     q, res, iterations, ok = _newton_float(d5, k, starts, 200)
     assert ok == [True, False] and iterations[1] == 0
     assert np.array_equal(q[1], stuck)
     alone = newton_float_sequential(d5, k, u0, 200)
     assert np.array_equal(q[0], alone[0]) and (res[0], iterations[0]) == alone[1:3]
+
+
+def _same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@given(st.sampled_from(GRID), st.integers(2, 12), st.integers(0, 2**32 - 1), st.integers(1, 12))
+@example(("A", 1), 2, 7, 3)  # no red unknown: the Schur complement is 0 x 0
+@settings(max_examples=60, deadline=None)
+def test_plan_matches_per_call_kernels(case, k, seed, max_iter):
+    # on a jittered stack, g, w and the steps of both solve modes bit for bit
+    # against the kernels that look their indices up at every call; then the
+    # Newton from the deterministic start and that stack, a small max_iter
+    # stopping some starts: each start's grid, max |g|, count and flag
+    dynkin = build_dynkin(*case)
+    adj = np.array(dynkin.adjacency, dtype=float)
+    plan = solver._plan(dynkin, k)
+    q = _jittered_grids(dynkin, k, seed)
+    (g, w), (want_g, want_w) = _log_residual(q, adj), log_residual_concatenated(q, adj)
+    assert _same_bits(g, want_g) and _same_bits(w, want_w)
+    step, singular = solver._newton_steps(g, w, plan)
+    want_step, want_singular = newton_steps_by_key(g, w, adj)
+    assert _same_bits(step, want_step) and not singular.any() and not want_singular.any()
+    assert _same_bits(solver._log_solver(w, plan, invert=True)(g),
+                      log_solver_by_key(w, adj, invert=True)(g))
+    starts = np.log(np.concatenate([_initial_guess(case[1], k)[None], q[..., 1:k]]))
+    got = _newton_float(dynkin, k, starts, max_iter)
+    want = newton_float_reindexed(dynkin, k, starts, max_iter)
+    assert _same_bits(got[0], want[0]) and got[1:] == want[1:], (case, k, seed, max_iter)
+
+
+def test_plan_matches_per_call_kernels_with_a_singular_start(monkeypatch):
+    # the second start's Schur complement is singular in both: it stops at
+    # once, and the others run on alone
+    d5, k = build_dynkin("D", 5), 4
+    u0 = np.log(_initial_guess(5, k))
+    starts = np.stack([u0, u0 * 1.2, u0 * 0.8])
+    plan = solver._plan(d5, k)
+    stuck_w = _log_residual(_grid(d5, k, np.exp(starts[1])), plan.adj)[1]
+    monkeypatch.setattr(solver, "_jacobian_log",
+                        _singular_blocks(solver._jacobian_log, plan, stuck_w))
+    monkeypatch.setattr(oracles, "jacobian_log_by_key",
+                        _singular_blocks(oracles.jacobian_log_by_key, plan, stuck_w))
+    got, want = _newton_float(d5, k, starts, 200), newton_float_reindexed(d5, k, starts, 200)
+    assert got[3] == [True, False, True] and got[2][1] == 0
+    assert _same_bits(got[0], want[0]) and got[1:] == want[1:]
+
+
+def test_one_plan_serves_the_solve_probe_and_refinement():
+    # the plan of D8k6 is built once and then only looked up, once by each
+    # float Newton and once by the refinement, never per step
+    solver._plan.cache_clear()
+    d8 = build_dynkin("D", 8)
+    solve_restricted(d8, 6)
+    uniqueness_probe(d8, 6)
+    info = solver._plan.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
 
 
 @pytest.mark.parametrize("family,rank,k", [("D", 8, 6), ("A", 8, 8), ("D", 12, 12)])
