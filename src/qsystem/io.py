@@ -287,6 +287,15 @@ def qtable_to_text(table: QTable) -> str:
     return "\n".join(header + lines) + "\n"
 
 
+def _relative_residual_mpf(sol: RestrictedSolution) -> mpmath.mpf:
+    return mpmath.fdiv(sol.residual_mpf, max(1.0, sol.term_scale), prec=precision_bits())
+
+
+def _e3(x: float, exact: mpmath.mpf) -> str:
+    """``x`` as ``%.3e``, or its mpf ``exact`` in that layout where x underflowed to 0.0."""
+    return f"{x:.3e}" if x or not exact else mpmath.nstr(exact, 4, strip_zeros=False)
+
+
 def solution_to_dict(sol: RestrictedSolution,
                      dilog: DilogReport | None = None,
                      table_deviation: float | None = None) -> dict:
@@ -302,8 +311,7 @@ def solution_to_dict(sol: RestrictedSolution,
         "residual": sol.residual,
         "residual_mpf": _mpf_str(sol.residual_mpf),
         "relative_residual": sol.relative_residual,
-        "relative_residual_mpf": _mpf_str(mpmath.fdiv(sol.residual_mpf, max(1.0, sol.term_scale),
-                                                            prec=precision_bits())),
+        "relative_residual_mpf": _mpf_str(_relative_residual_mpf(sol)),
         "iterations": sol.iterations,
         "float_iterations": sol.float_iterations,
         "polish_steps": sol.polish_steps,
@@ -327,8 +335,8 @@ def solution_to_text(sol: RestrictedSolution,
                      table_deviation: float | None = None) -> str:
     lines = [
         f"{sol.family}{sol.rank}, level {sol.level}: "
-        f"residual {sol.residual:.3e} after {sol.iterations} iterations"
-        f" (relative {sol.relative_residual:.3e})"
+        f"residual {_e3(sol.residual, sol.residual_mpf)} after {sol.iterations} iterations"
+        f" (relative {_e3(sol.relative_residual, _relative_residual_mpf(sol))})"
     ]
     for a in range(1, sol.rank + 1):
         row = "  ".join(mpmath.nstr(sol.values[(a, m)], 10)
@@ -339,6 +347,6 @@ def solution_to_text(sol: RestrictedSolution,
     if dilog is not None:
         lines.append(
             f"  dilog: lhs {mpmath.nstr(dilog.lhs, 15)} = rhs {dilog.rhs}"
-            f" (delta {dilog.delta:.3e})"
+            f" (delta {_e3(dilog.delta, dilog.delta_mpf)})"
         )
     return "\n".join(lines) + "\n"

@@ -7,6 +7,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+from mpmath.libmp import fone, mpf_mul, mpf_pow_int, round_nearest
 
 
 @lru_cache(maxsize=None)
@@ -28,3 +29,12 @@ def terms(q: np.ndarray, adj: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     prod = (np.multiply.reduceat(mid[..., nbrs, :], starts, axis=-2) if len(nbrs)
             else np.ones_like(mid))
     return mid**2, prod, q[..., :-2] * q[..., 2:]
+
+
+def tuple_terms(row: list, nbrs: list[list], prec: int) -> tuple[list, list]:
+    """Q_m^2 and prod_{b~a} Q^(b)_m on libmp tuples at ``prec`` bits for the values ``row`` of a
+    node and ``nbrs`` of its neighbours, rounded as :func:`terms` rounds them on mpf values."""
+    prods = nbrs[0] if nbrs else [fone] * len(row)
+    for nbr in nbrs[1:]:  # left to right
+        prods = [mpf_mul(x, y, prec, round_nearest) for x, y in zip(prods, nbr)]
+    return [mpf_pow_int(x, 2, prec, round_nearest) for x in row], prods

@@ -24,16 +24,15 @@ each value by its exponential, summed as a Taylor series on integers and
 rounded to the working precision.  Residuals are judged relative to the
 term scale S, the largest term in any equation: refinement stops once
 the exact residual is at most 2^(8 - bits) S, and a solve is accepted
-when its residual is at most tol * max(1, S).  Both phases log each step
-at DEBUG to the ``qsystem.solver`` logger.
+when its residual is at most tol * max(1, S).  Both phases log each step,
+and the probe its starts, at DEBUG to the ``qsystem.solver`` logger.
 
 The Rogers dilogarithm takes y = min(x, 1 - x) <= 1/2 and z = -log(1 - y)
 of the exact 1 - y, sums Li2(y) / z on its Bernoulli series in z in one
 Python-integer fixed-point loop with 20 guard bits, so it stays
 relatively accurate however small y is, and reflects through
-L(x) + L(1 - x) = pi^2/6.  It runs on libmp tuples, as does the
-identity's sum, which evaluates each distinct argument once; the
-arguments come from the recurrence's own terms on the mpf grid.
+L(x) + L(1 - x) = pi^2/6.  It runs on libmp tuples, as does the identity,
+which forms its arguments there and evaluates each distinct one once.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ from mpmath.libmp import (MPZ, bernfrac, fone, from_int, from_man_exp, fzero, if
 from . import precision_bits
 from .checks import PropertyReport, positive_checks
 from .dynkin import DynkinData
-from .recurrence import terms
+from .recurrence import terms, tuple_terms
 
 _log = logging.getLogger(__name__)
 
@@ -272,7 +271,7 @@ def _newton_float(dynkin: DynkinData, k: int, u0: np.ndarray, max_iter: int
     with np.errstate(all="ignore"):
         q = _grid(dynkin, k, np.exp(u))
         g, w = _log_residual(q, adj)
-        nrm = np.abs(g).max(axis=(1, 2))
+        nrm, base = np.abs(g).max(axis=(1, 2)), (g.reshape(len(g), -1) ** 2).sum(axis=1)
         q_out, nrm_out, its_out = np.empty_like(q), np.empty_like(nrm), np.empty_like(its)
         while True:
             go = ~(nrm <= _LOG_TOL) & (its < max_iter) & ~stopped
@@ -281,24 +280,25 @@ def _newton_float(dynkin: DynkinData, k: int, u0: np.ndarray, max_iter: int
                 q_out[out], nrm_out[out], its_out[out] = q[~go], nrm[~go], its[~go]
                 if not go.any():
                     break
-                start, u, q, g, w, nrm, its = (a[go] for a in (start, u, q, g, w, nrm, its))
+                start, u, q, g, w, nrm, base, its = (
+                    a[go] for a in (start, u, q, g, w, nrm, base, its))
             step, stopped = _newton_steps(g, w, plan)
-            base, t = (g.reshape(len(g), -1) ** 2).sum(axis=1), np.ones(len(g))
+            t = np.ones(len(g))
             search = np.flatnonzero(~stopped)
             while len(search):
                 at = slice(None) if len(search) == len(u) else search
                 cand = u[at] + t[at, None, None] * step[at]
                 q_t = _grid(dynkin, k, np.exp(cand))
                 g_t, w_t = _log_residual(q_t, adj)
-                good = ((g_t.reshape(len(search), -1) ** 2).sum(axis=1)
-                        < base[at] * (1 - 1e-4 * t[at]))
+                sum_t = (g_t.reshape(len(search), -1) ** 2).sum(axis=1)  # the next base
+                good = sum_t < base[at] * (1 - 1e-4 * t[at])
                 done = search[good]
                 if len(done) == len(u):  # every candidate accepted: take them whole
-                    u, q, g, w, nrm = cand, q_t, g_t, w_t, np.abs(g_t).max(axis=(1, 2))
+                    u, q, g, w, nrm, base = cand, q_t, g_t, w_t, np.abs(g_t).max(axis=(1, 2)), sum_t
                     its += 1
                 else:
                     u[done], q[done], g[done], w[done] = cand[good], q_t[good], g_t[good], w_t[good]
-                    nrm[done] = np.abs(g_t[good]).max(axis=(1, 2))
+                    nrm[done], base[done] = np.abs(g_t[good]).max(axis=(1, 2)), sum_t[good]
                     its[done] += 1
                 if debug:
                     for i in done:
@@ -484,15 +484,17 @@ def uniqueness_probe(dynkin: DynkinData, k: int, n_starts: int = 20,
     if k == 1:
         return ProbeReport(n_starts, n_starts, 0.0, True)
     u0 = np.log(_initial_guess(dynkin.rank, k))
-    rng = np.random.default_rng(seed)
-    starts = [u0] + [u0 * (1 + rng.uniform(-0.5, 0.5, size=u0.shape))
-                     for _ in range(n_starts)]
-    q, _, _, ok = _newton_float(dynkin, k, np.stack(starts), max_iter)
+    jitter = np.random.default_rng(seed).uniform(-0.5, 0.5, size=(n_starts, *u0.shape))
+    q, _, its, ok = _newton_float(dynkin, k, np.concatenate((u0[None], u0 * (1 + jitter))),
+                                  max_iter)
     if not ok[0]:
         raise NoConvergence("reference solve failed")
     ref, ok = q[0], np.array(ok[1:], dtype=bool)
     deviation = np.max(np.abs(q[1:][ok] - ref) / np.maximum(1.0, np.abs(ref)), axis=(1, 2))
     converged, worst = int(ok.sum()), float(deviation.max(initial=0.0))
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug("probe: %d starts, %d converged, float iterations max %d total %d, max deviation"
+                   " %.3e", n_starts, converged, max(its[1:], default=0), sum(its[1:]), worst)
     return ProbeReport(n_starts, converged, worst,
                        converged == n_starts and worst <= tol)
 
@@ -579,29 +581,29 @@ def dilog_identity(sol: RestrictedSolution, dynkin: DynkinData) -> DilogReport:
     The arguments x^(a)_m = (neighbor product) / Q^2 must lie in (0, 1)
     for a genuine positive solution; anything else raises
     :class:`XOutOfRange`, naming the first, node by node and m by m.  The
-    arguments are ``prod / square`` of :func:`terms` on the grid of mpf
-    values at the working precision; their L and the running sum are libmp
-    tuples.  L is evaluated once per distinct argument; the sum, node by
-    node and m by m, has the bits of one L per argument.
+    arguments are prod / square of :func:`tuple_terms` on libmp tuples at
+    the working precision.  L is evaluated once per distinct argument; the
+    sum, node by node and m by m, has the bits of one L per argument.
     """
     k, r, h = sol.level, sol.rank, dynkin.coxeter
     rhs = Fraction((k - 1) * h * r, h + k)
     x_values: dict[tuple[int, int], mpmath.mpf] = {}
-    rogers: dict[tuple, tuple] = {}  # L by the libmp tuple of its argument
+    rogers: dict[tuple, tuple] = {}  # the mpf and L by the libmp tuple of each argument
     with mpmath.workprec(precision_bits()):
         prec = mpmath.mp.prec
-        q = np.array([[sol.value(a, m) for m in range(k + 1)] for a in range(1, r + 1)],
-                     dtype=object)
-        square, prod, _ = terms(q, np.array(dynkin.adjacency))
+        q = [[sol.value(a, m)._mpf_ for m in range(1, k)] for a in range(1, r + 1)]
         total = fzero
-        for (a, m), x in np.ndenumerate(prod / square):
-            t = x._mpf_
-            if not (mpf_lt(fzero, t) and mpf_lt(t, fone)):
-                raise XOutOfRange(f"x({a + 1},{m + 1}) = {mpmath.nstr(x)} outside (0,1)")
-            x_values[(a + 1, m + 1)] = x
-            if t not in rogers:
-                rogers[t] = _rogers_L(t, prec)
-            total = mpf_add(total, rogers[t], prec, round_nearest)
+        for a, edges in enumerate(dynkin.adjacency):
+            squares, prods = tuple_terms(q[a], [q[b] for b, edge in enumerate(edges) if edge], prec)
+            for m, (square, prod) in enumerate(zip(squares, prods)):
+                t = mpf_div(prod, square, prec, round_nearest)
+                if t not in rogers:  # a new argument: checked, made an mpf and evaluated once
+                    x = mpmath.mp.make_mpf(t)
+                    if not (mpf_lt(fzero, t) and mpf_lt(t, fone)):
+                        raise XOutOfRange(f"x({a + 1},{m + 1}) = {mpmath.nstr(x)} outside (0,1)")
+                    rogers[t] = x, _rogers_L(t, prec)
+                x_values[(a + 1, m + 1)], value = rogers[t]
+                total = mpf_add(total, value, prec, round_nearest)
         lhs = 6 / mpmath.pi**2 * mpmath.mp.make_mpf(total)
         delta_mpf = abs(lhs - mpmath.mpf(rhs.numerator) / rhs.denominator)
     delta = float(delta_mpf)

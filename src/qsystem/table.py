@@ -20,14 +20,14 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import comb
 from typing import Mapping
 
 import mpmath
 import numpy as np
-from mpmath.libmp import (fone, fzero, mpf_abs, mpf_add, mpf_gt, mpf_mul, mpf_mul_int,
-                          mpf_pow_int, mpf_sub, round_nearest, to_float)
+from mpmath.libmp import (fzero, mpf_abs, mpf_add, mpf_gt, mpf_mul, mpf_mul_int, mpf_sub,
+                          round_nearest, to_float)
 
 from . import precision_bits
 from .affine import affinize, reduce_to_alcove
@@ -35,6 +35,7 @@ from .checks import (PropertyCheck, PropertyReport, mirror_failures, positive_ch
                      scale)
 from .dynkin import DynkinData
 from .qdim import EXACT, QDimValue, qdim_affine
+from .recurrence import tuple_terms
 
 Cell = tuple[int, int]
 
@@ -323,19 +324,18 @@ def verify_qsystem(table: QTable, dynkin: DynkinData, tol: float = 1e-9) -> QSys
     """Check (z^(a)_m)^2 = prod_neighbors + z^(a)_{m-1} z^(a)_{m+1} for
     1 <= m <= m_max - 1.  Each residual |square - (prod + cross)| is taken
     on libmp tuples at the working precision, rounded to nearest, with the
-    operations of mpf arithmetic on the terms of ``recurrence.terms``: the
-    square, the neighbours multiplied left to right, the cross product."""
+    square and neighbour product of ``recurrence.tuple_terms`` and the
+    operations of mpf arithmetic on the cross product."""
     bits, rnd, m_max = precision_bits(), round_nearest, table.m_max
     q = [[table.value(a, m)._mpf_ for m in range(m_max + 1)] for a in range(1, table.rank + 1)]
     residuals: dict[Cell, float] = {}
     worst: Cell | None = None
     max_res, largest = fzero, 0.0
     for a, (row, edges) in enumerate(zip(q, dynkin.adjacency), start=1):
-        nbrs = [q[b][1:-1] for b, edge in enumerate(edges) if edge] or [[fone] * (m_max - 1)]
-        prods = reduce(lambda xs, ys: [mpf_mul(x, y, bits, rnd) for x, y in zip(xs, ys)], nbrs)
-        for m, (prod, low, mid, high) in enumerate(zip(prods, row, row[1:], row[2:]), start=1):
-            res = mpf_abs(mpf_sub(mpf_pow_int(mid, 2, bits, rnd),
-                                  mpf_add(prod, mpf_mul(low, high, bits, rnd), bits, rnd),
+        nbrs = [q[b][1:-1] for b, edge in enumerate(edges) if edge]
+        squares, prods = tuple_terms(row[1:-1], nbrs, bits)
+        for m, (square, prod, low, high) in enumerate(zip(squares, prods, row, row[2:]), start=1):
+            res = mpf_abs(mpf_sub(square, mpf_add(prod, mpf_mul(low, high, bits, rnd), bits, rnd),
                                   bits, rnd))
             residuals[(a, m)] = size = to_float(res, rnd=rnd)
             if size >= largest and mpf_gt(res, max_res):  # rounding keeps order

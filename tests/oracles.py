@@ -891,11 +891,19 @@ def polish_mpf(dynkin: DynkinData, k: int,
 # solver's libmp calls, and the dilogarithm sum with one L per argument.
 
 
+@lru_cache(maxsize=None)
+def _bernoulli_coefficient(j: int, wp: int) -> int:
+    """|B_2j| / (2j+1)! from ``mpmath.bernfrac``, rounded down at the
+    fixed-point scale 2^-wp."""
+    num, den = mpmath.bernfrac(2 * j)
+    return (abs(num) << wp) // (den * math.factorial(2 * j + 1))
+
+
 def rogers_L_mpf(x) -> mpmath.mpf:
     """Rogers L on [0, 1] at the working precision, through mpf operators:
     z (Li2(y) / z - log(y) / 2) with y = min(x, 1 - x), z = -log(1 - y) and
     Li2(y) / z = 1 - z/4 + sum_j B_2j z^2j / (2j+1)! in fixed point, each
-    coefficient from ``mpmath.bernfrac`` as it is needed."""
+    coefficient from ``mpmath.bernfrac`` as it is first needed."""
     with mpmath.workprec(precision_bits()):
         x = mpmath.mpf(x)
         if not 0 <= x <= 1:
@@ -911,9 +919,8 @@ def rogers_L_mpf(x) -> mpmath.mpf:
         square, power = zf * zf >> wp, 1 << wp
         total = power - (zf >> 2)
         for j in itertools.count(1):
-            num, den = mpmath.bernfrac(2 * j)
             power = power * square >> wp
-            term = (abs(num) << wp) // (den * math.factorial(2 * j + 1)) * power >> wp
+            term = _bernoulli_coefficient(j, wp) * power >> wp
             if not term:
                 break
             total += term if j % 2 else -term

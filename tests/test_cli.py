@@ -230,8 +230,8 @@ def test_solve_reports_relative_residual(runner):
 
 def test_solve_json_keeps_residuals_below_float64_range(runner):
     # at 1,200 bits the residual, about 2^-1190 S, is 0.0 as a float; the mpf
-    # keys carry the exact residual of the returned values, and the text is
-    # as before
+    # keys carry the exact residual of the returned values, and the text
+    # writes them in the layout of %.3e
     bits = 1200
     args = ["solve", "-f", "A", "-r", "1", "-k", "4", "--dilog"]
     env = {"QSYS_PRECISION_BITS": str(bits)}
@@ -244,9 +244,13 @@ def test_solve_json_keeps_residuals_below_float64_range(runner):
         assert abs(relative - residual / data["term_scale"]) <= mpmath.ldexp(relative, 4 - bits)
         assert 0 <= mpmath.mpf(data["dilog"]["delta_mpf"]) <= mpmath.ldexp(1, 8 - bits)
     text = runner.invoke(main, args, env=env).output
-    assert text.startswith(f"A1, level 4: residual 0.000e+00 after {data['iterations']}"
-                           " iterations (relative 0.000e+00)\n"), text
-    assert "(delta 0.000e+00)" in text
+    with mpmath.workprec(bits):
+        residual, relative, delta = (mpmath.nstr(mpmath.mpf(v), 4, strip_zeros=False) for v in (
+            data["residual_mpf"], data["relative_residual_mpf"], data["dilog"]["delta_mpf"]))
+    assert all(re.fullmatch(r"\d\.\d{3}e-3\d\d", v) for v in (residual, relative, delta))
+    assert text.startswith(f"A1, level 4: residual {residual} after {data['iterations']}"
+                           f" iterations (relative {relative})\n"), text
+    assert f"(delta {delta})" in text and "0.000e+00" not in text
 
 
 def test_solve_against_table(runner):

@@ -385,6 +385,28 @@ def _same_bits(got: np.ndarray, want: np.ndarray) -> bool:
     return got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("extra", [0, 1])
+def test_stacked_newton_of_one_group_stops_only_the_singular_start(monkeypatch, extra):
+    # D12k12 solves at most 7 grids at once: a stack of 7 is one group and
+    # one of 8 two groups of 4.  Either way the grid with a
+    # singular Schur complement stops at once, and every other start follows
+    # its own path bit for bit
+    d12, k = build_dynkin("D", 12), 12
+    plan = solver._plan(d12, k)
+    assert plan.per == 7
+    u0 = np.log(_initial_guess(12, k))
+    jitter = np.random.default_rng(extra).uniform(-0.5, 0.5, size=(plan.per + extra, *u0.shape))
+    starts = u0 * (1 + jitter)
+    stuck = _grid(d12, k, np.exp(starts[3]))
+    monkeypatch.setattr(solver, "_jacobian_log", _singular_blocks(
+        solver._jacobian_log, plan, _log_residual(stuck, plan.adj)[1]))
+    q, res, iterations, ok = _newton_float(d12, k, starts, 200)
+    assert not ok[3] and iterations[3] == 0 and np.array_equal(q[3], stuck)
+    for i in sorted(set(range(len(starts))) - {3}):
+        alone = newton_float_sequential(d12, k, starts[i], 200)
+        assert _same_bits(q[i], alone[0]) and (res[i], iterations[i], ok[i]) == alone[1:], i
+
+
 @given(st.sampled_from(GRID), st.integers(2, 12), st.integers(0, 2**32 - 1), st.integers(1, 12))
 @example(("A", 1), 2, 7, 3)  # no red unknown: the Schur complement is 0 x 0
 @settings(max_examples=60, deadline=None)
@@ -558,6 +580,24 @@ def test_uniqueness_probe_is_relative_at_large_values(family):
     assert report.converged == report.starts == 5
     assert report.max_deviation <= 1e-8
     assert report.agree
+
+
+def test_uniqueness_probe_logs_its_starts(caplog):
+    # one record: the starts, the converged ones, the most and the total
+    # float iterations of the jittered starts, each counted as its
+    # one-start Newton counts it, and the worst deviation
+    d8, k = build_dynkin("D", 8), 6
+    with caplog.at_level(logging.DEBUG, logger="qsystem.solver"):
+        report = uniqueness_probe(d8, k)
+    records = [r for r in caplog.records if r.getMessage().startswith("probe: ")]
+    assert len(records) == 1
+    starts, converged, most, total, worst = records[0].args
+    assert (starts, converged, worst) == (20, 20, report.max_deviation)
+    u0 = np.log(_initial_guess(8, k))
+    rng = np.random.default_rng(0)
+    counts = [newton_float_sequential(d8, k, u0 * (1 + rng.uniform(-0.5, 0.5, size=u0.shape)),
+                                      400)[2] for _ in range(20)]
+    assert (most, total) == (max(counts), sum(counts))
 
 
 # --- Rogers dilogarithm ---------------------------------------------------------
@@ -742,6 +782,23 @@ def test_dilog_identity_matches_oracle_sum(monkeypatch, solutions_a1_8_d4_8, bit
         assert (report.delta, report.rhs) == (delta, rhs)
         assert {key: x._mpf_ for key, x in report.x_values.items()} == {
             key: x._mpf_ for key, x in x_values.items()}
+
+
+@pytest.fixture(scope="module")
+def solutions_a9_12_d9_12():
+    """The positive solutions of A9-12 and D9-12 at levels 1-12, solved once
+    at 128 bits."""
+    with mock.patch.dict(os.environ, {"QSYS_PRECISION_BITS": "128"}):
+        return [(d, solve_restricted(d, k))
+                for d in [build_dynkin(family, r) for family in "AD" for r in range(9, 13)]
+                for k in range(1, 13)]
+
+
+@pytest.mark.parametrize("bits", [128, 512])
+def test_dilog_identity_matches_oracle_sum_to_rank_12(monkeypatch, solutions_a9_12_d9_12, bits):
+    # the same comparison of the arguments formed on libmp tuples with the
+    # oracle's terms on mpf values, on rows of up to 11 values
+    test_dilog_identity_matches_oracle_sum(monkeypatch, solutions_a9_12_d9_12, bits)
 
 
 def test_dilog_evaluates_each_distinct_argument_once(monkeypatch):
