@@ -3,7 +3,8 @@
 JSON numerics are written as decimal strings with enough digits to
 reconstruct the working-precision value exactly, so serialize/parse is
 lossless and exact tags survive the round trip.  Provenance rows are joined
-from texts made once per table or node and streamed (``_json_pieces``).
+from texts made once per table or node, selected a group of cells at a time
+and streamed (``_json_pieces``); a cell of one row is written as one text.
 
 The reader checks the provenance it reads against the writer's pieces in
 one comparison.  A text that opens with the writer's header is compared in
@@ -21,9 +22,9 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
+import sys
 from fractions import Fraction
 from itertools import chain, islice, zip_longest
-from math import comb
 from os.path import commonprefix
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -62,84 +63,93 @@ def _json_pieces(table: QTable, numerics: dict[tuple, str] | None = None) -> Ite
     tag, the numeric value and the provenance, the unreduced affinized
     summands in the order of ``kr_decompose``, a list yielded once _BLOCK_ROWS
     rows are pending.  A row is ",\n", a head and a tail (the first of a cell
-    has no ",\n"); a node of one summand per cell has the head column 0.  A
-    tail node a of D has the head column 0 and nodes 1..w (w = 3 for odd a,
-    2 for even a) and the tail nodes w + 1..r of its upper chain parts U =
-    (u_a, u_(a-2), .., u_(w+2)).  The heads of ΣU = s in cell (a, m), the rows
-    of ``kr_decompose(w, m - s)`` with column 0 lowered by 2s (the tail nodes'
-    marks are 2), are made once per table, as one object array of lists; the
-    tail of each U, the text of nodes w + 1..a - 1 made once per node for each
-    U less u_a and that of nodes a..r made once per u_a, is joined once per
-    node of at most _BLOCK_ROWS tuples U, and per run in a larger node; the
-    rows of each U are one ``str.join`` of its heads by its tail.
-    All join to the bytes of ``json.dumps`` with ``indent=1``.  A numeric is
-    the JSON text ``numerics`` maps its cell to, by default of ``_mpf_str``."""
+    has no ",\n"); a cell of one summand (family A, node 1, the fork tips) is
+    one text, its head and its row.  A tail node a of D has the head column 0
+    and nodes 1..w (w = 3 for odd a, 2 for even a) and the tail nodes w + 1..r
+    of its upper chain parts U = (u_a, u_(a-2), .., u_(w+2)).  The heads of
+    ΣU = s in cell (a, m), the rows of ``kr_decompose(w, m - s)`` with column 0
+    lowered by 2s (the tail nodes' marks are 2), are made once per table; the
+    tail of U, nodes w + 1..a - 1 made per node for each U less u_a and a..r
+    per u_a, is joined once in a node of at most _BLOCK_ROWS tuples U, whose
+    runs, one per (cell, U), are selected at once, and per piece in a larger
+    node, selected a cell at a time.  A run's rows are one ``str.join`` of its
+    heads by its tail.  All join to the bytes of ``json.dumps(indent=1)``; a
+    numeric is the JSON text ``numerics`` maps its cell to, by default ``_mpf_str``."""
     from . import table as tb  # _BLOCK_ROWS and kr_decompose are looked up at call time
     dynkin, r, k, top, bound = (build_dynkin(table.family, table.rank), table.rank, table.level,
                                 table.m_max, tb._BLOCK_ROWS)
     if numerics is None:  # each distinct value formatted and dumped once
         texts = {key: json.dumps(text) for key, text in _numeric_texts(table).items()}
         numerics = {cell: texts[x.numeric._mpf_] for cell, x in table.cells.items()}
+    close = "\n   ]\n  },"  # a cell's end, before the next cell's head
+    opens = (f'{close if a > 1 or m else ""}\n  {{\n   "a": {a},\n   "m": {m},\n   "exact": '
+             f'{"null" if x.exact is None else x.exact},\n   "numeric": {numerics[(a, m)]},\n'
+             f'   "provenance": [\n' for a in range(1, r + 1) for m in range(top + 1)
+             for x in [table.cells[(a, m)]])  # each cell's head, in the writer's order
     # a node's 0..top, the ends of a part and of a row, then column 0 from k - 2 top (its least)
     vocab = np.array([f",\n     {v}" for v in range(top + 1)] + ["|", "\n    ]|"]
                      + [f",\n    [\n     {v}" for v in range(k - 2 * top, k + 1)], dtype=object)
     first = np.cumsum([0] + list(range(top + 1, 1, -1)))  # heads[w][first[s] + c]: (s, c)
     heads: dict[int, np.ndarray] = {}  # the rows of kr_decompose(w, c) with 2s taken off, and ""
-    pieces, n, sep = [f'{{\n "family": {json.dumps(table.family)},\n "rank": {r},\n'
-                      f' "level": {k},\n "h": {table.coxeter},\n "cells": ['], 0, ""
+    pieces, n = [f'{{\n "family": {json.dumps(table.family)},\n "rank": {r},\n'
+                 f' "level": {k},\n "h": {table.coxeter},\n "cells": ['], 0
+    written, runs, groups, chunks = 0, 0, 0, 1  # for the DEBUG record: rows, runs, groups, chunks
     for a in range(1, r + 1):
-        single = dynkin.family == "A" or a >= r - 1 or a == 1  # the row of m omega_a
-        if not single:
-            w = 2 + a % 2
-            if w not in heads:  # for each s, the rows of every c <= top - s
-                rows = np.concatenate([tb.kr_decompose(w, c, dynkin).terms[:, :w]
-                                       for c in range(top + 1)])
-                n_s = [(c + 1) * (c + 2) // 2 for c in range(top, -1, -1)]  # rows of c <= top - s
-                i = np.concatenate([np.arange(count) for count in n_s])
-                col0 = (k - rows @ dynkin.marks[1:w + 1])[i] - 2 * np.repeat(range(top + 1), n_s)
-                nodes = _joined_rows(np.column_stack([rows, np.full(len(rows), top + 1)]), vocab)
-                it = iter((vocab[col0 + 3 * top + 3 - k] + nodes[i]).tolist())  # by s, c, row
-                heads[w] = np.fromiter(([*islice(it, c + 1), ""] for s in range(top + 1)
-                                        for c in range(top + 1 - s)), dtype=object,
-                                       count=first[-1] + 1)
-            comps = tb.stars_and_bars(top, a // 2)  # U, then the slack
-            inner, inner_of = tb._rank_rows(comps[:, 1:-1], [top + 1] * (a // 2 - 2))  # U less u_a
-            index = np.zeros((max(len(inner), top + 1), r + 2), dtype=np.int64)
-            index[:len(inner), a - 2:w:-2], index[:, a], index[:, -1] = inner, top + 1, top + 2
-            lows = _joined_rows(index[:len(inner), min(a, w + 1):a + 1], vocab)[inner_of]
-            index[:top + 1, a] = range(top + 1)
-            highs = _joined_rows(index[:top + 1, max(a, w + 1):], vocab)[comps[:, 0]]
-            if len(comps) <= bound:  # larger nodes join per run: none holds all its tails
-                lows, highs = lows + highs, None
-            sums = top - comps[:, -1]
-            at = first[sums] - sums  # the heads of U in cell m at heads[w][at + m]
-        for m in range(top + 1):
-            if single:
-                lo = [",\n     0" * (a - 1) + f",\n     {m}" + ",\n     0" * (r - a) + "\n    ]"]
-                hi, hs, size = None, [[f",\n    [\n     {k - dynkin.marks[a] * m}", ""]], 1
-            else:
-                keep = sums <= m
-                lo, hi = lows[keep], None if highs is None else highs[keep]
-                hs, size = heads[w][at[keep] + m], comb(m + a // 2, a // 2)
-            cell = table.cells[(a, m)]
-            pieces.append(f'{sep}\n  {{\n   "a": {a},\n   "m": {m},\n   "exact": '
-                          f'{"null" if cell.exact is None else cell.exact},\n   "numeric": '
-                          f'{numerics[(a, m)]},\n   "provenance": [\n')
-            sep, start, i = ",", len(pieces), 0
-            # the rows before each run where the cell reaches the bound (one of a row does not)
-            ends = None if n + size <= bound else np.cumsum(np.append(0, m + 1 - sums[keep]))
-            while i < len(hs):  # runs up to the first that brings the pending rows to the bound
-                j = len(hs) if ends is None else min(int(ends.searchsorted(bound - n + ends[i])),
-                                                     len(hs))
-                pieces += map(str.join, lo[i:j] if hi is None else lo[i:j] + hi[i:j], hs[i:j])
-                if i == 0:  # the cell's first row, after its head, has no ",\n"
-                    pieces[start] = pieces[start][2:]
-                n, i = n + (size if ends is None else int(ends[j] - ends[i])), j
-                if n >= bound:
+        if dynkin.family == "A" or a >= r - 1 or a == 1:  # the one row of m omega_a
+            lo, hi, mark = ",\n     0" * (a - 1), ",\n     0" * (r - a) + "\n    ]", dynkin.marks[a]
+            for m in range(top + 1):
+                pieces.append(f"{next(opens)}    [\n     {k - mark * m}{lo},\n     {m}{hi}")
+                if (n := n + 1) >= bound:
                     yield pieces
-                    pieces, n = [], 0
-            pieces.append("\n   ]\n  }")
-    yield pieces + ["\n ]\n}"]
+                    pieces, n, chunks = [], 0, chunks + 1
+            written, runs = written + top + 1, runs + top + 1
+            continue
+        w = 2 + a % 2
+        if w not in heads:  # for each s, the rows of every c <= top - s
+            rows = np.concatenate([tb.kr_decompose(w, c, dynkin).terms[:, :w]
+                                   for c in range(top + 1)])
+            n_s = [(c + 1) * (c + 2) // 2 for c in range(top, -1, -1)]  # rows of c <= top - s
+            i = np.concatenate([np.arange(count) for count in n_s])
+            col0 = (k - rows @ dynkin.marks[1:w + 1])[i] - 2 * np.repeat(range(top + 1), n_s)
+            nodes = _joined_rows(np.column_stack([rows, np.full(len(rows), top + 1)]), vocab)
+            it = iter((vocab[col0 + 3 * top + 3 - k] + nodes[i]).tolist())  # by s, c, row
+            heads[w] = np.fromiter(([*islice(it, c + 1), ""] for s in range(top + 1)
+                                    for c in range(top + 1 - s)), dtype=object, count=first[-1] + 1)
+        comps = tb.stars_and_bars(top, a // 2)  # U, then the slack
+        inner, inner_of = tb._rank_rows(comps[:, 1:-1], [top + 1] * (a // 2 - 2))  # U less u_a
+        index = np.zeros((max(len(inner), top + 1), r + 2), dtype=np.int64)
+        index[:len(inner), a - 2:w:-2], index[:, a], index[:, -1] = inner, top + 1, top + 2
+        lows = _joined_rows(index[:len(inner), min(a, w + 1):a + 1], vocab)[inner_of]
+        index[:top + 1, a] = range(top + 1)
+        highs = _joined_rows(index[:top + 1, max(a, w + 1):], vocab)[comps[:, 0]]
+        if len(comps) <= bound:  # one group; a larger node goes a cell at a time, joining per piece
+            lows, highs = lows + highs, None
+        sums = top - comps[:, -1]
+        at = first[sums] - sums  # the heads of U in cell m at heads[w][at + m]
+        for ms in [np.arange(top + 1)] if highs is None else np.arange(top + 1)[:, None]:
+            sel = sums <= ms[:, None]  # the runs (cell, U) of the group, by cell, then U
+            lo, hi = (x if x is None else np.broadcast_to(x, sel.shape)[sel] for x in (lows, highs))
+            hs = heads[w][(at + ms[:, None])[sel]]  # made apart, so each frees the last group's
+            ends = np.cumsum((ms[:, None] + 1 - sums)[sel])  # first: the group's rows to each run
+            starts = np.cumsum(sel.sum(1))[-2::-1].tolist() + [0]  # cells' first runs, last first
+            i, done = 0, -n  # the group's rows when the last piece was yielded
+            while i < len(hs):  # runs up to the first that brings the pending rows to the bound
+                j, base = min(int(ends.searchsorted(done + bound)) + 1, len(hs)), len(pieces) - i
+                pieces += map(str.join, lo[i:j] if hi is None else lo[i:j] + hi[i:j], hs[i:j])
+                while starts and starts[-1] < j:  # a cell's first row, after its head, has no ",\n"
+                    s = base + starts.pop()
+                    pieces[s] = next(opens) + pieces[s][2:]
+                i = j
+                if ends[j - 1] - done >= bound:
+                    yield pieces
+                    pieces, done, chunks = [], int(ends[j - 1]), chunks + 1
+            n, written = int(ends[-1]) - done, written + int(ends[-1])
+            runs, groups = runs + len(hs), groups + 1
+    log = sys.modules.get("logging")  # not loaded, it has no handler to take the record
+    if log and log.getLogger(__name__).isEnabledFor(log.DEBUG):
+        log.getLogger(__name__).debug("%d cells, %d rows, %d runs, %d tail groups, %d chunks",
+                                      r * (top + 1), written, runs, groups, chunks)
+    yield pieces + ["\n   ]\n  }\n ]\n}"]
 
 
 def qtable_json_chunks(table: QTable, numerics: dict[tuple, str] | None = None) -> Iterator[str]:

@@ -981,11 +981,14 @@ def test_json_chunks_match_dict_dump(data, family):
         limit = m
     table = build_qtable(d, k, data.draw(st.integers(0, limit), label="m_max"))
     want = json.dumps(qtable_to_dict(table), indent=1)
-    for rows in (1, 7, 2**20):
+    for rows in (1, 7, 2**20, data.draw(st.integers(1, 4096), label="bound")):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(qsystem.table, "_BLOCK_ROWS", rows)
-            got = "".join(qtable_json_chunks(table))
-        assert_same_text(got, want, rows)
+            chunks = list(qtable_json_chunks(table))
+        assert_same_text("".join(chunks), want, rows)
+        # all but the last piece hold the bound and less than the run that reached it
+        counts = [chunk.count("\n    [") for chunk in chunks]
+        assert all(rows <= c < rows + table.m_max + 1 for c in counts[:-1]), (rows, counts)
 
 
 @pytest.fixture(scope="module")
@@ -1007,6 +1010,35 @@ def test_json_chunks_hold_block_rows_and_one_run(monkeypatch, d10k10_table, rows
     assert sum(counts) == sum(kr_term_count(a, m, d) for a, m in d10k10_table.cells)
     assert hashlib.sha256("".join(chunks).encode()).hexdigest() == (
         "052c38df72514a01bff2273e3af9da51050634fb4f9ffe08e85d12fb4dcd2c1b")
+
+
+def test_json_chunks_stream(d10k10_table):
+    # a consumer holds one piece at a time: the writer holds no node's texts whole (node 8 has
+    # 4,495 tuples U) and no (cell, U) pairs of every node at once
+    tracemalloc.start()
+    try:
+        for chunk in qtable_json_chunks(d10k10_table):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 2**20
+
+
+def test_json_writer_logs_each_table(monkeypatch, caplog):
+    # D8k6: every tail node has at most 231 tuples U, so each is one group of its 21 cells; at
+    # a bound of 7 nodes 4-6 (21 and 231 tuples) go a cell at a time, nodes 2 and 3 (one) whole
+    table = build_qtable(build_dynkin("D", 8), 6)
+    records = []
+    for bound in (qsystem.table._BLOCK_ROWS, 7):
+        monkeypatch.setattr(qsystem.table, "_BLOCK_ROWS", bound)
+        with caplog.at_level(logging.DEBUG, logger="qsystem.io"):
+            qtable_to_json(table)
+        records += [r.args for r in caplog.records if r.name == "qsystem.io"]
+        caplog.clear()
+    (cells, rows, runs, groups, chunks), small = records
+    assert (cells, rows, groups, chunks) == (168, 14_693, 5, 8)
+    assert small[:3] == (cells, rows, runs) and small[3] == 2 + 3 * 21
 
 
 @pytest.mark.parametrize("family,rank,k", [("D", 5, 4), ("D", 6, 3), ("A", 3, 3)])
